@@ -141,8 +141,7 @@ def _render_text(report, elapsed, cache=None):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     flags = RunFlags(field=args.field, seed=args.seed, n_cap=args.ncap,
-                     attempts=args.attempts, allow_long=args.allow_long,
-                     cache_dir=args.cache_dir)
+                     attempts=args.attempts, allow_long=args.allow_long)
     cache = GBCache(args.cache_dir) if args.cache_dir else None
     token = active_cache.set(cache) if cache else None
     start = time.monotonic()

@@ -52,6 +52,13 @@ def _common_ring(polys):
     return ring
 
 
+def _divisor(g, ring):
+    """(lm, dmask, inv_lc, tail) of a nonzero g, tail excluding the lead."""
+    lm = g.lm()
+    return (lm, ring.dmask(lm), ring.field.inv(g.lc()),
+            tuple((m, c) for m, c in g.terms.items() if m != lm))
+
+
 def normal_form(f, G):
     """Remainder of f on division by the list G (not necessarily a GB).
 
@@ -60,18 +67,18 @@ def normal_form(f, G):
     in list order is always used.
     """
     ring = _common_ring([f] + list(G))
-    field = ring.field
-    divisors = []
-    for g in G:
-        if g.is_zero():
-            continue
-        lm = g.lm()
-        inv_lc = field.inv(g.lc())
-        tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
-        divisors.append((lm, ring.dmask(lm), inv_lc, tail))
+    divisors = [_divisor(g, ring) for g in G if not g.is_zero()]
     if not divisors or f.is_zero():
         return f
+    return _divide(f, divisors, ring, full=True)
 
+
+def _divide(f, divisors, ring, full):
+    """The division loop.  With full=False it stops at the first
+    irreducible term and leaves the tail unreduced: enough for basis
+    building and zero-testing, and much cheaper than a full normal form.
+    """
+    field = ring.field
     nkey = ring.nkey
     dmask = ring.dmask
     guards = ring._guards
@@ -92,71 +99,13 @@ def normal_form(f, G):
         nmm = ~dmask(m)
         for lm, dm, inv_lc, tail in divisors:
             if dm & nmm == 0 and (bg - lm) & guards == guards:
-                q = m - lm
-                if p is not None:
-                    factor = c * inv_lc % p
-                    for mt, ct in tail:
-                        mm = mt + q
-                        old = work.get(mm)
-                        if old is None:
-                            work[mm] = (-factor * ct) % p
-                            push(heap, (nkey(mm), mm))
-                        else:
-                            val = (old - factor * ct) % p
-                            if val:
-                                work[mm] = val
-                            else:
-                                del work[mm]
-                else:
-                    factor = mul(c, inv_lc)
-                    for mt, ct in tail:
-                        mm = mt + q
-                        old = work.get(mm)
-                        val = sub(old if old is not None else zero,
-                                  mul(factor, ct))
-                        if val == zero:
-                            work.pop(mm, None)
-                        else:
-                            work[mm] = val
-                            if old is None:
-                                push(heap, (nkey(mm), mm))
                 break
         else:
             result[m] = c
-    return Polynomial(ring, result)
-
-
-def _top_reduce(f, divisors, ring):
-    """Reduce only leading terms (tails stay); enough for basis building
-    and zero-testing, and much cheaper than a full normal form.
-
-    divisors: list of (lm, dmask, inv_lc, tail) tuples, tail excluding
-    the lead.
-    """
-    field = ring.field
-    nkey = ring.nkey
-    dmask = ring.dmask
-    guards = ring._guards
-    p = field.p if field.kind == "prime_field" else None
-    zero = field.zero
-    sub, mul = field.sub, field.mul
-    work = dict(f.terms)
-    heap = [(nkey(m), m) for m in work]
-    heapq.heapify(heap)
-    push = heapq.heappush
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.get(m)
-        if c is None:
-            continue
-        bg = m | guards
-        nmm = ~dmask(m)
-        for lm, dm, inv_lc, tail in divisors:
-            if dm & nmm == 0 and (bg - lm) & guards == guards:
+            if not full:
+                result.update(work)
                 break
-        else:
-            return Polynomial(ring, work)
-        del work[m]
+            continue
         q = m - lm
         if p is not None:
             factor = c * inv_lc % p
@@ -185,7 +134,7 @@ def _top_reduce(f, divisors, ring):
                     work[mm] = val
                     if old is None:
                         push(heap, (nkey(mm), mm))
-    return Polynomial(ring, {})
+    return Polynomial(ring, result)
 
 
 def _spoly(f, g, ring):
@@ -201,10 +150,12 @@ def _gm_update(G, lms, pairs, h_index, ring):
     """Gebauer-Moeller pair update when basis element h_index is added.
 
     Applies the chain criterion (drop pairs whose lcm is properly covered
-    by the new leading monomial) and the coprimality criterion.
+    by the new leading monomial) and the coprimality criterion.  In a
+    module ring only pairs within one component are formed.
     """
     t = h_index
     lm_t = lms[t]
+    components = ring._components
     divides = ring.mono_divides
     lcm = ring.mono_lcm
 
@@ -220,7 +171,7 @@ def _gm_update(G, lms, pairs, h_index, ring):
     # organize candidate new pairs by their lcm
     by_lcm = {}
     for i in range(t):
-        if lms[i] is None:
+        if (lms[i] ^ lm_t) & components:
             continue
         by_lcm.setdefault(lcm(lms[i], lm_t), []).append(i)
     # keep only lcm-minimal classes, one representative each
@@ -265,7 +216,6 @@ def buchberger(gens, limits=None, reduced=True):
         if hit is not None:
             return GroebnerBasis(ring, hit)
 
-    field = ring.field
     G = []
     lms = []
     div = []
@@ -273,10 +223,8 @@ def buchberger(gens, limits=None, reduced=True):
 
     def add(g):
         G.append(g)
-        lm = g.lm()
-        lms.append(lm)
-        div.append((lm, ring.dmask(lm), field.inv(g.lc()),
-                    tuple((m, c) for m, c in g.terms.items() if m != lm)))
+        lms.append(g.lm())
+        div.append(_divisor(g, ring))
 
     for g in sorted(gens, key=lambda f: ring.key(f.lm())):
         add(g.monic())
@@ -307,7 +255,7 @@ def buchberger(gens, limits=None, reduced=True):
         processed += 1
         if processed > limits.pair_cap:
             raise ResourceExceeded(f"pair ceiling {limits.pair_cap} exceeded")
-        r = _top_reduce(_spoly(G[i], G[j], ring), div, ring)
+        r = _divide(_spoly(G[i], G[j], ring), div, ring, full=False)
         if r.is_zero():
             continue
         if r.degree() > limits.degree_cap:
@@ -341,10 +289,10 @@ def _minimalize(G, ring):
 def _interreduce(G, ring):
     """Minimalize, then tail-reduce, yielding the unique reduced basis."""
     minimal = _minimalize(G, ring)
+    divisors = [_divisor(g, ring) for g in minimal]
     reduced = []
     for i, g in enumerate(minimal):
-        rest = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, rest)
+        r = _divide(g, divisors[:i] + divisors[i + 1:], ring, full=True)
         if not r.is_zero():
             reduced.append(r.monic())
     return sorted(reduced, key=lambda f: ring.key(f.lm()))

@@ -129,18 +129,6 @@ class Ideal:
 
     # -- elimination machinery --
 
-    def _aux_ring(self, aux_names):
-        inner = self.ring.order
-        if not isinstance(inner, (Lex, Grevlex, Block)):
-            inner = Grevlex()
-        return self.ring.extended(
-            aux_names, front=True,
-            order=Block(len(aux_names), Grevlex(), inner))
-
-    def _embed_into(self, ext, offset):
-        var_map = [offset + i for i in range(self.ring.n)]
-        return [embed(g, ext, var_map) for g in self.generators]
-
     @staticmethod
     def _drop_aux(gb, ext, k, target, offset_map):
         """Keep GB elements free of the first k (eliminated) variables,
@@ -158,18 +146,16 @@ class Ideal:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, [])
-        from .modules import ModVec, module_buchberger
+        from .modules import components, module_buchberger, vector
         ring = self.ring
         zero = ring.zero()
-        vecs = [ModVec.from_polys([f, f]) for f in self.generators]
-        vecs += [ModVec.from_polys([g, zero]) for g in other.generators]
-        basis = module_buchberger(vecs)
+        vecs = [vector([f, f]) for f in self.generators]
+        vecs += [vector([g, zero]) for g in other.generators]
         kept = []
-        for v in basis:
-            if all(pos >= 1 for (pos, _m) in v.terms):
-                h = v.to_polys()[1]
-                if not h.is_zero():
-                    kept.append(h)
+        for v in module_buchberger(vecs):
+            first, h = components(v)
+            if first.is_zero() and not h.is_zero():
+                kept.append(h)
         return Ideal(ring, kept)
 
     def colon_poly(self, f):

@@ -39,9 +39,3 @@ def echelonize(rows, field):
 def rank(rows, field):
     return len(echelonize([list(r) for r in rows], field))
 
-
-def in_row_span(vec, rows, field):
-    """True iff vec is a linear combination of the rows."""
-    base = [list(r) for r in rows]
-    r0 = rank(base, field)
-    return rank(base + [list(vec)], field) == r0

@@ -1,182 +1,41 @@
-"""Groebner bases for submodules of free modules R^k.
+"""Submodules of free modules R^k, computed by the ideal engine in `gb`.
 
-Vectors are sparse dicts keyed by (position, packed monomial) with a
-position-over-term order (earlier positions dominate); that makes the
-component-elimination trick work: to find the syzygies of columns v_1..v_c
-in R^r, run Buchberger on (v_j, e_j) in R^(r+c) and keep the basis
-elements supported entirely in the tail block.
+A vector of R^k is a polynomial of R.module_ring(k) = R[e_0..e_{k-1}]
+whose every term carries one component variable e_i.  The order there is
+position-over-term (earlier positions dominate), which makes the
+component-elimination trick work: to find the syzygies of columns
+v_1..v_c in R^r, compute a basis of the (v_j, e_j) in R^(r+c) and keep
+the elements supported entirely in the tail block.
 """
 
-import heapq
-
-from .errors import RingMismatch
-from .ring import Polynomial
+from .gb import buchberger, normal_form
+from .ring import FIELD_BITS, Polynomial
 
 
-class ModVec:
-    """Sparse vector in R^npos: dict (pos, packed monomial) -> coeff."""
-
-    __slots__ = ("ring", "npos", "terms", "_sorted")
-
-    def __init__(self, ring, npos, terms):
-        self.ring = ring
-        self.npos = npos
-        self.terms = terms
-        self._sorted = None
-
-    @classmethod
-    def from_polys(cls, polys, npos=None):
-        """Column vector from a list of polynomials."""
-        ring = polys[0].ring
-        npos = npos if npos is not None else len(polys)
-        terms = {}
-        for pos, f in enumerate(polys):
-            for m, c in f.terms.items():
-                terms[(pos, m)] = c
-        return cls(ring, npos, terms)
-
-    def to_polys(self):
-        polys = [self.ring.zero() for _ in range(self.npos)]
-        for (pos, m), c in self.terms.items():
-            polys[pos] = polys[pos] + Polynomial(self.ring, {m: c})
-        return polys
-
-    def is_zero(self):
-        return not self.terms
-
-    def key(self, pm):
-        pos, m = pm
-        return (-pos,) + self.ring.key(m)
-
-    def sorted_terms(self):
-        if self._sorted is None:
-            self._sorted = sorted(self.terms, key=self.key, reverse=True)
-        return self._sorted
-
-    def lt(self):
-        return self.sorted_terms()[0]
-
-    def lc(self):
-        return self.terms[self.lt()]
-
-    def sub_scaled(self, other, mono, coeff):
-        """self - coeff * x^mono * other."""
-        field = self.ring.field
-        zero = field.zero
-        terms = dict(self.terms)
-        for (pos, m), c in other.terms.items():
-            k = (pos, m + mono)
-            val = field.sub(terms.get(k, zero), field.mul(coeff, c))
-            if val == zero:
-                terms.pop(k, None)
-            else:
-                terms[k] = val
-        return ModVec(self.ring, self.npos, terms)
-
-    def scale(self, c):
-        field = self.ring.field
-        return ModVec(self.ring, self.npos,
-                      {k: field.mul(v, c) for k, v in self.terms.items()})
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.ring.field.inv(self.lc()))
+def vector(polys):
+    """The column (polys[0], polys[1], ...) of R^len(polys), as a
+    polynomial of the module ring."""
+    ring = polys[0].ring.module_ring(len(polys))
+    terms = {}
+    for s, f in zip(ring._shifts, polys):
+        e = 1 << s
+        for m, c in f.terms.items():
+            terms[m + e] = c
+    return Polynomial(ring, terms)
 
 
-def module_normal_form(v, G):
-    """Remainder of v on division by the vectors G."""
-    if v.is_zero() or not G:
-        return v
+def components(v):
+    """The coordinates of the vector v, as polynomials of the base ring."""
     ring = v.ring
-    field = ring.field
-    divides = ring.mono_divides
-    zero = field.zero
-    divisors = [(g.lt(), field.inv(g.lc()), g) for g in G if not g.is_zero()]
-    work = dict(v.terms)
-
-    def nkey(pm):
-        pos, m = pm
-        return (pos,) + tuple(-x for x in ring.key(m))
-
-    heap = [(nkey(pm), pm) for pm in work]
-    heapq.heapify(heap)
-    result = {}
-    while heap:
-        _, pm = heapq.heappop(heap)
-        c = work.pop(pm, None)
-        if c is None:
-            continue
-        pos, m = pm
-        for (lpos, lmono), inv_lc, g in divisors:
-            if lpos == pos and divides(lmono, m):
-                q = m - lmono
-                factor = field.mul(c, inv_lc)
-                for (p2, m2), c2 in g.terms.items():
-                    if p2 == pos and m2 == lmono:
-                        continue
-                    k = (p2, m2 + q)
-                    old = work.get(k)
-                    val = field.sub(old if old is not None else zero,
-                                    field.mul(factor, c2))
-                    if val == zero:
-                        work.pop(k, None)
-                    else:
-                        work[k] = val
-                        if old is None:
-                            heapq.heappush(heap, (nkey(k), k))
-                break
-        else:
-            result[pm] = c
-    return ModVec(ring, v.npos, result)
-
-
-def _top_reduce(v, divisors_by_pos, ring):
-    """Reduce only leading terms; tails are left alone.  Sufficient for
-    basis building and zero-testing, and much cheaper than a full
-    normal form."""
-    field = ring.field
-    divides = ring.mono_divides
-    zero = field.zero
-    work = dict(v.terms)
-
-    def nkey(pm):
-        pos, m = pm
-        return (pos,) + tuple(-x for x in ring.key(m))
-
-    heap = [(nkey(pm), pm) for pm in work]
-    heapq.heapify(heap)
-    while heap:
-        _, pm = heapq.heappop(heap)
-        c = work.get(pm)
-        if c is None or c == zero:
-            continue
-        pos, m = pm
-        hit = None
-        for (lmono, inv_lc, g) in divisors_by_pos.get(pos, ()):
-            if divides(lmono, m):
-                hit = (lmono, inv_lc, g)
-                break
-        if hit is None:
-            # leading term irreducible: done (tail stays unreduced)
-            return ModVec(v.ring, v.npos,
-                          {k: x for k, x in work.items() if x != zero})
-        lmono, inv_lc, g = hit
-        q = m - lmono
-        factor = field.mul(c, inv_lc)
-        for (p2, m2), c2 in g.terms.items():
-            k = (p2, m2 + q)
-            old = work.get(k)
-            val = field.sub(old if old is not None else zero,
-                            field.mul(factor, c2))
-            if val == zero:
-                work.pop(k, None)
-            else:
-                work[k] = val
-                if old is None and k != pm:
-                    heapq.heappush(heap, (nkey(k), k))
-        work.pop(pm, None)
-    return ModVec(v.ring, v.npos, {})
+    base = ring.base
+    low = FIELD_BITS * base.n
+    mask = (1 << low) - 1
+    last = ring.n - base.n - 1
+    parts = [{} for _ in range(last + 1)]
+    for m, c in v.terms.items():
+        pos = last - ((m >> low).bit_length() - 1) // FIELD_BITS
+        parts[pos][m & mask] = c
+    return [Polynomial(base, t) for t in parts]
 
 
 def module_buchberger(vectors):
@@ -184,73 +43,12 @@ def module_buchberger(vectors):
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs:
         return []
-    ring = vecs[0].ring
-    npos = vecs[0].npos
-    for v in vecs:
-        if v.ring != ring or v.npos != npos:
-            raise RingMismatch("module vectors disagree on ring or rank")
-    G = [v.monic() for v in sorted(vecs, key=lambda v: v.key(v.lt()))]
-
-    def pair_key(i, j):
-        (pi, mi) = G[i].lt()
-        mj = G[j].lt()[1]
-        L = ring.mono_lcm(mi, mj)
-        deg = ring.mono_wdeg(L) if ring.weights is not None \
-            else ring.mono_deg(L)
-        return (deg,) + ring.key(L) + (pi, i, j)
-
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if G[i].lt()[0] == G[j].lt()[0]]
-    heap = [(pair_key(i, j), i, j) for (i, j) in pairs]
-    heapq.heapify(heap)
-    field = ring.field
-    divisors_by_pos = {}
-    for g in G:
-        (pos, lmono) = g.lt()
-        divisors_by_pos.setdefault(pos, []).append(
-            (lmono, field.inv(g.lc()), g))
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        mi = G[i].lt()[1]
-        mj = G[j].lt()[1]
-        L = ring.mono_lcm(mi, mj)
-        s = ModVec(ring, npos,
-                   {(p, m + (L - mi)): c for (p, m), c in G[i].terms.items()})
-        s = s.sub_scaled(G[j], L - mj, field.one)
-        r = _top_reduce(s, divisors_by_pos, ring)
-        if r.is_zero():
-            continue
-        r = r.monic()
-        G.append(r)
-        (pos, lmono) = r.lt()
-        divisors_by_pos.setdefault(pos, []).append((lmono, field.one, r))
-        t = len(G) - 1
-        for k in range(t):
-            if G[k].lt()[0] == pos:
-                heapq.heappush(heap, (pair_key(k, t), k, t))
-    return _module_interreduce(G)
-
-
-def _module_interreduce(G):
-    ring = G[0].ring
-    divides = ring.mono_divides
-    minimal = []
-    for g in sorted(G, key=lambda v: v.key(v.lt())):
-        (pos, m) = g.lt()
-        if not any(h.lt()[0] == pos and divides(h.lt()[1], m) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        rest = minimal[:i] + minimal[i + 1:]
-        r = module_normal_form(g, rest)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    return sorted(reduced, key=lambda v: v.key(v.lt()))
+    return buchberger(vecs).generators
 
 
 def module_member(v, basis):
     """Membership of v in the submodule with module GB `basis`."""
-    return module_normal_form(v, basis).is_zero()
+    return normal_form(v, basis).is_zero()
 
 
 def syzygy_columns(columns):
@@ -272,11 +70,10 @@ def syzygy_columns(columns):
     for j, col in enumerate(columns):
         tail = [ring.zero()] * c
         tail[j] = ring.one()
-        big.append(ModVec.from_polys(list(col) + tail))
-    basis = module_buchberger(big)
+        big.append(vector(list(col) + tail))
     syz = []
-    for g in basis:
-        if all(pos >= r for (pos, _m) in g.terms):
-            polys = g.to_polys()
+    for g in module_buchberger(big):
+        polys = components(g)
+        if all(f.is_zero() for f in polys[:r]):
             syz.append(polys[r:])
     return syz

@@ -95,14 +95,6 @@ class Block:
         return hash(("block", self.elim_count, self.elim_order, self.rest_order))
 
 
-def order_from_name(name):
-    if name == "lex":
-        return Lex()
-    if name == "grevlex":
-        return Grevlex()
-    raise ValueError(f"unknown order {name!r}")
-
-
 def compare(m1, m2, order, weights=None):
     """Compare exponent tuples under an order: returns LT, EQ or GT."""
     if len(m1) != len(m2):

@@ -420,7 +420,7 @@ def _trim_columns(cols, ring):
     """Drop syzygy columns lying in the module of the ones kept so far
     (in increasing degree); Groebner syzygy generators are usually far
     from minimal and redundancy is expensive downstream."""
-    from .modules import ModVec, module_buchberger, module_member
+    from .modules import module_buchberger, module_member, vector
 
     def col_degree(col):
         return max((f.wdegree() for f in col if not f.is_zero()), default=0)
@@ -428,12 +428,10 @@ def _trim_columns(cols, ring):
     kept = []
     basis = None
     for col in sorted(cols, key=col_degree):
-        vec = ModVec.from_polys(list(col))
-        if basis is not None and module_member(vec, basis):
+        if basis is not None and module_member(vector(col), basis):
             continue
         kept.append(col)
-        basis = module_buchberger(
-            [ModVec.from_polys(list(c)) for c in kept])
+        basis = module_buchberger([vector(c) for c in kept])
     return kept
 
 

@@ -10,8 +10,7 @@ computed as vanishing homology of the dualized resolution.
 
 from .errors import HypothesisFailed, RingMismatch
 from .ideals import Ideal
-from .modules import (ModVec, module_buchberger, module_member,
-                      syzygy_columns)
+from .modules import module_buchberger, module_member, syzygy_columns, vector
 
 
 class FreeModuleMap:
@@ -234,10 +233,10 @@ def ext_vanishes_at(resolution, k):
         return True
     image_cols = maps[k - 1].transpose().columns()
     basis = module_buchberger(
-        [ModVec.from_polys(col) for col in image_cols if any(
+        [vector(col) for col in image_cols if any(
             not f.is_zero() for f in col)])
     for col in kernel_cols:
-        if not module_member(ModVec.from_polys(col, rank_k), basis):
+        if not module_member(vector(col), basis):
             return False
     return True
 

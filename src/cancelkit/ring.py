@@ -6,7 +6,7 @@ addition and divisibility is a guard-bit test, which keeps Buchberger's
 inner loops fast in pure Python.  Exponents are capped at 2^15 - 1.
 """
 
-from .errors import ArityMismatch, RingMismatch
+from .errors import ArityMismatch, ResourceExceeded, RingMismatch
 from .fields import PrimeField
 from .orders import Grevlex, Lex, Block  # noqa: F401  (re-exported for callers)
 
@@ -43,6 +43,11 @@ class Ring:
         self._nkey_memo = {}
         self._dmask_memo = {}
         self._index = {name: i for i, name in enumerate(names)}
+        # set on module rings only (see module_ring): the coordinate ring,
+        # and one bit per component variable
+        self.base = None
+        self._components = 0
+        self._module_rings = {}
 
     # -- monomial helpers (packed ints) --
 
@@ -60,19 +65,16 @@ class Ring:
         mask = (1 << FIELD_BITS) - 1
         return tuple((m >> s) & mask for s in self._shifts)
 
-    def mono_mul(self, a, b):
-        return a + b
-
     def mono_divides(self, a, b):
         """True iff monomial a divides monomial b."""
         return ((b | self._guards) - a) & self._guards == self._guards
 
-    def mono_div(self, b, a):
-        return b - a
-
     def mono_lcm(self, a, b):
-        ea, eb = self.decode(a), self.decode(b)
-        return self.encode(tuple(max(x, y) for x, y in zip(ea, eb)))
+        # a field's guard bit survives a - b exactly when a >= b there;
+        # spread it over the field to pick a's exponent or b's
+        keep = (((a | self._guards) - b) & self._guards) >> (FIELD_BITS - 1)
+        keep *= (1 << FIELD_BITS) - 1
+        return (a & keep) | (b & ~keep)
 
     def mono_deg(self, m):
         return sum(self.decode(m))
@@ -178,9 +180,24 @@ class Ring:
 
     # -- ring relations --
 
-    def variant(self, order=None):
-        """Same variables/field, different order."""
-        return Ring(self.field, self.names, order or self.order, self.weights)
+    def module_ring(self, rank):
+        """The ring of vectors in R^rank: a vector is a polynomial over the
+        component variables e_0..e_{rank-1} in front of R's variables,
+        each term carrying exactly one e_i.  Lex on the component block
+        makes e_0 largest, which is position-over-term order with earlier
+        positions dominating.  Built once per rank and kept on this ring."""
+        ring = self._module_rings.get(rank)
+        if ring is None:
+            weights = (None if self.weights is None
+                       else (1,) * rank + self.weights)
+            ring = Ring(self.field,
+                        tuple(f"<e{i}>" for i in range(rank)) + self.names,
+                        Block(rank, Lex(), self.order), weights)
+            ring.base = self
+            for s in ring._shifts[:rank]:
+                ring._components |= 1 << s
+            self._module_rings[rank] = ring
+        return ring
 
     def extended(self, extra_names, *, front=True, order=None, extra_weights=None):
         """New ring with extra variables added (at the front by default)."""
@@ -300,7 +317,7 @@ class Polynomial:
                     terms.pop(m, None)
                 else:
                     terms[m] = s
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, terms)._no_overflow()
 
     def __pow__(self, k):
         if k < 0:
@@ -317,8 +334,19 @@ class Polynomial:
     def mul_term(self, m, c):
         """Multiply by the single term c*x^m (m packed, c normalized)."""
         field = self.ring.field
-        return Polynomial(self.ring,
-                          {mm + m: field.mul(cc, c) for mm, cc in self.terms.items()})
+        product = Polynomial(self.ring, {mm + m: field.mul(cc, c)
+                                         for mm, cc in self.terms.items()})
+        return product._no_overflow()
+
+    def _no_overflow(self):
+        """Products add packed exponents; a sum above EXP_MAX sets its
+        field's guard bit and would corrupt every later divisibility
+        test, so refuse it here."""
+        guards = self.ring._guards
+        if any(m & guards for m in self.terms):
+            raise ResourceExceeded(
+                f"exponent overflow: a product has an exponent above {EXP_MAX}")
+        return self
 
     def scale(self, c):
         field = self.ring.field

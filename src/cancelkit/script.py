@@ -475,13 +475,12 @@ def parse_polynomial(ring, text, lookup=None):
 
 class RunFlags:
     def __init__(self, field=None, seed=0, n_cap=10, attempts=50,
-                 allow_long=False, cache_dir=None):
+                 allow_long=False):
         self.field = field
         self.seed = seed
         self.n_cap = n_cap
         self.attempts = attempts
         self.allow_long = allow_long
-        self.cache_dir = cache_dir
 
 
 def _ideal_payload(ideal):

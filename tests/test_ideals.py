@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cancelkit.fields import PrimeField
+from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal, is_unmixed, kernel_of_map, radical_contains
 from cancelkit.ring import Ring
 
@@ -54,15 +54,22 @@ def test_sum_product_power(R):
     assert (Ideal(R, [x, y]) ** 0).is_unit()
 
 
-def test_intersection_vs_oracle(R):
-    x, y, z = R.gens()
-    I = Ideal(R, [x * x, x * y])
-    J = Ideal(R, [y * y, x * y])
-    K = I.intersect(J)
-    # (x^2, xy) cap (y^2, xy) = (xy, x^2 y^2)
-    expected = [x * y, x * x * y * y]
-    assert oracle.ideals_equal_upto_degree(
-        list(K.generators), expected, max_degree=6)
+def test_intersection_vs_oracle():
+    for field in (PrimeField(32003), RationalField()):
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        I = Ideal(R, [x * x, x * y])
+        J = Ideal(R, [y * y, x * y])
+        K = I.intersect(J)
+        # (x^2, xy) cap (y^2, xy) = (xy, x^2 y^2)
+        expected = [x * y, x * x * y * y]
+        assert oracle.ideals_equal_upto_degree(
+            list(K.generators), expected, max_degree=6)
+        # a coefficient other than 1 exercises the Fraction arithmetic
+        I = Ideal(R, [x * x - R.constant(2) * y * z, x * y])
+        K = I.intersect(J)
+        assert I.contains(K) and J.contains(K) and K.contains(I * J)
+        assert not K.contains(I)
 
 
 def test_colon_and_saturation(R):

@@ -1,9 +1,10 @@
 import pytest
 
 from cancelkit.errors import PreconditionUnmet, ZeroColon
-from cancelkit.fields import PrimeField
+from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
-from cancelkit.modules import ModVec, module_buchberger, module_member, syzygy_columns
+from cancelkit.modules import (components, module_buchberger, module_member,
+                               syzygy_columns, vector)
 from cancelkit.resolutions import (FreeModuleMap, cohomology_summary,
                                    colon_identity_check, free_resolution)
 from cancelkit.ring import Ring
@@ -15,14 +16,20 @@ def R():
     return Ring(PrimeField(32003), ["x", "y", "z"])
 
 
-def test_syzygies_of_variables(R):
-    x, y, z = R.gens()
-    cols = syzygy_columns([[x], [y], [z]])
-    # Koszul: exactly the three relations y*e1 - x*e2 etc.
-    M = FreeModuleMap(R, [[x, y, z]])
-    S = FreeModuleMap(R, cols_to_entries(cols, 3, R))
-    assert M.compose(S).is_zero()
-    assert len(cols) == 3
+# module work over Q runs the Fraction branch of the shared division loop
+FIELDS = (PrimeField(32003), RationalField())
+
+
+def test_syzygies_of_variables():
+    for field in FIELDS:
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        cols = syzygy_columns([[x], [y], [z]])
+        # Koszul: exactly the three relations y*e1 - x*e2 etc.
+        M = FreeModuleMap(R, [[x, y, z]])
+        S = FreeModuleMap(R, cols_to_entries(cols, 3, R))
+        assert M.compose(S).is_zero()
+        assert len(cols) == 3
 
 
 def cols_to_entries(cols, nrows, R):
@@ -33,15 +40,36 @@ def cols_to_entries(cols, nrows, R):
     return entries
 
 
-def test_module_membership(R):
+def test_module_membership():
+    for field in FIELDS:
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        # column space of [[x, y], [y, x]]
+        cols = [[x, y], [y, x]]
+        gens = [vector(c) for c in cols]
+        G = module_buchberger(gens)
+        target = vector([x * x + y * y, x * y + y * x])
+        assert module_member(target, G)
+        assert not module_member(vector([R.one(), R.zero()]), G)
+        assert module_buchberger([]) == []
+
+
+def test_module_basis_terms_carry_one_component(R):
+    # pairs across components would leave products e_i*e_j in the basis
     x, y, z = R.gens()
-    # column space of [[x, y], [y, x]]
-    cols = [[x, y], [y, x]]
-    gens = [ModVec.from_polys(c) for c in cols]
-    G = module_buchberger(gens)
-    target = ModVec.from_polys([x * x + y * y, x * y + y * x])
-    assert module_member(target, G)
-    assert not module_member(ModVec.from_polys([R.one(), R.zero()]), G)
+    cols = [[x, y, z], [y, z, x], [z * z, x * y, R.zero()],
+            [x + y, R.zero(), y * z]]
+    tails = [[R.one() if i == j else R.zero() for i in range(4)]
+             for j in range(4)]
+    vecs = [vector(c + t) for c, t in zip(cols, tails)]
+    basis = module_buchberger(vecs)
+    assert basis
+    for g in basis:
+        for m in g.terms:
+            assert sorted(g.ring.decode(m)[:7]) == [0] * 6 + [1]
+    # the conversion back is exact
+    for v in vecs:
+        assert vector(components(v)) == v
 
 
 def test_resolution_monomial_curve_345():

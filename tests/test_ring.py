@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cancelkit.errors import ArityMismatch, ScriptSyntaxError
+from cancelkit.errors import ArityMismatch, ResourceExceeded, ScriptSyntaxError
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.orders import Block, Grevlex, Lex, compare
 from cancelkit.ring import Polynomial, Ring, embed, restrict
@@ -44,6 +44,30 @@ def test_mono_mul_is_exponent_addition(R):
     b = R.encode((4, 0, 1))
     assert R.decode(a + b) == (5, 2, 4)
     assert R.decode(R.mono_lcm(a, b)) == (4, 2, 3)
+    # the packed lcm at the ends of the exponent range, with a > b and
+    # a < b in neighbouring fields, and in a ring of twelve variables
+    top = 32767
+    for ring, ea, eb in [
+            (R, (0, top, 0), (top, 0, 0)),
+            (R, (top, top, top), (0, 0, 0)),
+            (R, (top, 1, top), (top - 1, 2, top)),
+            (Ring(R.field, [f"v{i}" for i in range(12)]),
+             (0, top, 5, 4, top, 0, 1, 2, 3, 9, 0, top),
+             (top, 0, 4, 5, 0, top, 2, 1, 3, 8, top, top))]:
+        a, b = ring.encode(ea), ring.encode(eb)
+        expected = tuple(max(x, y) for x, y in zip(ea, eb))
+        assert ring.decode(ring.mono_lcm(a, b)) == expected
+        assert ring.decode(ring.mono_lcm(b, a)) == expected
+
+
+def test_exponent_overflow_is_refused(R):
+    x, y, z = R.gens()
+    big = x ** 20000
+    with pytest.raises(ResourceExceeded):
+        big * big
+    with pytest.raises(ResourceExceeded):
+        (y + big).mul_term(R.encode((20000, 0, 0)), 1)
+    assert (x ** 32767).lm() == R.encode((32767, 0, 0))
 
 
 def test_polynomial_arithmetic(R):

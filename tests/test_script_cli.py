@@ -109,30 +109,69 @@ def test_cli_byte_identical_runs(tmp_path):
     assert a.stdout == b.stdout
 
 
+# module bases (intersect, colon, resolution, hypotheses) go through the
+# cache as well; over Q they also take the Fraction branch of division
+MODULES_Q = """\
+ring R = q[x:3,y:4,z:5] grevlex;
+ideal P = kernel(t3,t4,t5);
+ideal I = (x3 - 2*y*z, x*y);
+ideal K = intersect(P, I);
+ideal L = colon(P, (x));
+gb K;
+equal(L, P);
+resolution P;
+hypotheses(P, [y2-x*z, x3-y*z], x2*y-z2);
+"""
+
+CACHE_SCRIPTS = (BASIC, MODULES_Q)
+
+
 def test_cli_cache_determinism(tmp_path):
     # output bytes agree between a cold run, a warm run, and a run after
     # the cache directory is wiped
-    script = tmp_path / "s.ck"
-    script.write_text(BASIC)
-    cache = tmp_path / "cache"
-    cold = _cli(["run", str(script), "--json", "--cache-dir", str(cache)])
-    warm = _cli(["run", str(script), "--json", "--cache-dir", str(cache)])
-    for f in cache.glob("**/*"):
-        if f.is_file():
-            f.unlink()
-    evicted = _cli(["run", str(script), "--json", "--cache-dir", str(cache)])
-    assert cold.stdout == warm.stdout == evicted.stdout
+    for i, text in enumerate(CACHE_SCRIPTS):
+        script = tmp_path / f"s{i}.ck"
+        script.write_text(text)
+        cache = tmp_path / f"cache{i}"
+        args = ["run", str(script), "--json", "--cache-dir", str(cache)]
+        cold = _cli(args)
+        warm = _cli(args)
+        assert any(cache.iterdir())
+        for f in cache.glob("**/*"):
+            if f.is_file():
+                f.unlink()
+        evicted = _cli(args)
+        assert cold.returncode == 0, cold.stderr
+        assert cold.stdout == warm.stdout == evicted.stdout
 
 
 def test_cli_cache_soundness(tmp_path):
     # cached and uncached answers agree
-    script = tmp_path / "s.ck"
-    script.write_text(BASIC)
-    plain = json.loads(_cli(["run", str(script), "--json"]).stdout)
-    cache = tmp_path / "cache"
-    cached = json.loads(_cli(["run", str(script), "--json",
-                              "--cache-dir", str(cache)]).stdout)
-    assert plain["commands"] == cached["commands"]
+    for i, text in enumerate(CACHE_SCRIPTS):
+        script = tmp_path / f"s{i}.ck"
+        script.write_text(text)
+        plain = json.loads(_cli(["run", str(script), "--json"]).stdout)
+        cache = tmp_path / f"cache{i}"
+        args = ["run", str(script), "--json", "--cache-dir", str(cache)]
+        cold = json.loads(_cli(args).stdout)
+        warm = json.loads(_cli(args).stdout)
+        assert plain["commands"] == cold["commands"] == warm["commands"]
+
+
+def test_cli_exponent_overflow_exit_code(tmp_path):
+    # y^66000 does not fit a 16-bit exponent field; it must not come back
+    # as a wrong "contains: true"
+    script = tmp_path / "big.ck"
+    script.write_text("""\
+ring R = zp(32003)[x,y] grevlex;
+ideal J = power((y200), 330);
+ideal K = (x);
+contains(K, J);
+""")
+    out = _cli(["run", str(script)])
+    assert out.returncode == 3, out.stdout
+    assert "exponent" in out.stderr
+    assert out.stdout == ""
 
 
 def test_cli_syntax_error_exit_code(tmp_path):
