@@ -1,9 +1,10 @@
 """Deterministic on-disk cache for reduced Groebner bases.
 
 One file per object: name = hex content hash of (field, variables, order,
-weights, generators), body = canonical JSON serialization of the reduced
-basis.  Writes are atomic (tempfile + rename), so a crash can never leave
-a corrupt entry; there is no index file.
+weights, generators), body = canonical JSON of the entry schema version,
+that hash, and the reduced basis.  Writes are atomic (tempfile + rename);
+there is no index file.  An entry that does not match its name and schema,
+or does not read back as a basis of the ring, is a miss and is rewritten.
 """
 
 import contextvars
@@ -12,6 +13,10 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+
+from .errors import CancelkitError
+
+SCHEMA = 2
 
 active_cache = contextvars.ContextVar("cancelkit_gb_cache", default=None)
 
@@ -51,16 +56,23 @@ class GBCache:
         key = basis_key(ring, gens)
         try:
             with open(os.path.join(self.path, key)) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+                entry = json.load(fh)
+            if entry["schema"] != SCHEMA or entry["key"] != key:
+                raise ValueError("entry of another schema or key")
+            basis = [deserialize_poly(ring, d) for d in entry["basis"]]
+            if not basis or any(g.is_zero() for g in basis):
+                raise ValueError("entry is not a basis")
+        except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
+                CancelkitError):
             self.misses += 1
             return None
         self.hits += 1
-        return [deserialize_poly(ring, d) for d in data]
+        return basis
 
     def put(self, ring, gens, basis):
         key = basis_key(ring, gens)
-        data = json.dumps([serialize_poly(g) for g in basis],
+        data = json.dumps({"schema": SCHEMA, "key": key,
+                           "basis": [serialize_poly(g) for g in basis]},
                           separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.path)
         try:

@@ -166,7 +166,7 @@ def main(argv=None):
             if extra_cmd:
                 text = text.rstrip() + "\n" + extra_cmd + "\n"
             script = parse_script(text)
-            report = run(script, flags, cache)
+            report = run(script, flags)
     except ScriptSyntaxError as exc:
         print(f"syntax error at line {exc.line}, column {exc.col}: "
               f"{exc.message}", file=sys.stderr)

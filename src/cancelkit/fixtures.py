@@ -171,7 +171,6 @@ def _sym_add(m, i, j, c, field):
 
 def _is_square(a, field):
     if field.kind == "rationals":
-        from fractions import Fraction
         if a < 0:
             return False
         num, den = a.numerator, a.denominator

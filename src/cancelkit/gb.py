@@ -31,6 +31,13 @@ class GroebnerBasis:
         self.ring = ring
         self.generators = list(generators)
         self.reduced = reduced
+        self._divisors = None
+
+    def divisors(self):
+        """The division data of the generators, built on first use."""
+        if self._divisors is None:
+            self._divisors = [_divisor(g, self.ring) for g in self.generators]
+        return self._divisors
 
     def __iter__(self):
         return iter(self.generators)
@@ -60,14 +67,21 @@ def _divisor(g, ring):
 
 
 def normal_form(f, G):
-    """Remainder of f on division by the list G (not necessarily a GB).
+    """Remainder of f on division by G: a GroebnerBasis, whose division
+    data is kept between calls, or a list (not necessarily a GB).
 
     No term of the result is divisible by any leading monomial of G, and
     f - result lies in (G).  Deterministic: the first applicable divisor
     in list order is always used.
     """
-    ring = _common_ring([f] + list(G))
-    divisors = [_divisor(g, ring) for g in G if not g.is_zero()]
+    if isinstance(G, GroebnerBasis):
+        ring = G.ring
+        if f.ring != ring:
+            raise RingMismatch("polynomials live in different rings")
+        divisors = G.divisors()
+    else:
+        ring = _common_ring([f] + list(G))
+        divisors = [_divisor(g, ring) for g in G if not g.is_zero()]
     if not divisors or f.is_zero():
         return f
     return _divide(f, divisors, ring, full=True)
@@ -300,12 +314,9 @@ def _interreduce(G, ring):
 
 def is_member(f, gens, limits=None):
     """True iff f lies in the ideal generated by gens."""
-    if isinstance(gens, GroebnerBasis):
-        basis = gens.generators
-    else:
-        basis = buchberger(gens, limits).generators
+    basis = gens if isinstance(gens, GroebnerBasis) else buchberger(gens, limits)
     if f.is_zero():
         return True
-    if not basis:
+    if not basis.generators:
         return False
     return normal_form(f, basis).is_zero()

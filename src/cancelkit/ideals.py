@@ -57,13 +57,13 @@ class Ideal:
         return self._gb
 
     def normal_form(self, f):
-        return normal_form(f, self.groebner().generators)
+        return normal_form(f, self.groebner())
 
     def contains_poly(self, f):
         if f.is_zero():
             return True
-        basis = self.groebner().generators
-        return bool(basis) and normal_form(f, basis).is_zero()
+        basis = self.groebner()
+        return bool(basis.generators) and normal_form(f, basis).is_zero()
 
     def contains(self, other):
         if isinstance(other, Ideal):
@@ -118,13 +118,7 @@ class Ideal:
         result = self
         # products of k-subsets with repetition, built incrementally
         for _ in range(k - 1):
-            seen = {}
-            for f in result.generators:
-                for g in self.generators:
-                    h = f * g
-                    key = tuple(sorted(h.terms.items()))
-                    seen.setdefault(key, h)
-            result = Ideal(self.ring, list(seen.values()))
+            result = result * self
         return result
 
     # -- elimination machinery --
@@ -159,29 +153,25 @@ class Ideal:
         return Ideal(ring, kept)
 
     def colon_poly(self, f):
-        """I : f, read off the syzygies of (f, g_1, ..., g_k): the
-        coefficients of f in a syzygy generating set generate I : f."""
-        if f.is_zero():
-            raise ZeroColon("colon by zero polynomial")
-        if self.is_zero():
-            return Ideal(self.ring, [])
-        from .modules import syzygy_columns
-        cols = syzygy_columns([[f]] + [[g] for g in self.generators])
-        gens = [col[0] for col in cols if not col[0].is_zero()]
-        return Ideal(self.ring, gens)
+        """I : f, the colon by the principal ideal (f)."""
+        return self.colon(Ideal(self.ring, [f]))
 
     def colon(self, other):
-        """I : J = intersection over generators f of J of I : f."""
+        """I : J for J = (f_1..f_k): the kernel of R -> (R/I)^k,
+        h -> (h*f_1, ..., h*f_k), in one module basis -- the h with
+        h*(f_1..f_k) in the submodule of R^k generated by the g*e_j, g in I."""
         if isinstance(other, Polynomial):
             return self.colon_poly(other)
         self._check(other)
         if other.is_zero():
             raise ZeroColon("colon by the zero ideal")
-        result = None
-        for f in other.generators:
-            piece = self.colon_poly(f)
-            result = piece if result is None else result.intersect(piece)
-        return result
+        from .modules import syzygy_columns
+        k = len(other.generators)
+        zero = [self.ring.zero()] * k
+        relations = [zero[:j] + [g] + zero[j + 1:]
+                     for g in self.generators for j in range(k)]
+        cols = syzygy_columns([list(other.generators)], relations)
+        return Ideal(self.ring, [col[0] for col in cols])
 
     def saturate(self, other):
         """Stable value of I : J^infinity (colon until idempotent)."""
@@ -349,34 +339,6 @@ def _weighted_monomials(ring, weights, d, _memo=None):
         rec(0, d, [])
     _memo[key] = out
     return out
-
-
-def exact_div(g, f):
-    """Quotient g / f when f divides g exactly."""
-    ring = g.ring
-    field = ring.field
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    lm_f, lc_f = f.lm(), f.lc()
-    inv_lc = field.inv(lc_f)
-    work = dict(g.terms)
-    quot = {}
-    while work:
-        m = max(work, key=ring.key)
-        c = work[m]
-        if not ring.mono_divides(lm_f, m):
-            raise ArithmeticError("exact division failed; divisor does not divide")
-        qm = m - lm_f
-        qc = field.mul(c, inv_lc)
-        quot[qm] = qc
-        for mf, cf in f.terms.items():
-            mm = mf + qm
-            val = field.sub(work.get(mm, field.zero), field.mul(qc, cf))
-            if val == field.zero:
-                work.pop(mm, None)
-            else:
-                work[mm] = val
-    return Polynomial(ring, quot)
 
 
 def kernel_of_map(source_ring, images):

@@ -3,9 +3,12 @@
 A vector of R^k is a polynomial of R.module_ring(k) = R[e_0..e_{k-1}]
 whose every term carries one component variable e_i.  The order there is
 position-over-term (earlier positions dominate), which makes the
-component-elimination trick work: to find the syzygies of columns
-v_1..v_c in R^r, compute a basis of the (v_j, e_j) in R^(r+c) and keep
-the elements supported entirely in the tail block.
+component-elimination trick work: to find the columns h of R^c with
+sum h_j*v_j in a submodule N = (n_1..n_s) of R^r, compute one basis of
+the (v_j, e_j) and (n_i, 0) in R^(r+c) and keep the elements supported
+entirely in the tail block.  Syzygies (N = 0), the colon I : J and the
+colon by a polynomial are all this one kernel construction; intersection
+(`Ideal.intersect`) uses its own graph construction in R^2.
 """
 
 from .gb import buchberger, normal_form
@@ -39,11 +42,12 @@ def components(v):
 
 
 def module_buchberger(vectors):
-    """Reduced module Groebner basis of the submodule generated by vectors."""
+    """Reduced module Groebner basis of the submodule generated by vectors
+    (a GroebnerBasis; an empty list when every vector is zero)."""
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs:
         return []
-    return buchberger(vecs).generators
+    return buchberger(vecs)
 
 
 def module_member(v, basis):
@@ -51,26 +55,26 @@ def module_member(v, basis):
     return normal_form(v, basis).is_zero()
 
 
-def syzygy_columns(columns):
-    """Generators of the syzygy module of the given columns in R^r.
+def syzygy_columns(columns, relations=()):
+    """Generators of the columns h of R^c with sum h_j*columns[j] in the
+    submodule of R^r generated by `relations`; with no relations, the
+    syzygies of the columns.
 
-    columns: list of lists of polynomials (each of the same length r).
-    Returns a list of columns (length = len(columns)) spanning the kernel
-    of the map R^c -> R^r.
+    columns, relations: lists of lists of polynomials, each of length r.
+    Returns a list of columns, each of length c = len(columns).
     """
     if not columns:
         return []
     r = len(columns[0])
     c = len(columns)
-    ring = None
-    for col in columns:
-        for f in col:
-            ring = ring or f.ring
+    ring = columns[0][0].ring
+    zero = ring.zero()
     big = []
     for j, col in enumerate(columns):
-        tail = [ring.zero()] * c
+        tail = [zero] * c
         tail[j] = ring.one()
         big.append(vector(list(col) + tail))
+    big += [vector(list(rel) + [zero] * c) for rel in relations]
     syz = []
     for g in module_buchberger(big):
         polys = components(g)

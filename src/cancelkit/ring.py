@@ -7,7 +7,6 @@ inner loops fast in pure Python.  Exponents are capped at 2^15 - 1.
 """
 
 from .errors import ArityMismatch, ResourceExceeded, RingMismatch
-from .fields import PrimeField
 from .orders import Grevlex, Lex, Block  # noqa: F401  (re-exported for callers)
 
 FIELD_BITS = 16
@@ -225,9 +224,10 @@ class Ring:
         return "|".join(parts)
 
     def __eq__(self, other):
-        return (isinstance(other, Ring) and self.field == other.field
-                and self.names == other.names and self.order == other.order
-                and self.weights == other.weights)
+        return other is self or (
+            isinstance(other, Ring) and self.field == other.field
+            and self.names == other.names and self.order == other.order
+            and self.weights == other.weights)
 
     def __hash__(self):
         return hash((self.field, self.names, self.order, self.weights))

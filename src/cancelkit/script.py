@@ -881,7 +881,7 @@ class Interpreter:
             field=self.ring.field if self.ring else None)
 
 
-def run(script, flags=None, cache=None):
+def run(script, flags=None):
     """Execute a parsed script, returning the canonical report dict."""
     flags = flags or RunFlags()
     interp = Interpreter(flags)

@@ -146,12 +146,81 @@ def test_equality_and_containment(R):
     assert not Ideal(R, [x]).contains(J)
 
 
-def test_exact_div(R):
+def test_colon_by_multigenerator_ideal():
+    for field in (PrimeField(32003), RationalField()):
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        I = Ideal(R, [x * y, x * z, y * z])
+        # (xy, xz, yz) : (x, y) = (z, xy)
+        C = I.colon(Ideal(R, [x, y]))
+        assert oracle.ideals_equal_upto_degree(
+            list(C.generators), [z, x * y], max_degree=5)
+        # coefficients other than 1: (x^2 - 2yz, 3xy) : (x, y - 2z)
+        two, three = R.constant(2), R.constant(3)
+        I = Ideal(R, [x * x - two * y * z, three * x * y])
+        J = Ideal(R, [x, y - two * z])
+        C = I.colon(J)
+        # the answer is one colon by a polynomial intersected with the other
+        expected = I.colon_poly(x).intersect(I.colon_poly(y - two * z))
+        assert oracle.ideals_equal_upto_degree(
+            list(C.generators), list(expected.generators), max_degree=6)
+        assert all(I.contains_poly(h * f)
+                   for h in C.generators for f in J.generators)
+        assert C.contains(I) and not C.is_unit()
+
+
+def test_syzygy_columns_with_relations():
+    from cancelkit.modules import (module_buchberger, module_member,
+                                   syzygy_columns, vector)
+    for field in (PrimeField(32003), RationalField()):
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        zero = R.zero()
+        # columns (x, 0), (y, 0), (0, z) of R^2 modulo the module N
+        # generated by (xy, 0) and (0, z^2): h maps into N iff
+        # h_1 x + h_2 y lies in (xy) and h_3 z in (z^2), so the kernel is
+        # generated by (y, 0, 0), (0, x, 0) and (0, 0, z)
+        columns = [[x, zero], [y, zero], [zero, z]]
+        relations = [[x * y, zero], [zero, z * z]]
+        kernel = syzygy_columns(columns, relations)
+        assert kernel
+        for h in kernel:
+            image = [sum((h[j] * columns[j][i] for j in range(3)), zero)
+                     for i in range(2)]
+            # first coordinate in (xy), second in (z^2)
+            assert Ideal(R, [x * y]).contains_poly(image[0])
+            assert Ideal(R, [z * z]).contains_poly(image[1])
+        basis = module_buchberger([vector(h) for h in kernel])
+        for known in ([y, -x, zero], [y, zero, zero], [zero, x, zero],
+                      [zero, zero, z]):
+            assert module_member(vector(known), basis)
+        assert not module_member(vector([x, zero, zero]), basis)
+        assert not module_member(vector([zero, zero, R.one()]), basis)
+        # without relations: only the syzygy (y, -x, 0)
+        syz = syzygy_columns(columns)
+        assert len(syz) == 1
+        assert module_member(vector([y, -x, zero]),
+                             module_buchberger([vector(syz[0])]))
+
+
+def test_colon_is_one_module_computation(monkeypatch):
+    from cancelkit import modules
+    calls = []
+    original = modules.module_buchberger
+
+    def counted(vectors):
+        calls.append(1)
+        return original(vectors)
+
+    monkeypatch.setattr(modules, "module_buchberger", counted)
+    R = Ring(PrimeField(32003), ["x", "y", "z"])
     x, y, z = R.gens()
-    f = (x + y) * (x * x - z)
-    from cancelkit.ideals import exact_div
-    assert exact_div(f, x + y) == x * x - z
-    assert exact_div(f, x * x - z) == x + y
+    I = Ideal(R, [x * y * z, x * x * y, y ** 3])
+    J = Ideal(R, [x, y, z])
+    C = I.colon(J)
+    assert len(calls) == 1
+    # a monomial h is in the colon iff hx, hy and hz all lie in I
+    assert C == Ideal(R, [x * y * z, x * x * y, x * y * y, y ** 3])
 
 
 @settings(max_examples=20, deadline=None)

@@ -158,6 +158,44 @@ def test_cli_cache_soundness(tmp_path):
         assert plain["commands"] == cold["commands"] == warm["commands"]
 
 
+COLON_Q = """\
+ring R = q[x,y,z] grevlex;
+ideal I = (x*y, x*z, y*z);
+ideal C = colon(I, (x, y));
+gb C;
+contains(C, (z));
+"""
+
+
+def test_cli_corrupted_cache_entries(tmp_path):
+    # an entry that is not a basis of its own key is a miss: the answer
+    # is recomputed and the entry rewritten, never read back as a basis
+    script = tmp_path / "colon.ck"
+    script.write_text(COLON_Q)
+    cache = tmp_path / "cache"
+    args = ["run", str(script), "--json", "--cache-dir", str(cache)]
+    cold = _cli(args)
+    assert cold.returncode == 0, cold.stderr
+    assert json.loads(cold.stdout)["commands"][0]["result"] == {
+        "generators": ["z", "x*y"]}
+    entries = sorted(f for f in cache.iterdir() if f.is_file())
+    assert len(entries) >= 2
+    originals = [f.read_bytes() for f in entries]
+    corruptions = (
+        [b"[]"] * len(entries),
+        # each entry holds the bytes of another one
+        originals[1:] + originals[:1],
+    )
+    for corrupt in corruptions:
+        for f, data in zip(entries, corrupt):
+            f.write_bytes(data)
+        rerun = _cli(args)
+        assert rerun.returncode == 0, rerun.stderr
+        assert rerun.stdout == cold.stdout
+        # the misses were rewritten with the true entries
+        assert [f.read_bytes() for f in entries] == originals
+
+
 def test_cli_exponent_overflow_exit_code(tmp_path):
     # y^66000 does not fit a 16-bit exponent field; it must not come back
     # as a wrong "contains: true"
