@@ -77,7 +77,9 @@ def analytic_deviation(I):
 def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10, spread=None):
     """Randomized search for an l-generated reduction of I (l = analytic
     spread, recomputed unless passed in).  Deterministic in
-    (seed, attempt index)."""
+    (seed, attempt index).  When l is less than the number of
+    generators, these must share one weighted degree (NotSubideal
+    otherwise)."""
     for g in I.generators:
         if not g.is_homogeneous():
             raise NotSubideal("minimal-reduction search needs a "
@@ -94,6 +96,14 @@ def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10, spread=None):
     if spread >= m:
         report = reduction_number(I, I, n_cap)
         return MinimalReductionSearch(seed, 0, spread, I, report, None)
+    # a constant-coefficient combination of generators of different
+    # degrees is not homogeneous, and no sample would be a reduction
+    degrees = sorted({g.wdegree() for g in gens})
+    if len(degrees) > 1:
+        raise NotSubideal(
+            "minimal-reduction search needs an ideal generated in one "
+            f"degree; the generators have weighted degrees "
+            f"{', '.join(map(str, degrees))}")
     for attempt in range(attempts):
         rng = random.Random(f"{seed}-{attempt}")
         matrix = _full_rank_matrix(rng, field, spread, m)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (ArityMismatch, BadRegularSequence, NotGraded,
                      ResourceExceeded, ZeroColon)
+from .fields import RationalField
 from .gb import buchberger, normal_form
 from .ideals import Ideal, kernel_of_map
 from .linalg import echelonize
@@ -343,21 +344,7 @@ def _positive_nullspace(rows, n):
     """Some strictly positive integer vectors (coprime entries) in the
     rational nullspace of the given rows; possibly none."""
     M = [r[:] for r in rows]
-    piv = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        piv.append(c)
-        r += 1
+    piv = echelonize(M, RationalField())
     free = [c for c in range(n) if c not in piv]
     basis = []
     for fc in free:

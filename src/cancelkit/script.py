@@ -10,9 +10,16 @@ commands; the interpreter produces a canonical JSON-able report.
 Variables may carry weights (``[x:3,y:4,z:5]``).  Inside expressions,
 an identifier made of a known variable name followed by digits is
 exponent shorthand (``t3`` = ``t^3``); inside ``kernel(...)`` unknown
-names implicitly declare target variables.  Commands may be written
-call-style (``dim(P);``) or space-style (``dim P;``); arguments that
-are lists of polynomials use brackets (``[y^2-x*z, x^3-y*z]``).
+names implicitly declare target variables.
+
+Commands are written call-style (``member(P, x*y - z2);``) or
+space-style (``member P x2;``, each argument one token or a bracketed
+list).  Both styles give the same argument nodes, and every command and
+ideal operation converts them in one place (``Interpreter.convert_args``)
+by the kinds it declares with ``_takes``: an ideal is a name or an
+inline tuple ``(f, g)``; a polynomial list is ``[f, g]`` or an ideal
+name standing for its generators.  A wrong argument count is a
+``ScriptSyntaxError``, like any other malformed statement.
 """
 
 import json
@@ -212,7 +219,7 @@ class _Parser:
         if tok.kind == "name" and self.peek(1).kind == "(":
             op = self.next().value
             self.expect("(")
-            args = self.parse_call_args()
+            args = self.parse_expr_list(stop=")", lists=True)
             self.expect(")")
             self.expect(";")
             return ("ideal", name, ("op", op, args, tok.line, tok.col))
@@ -224,7 +231,7 @@ class _Parser:
         args = []
         if self.peek().kind == "(":
             self.next()
-            args = self.parse_call_args()
+            args = self.parse_expr_list(stop=")", lists=True)
             self.expect(")")
         else:
             while self.peek().kind != ";":
@@ -232,26 +239,11 @@ class _Parser:
                 if nxt.kind == "[":
                     args.append(self.parse_bracket_list())
                 elif nxt.kind in ("name", "int", "number"):
-                    args.append(("atom", self.next()))
+                    args.append(("expr", [self.next()]))
                 else:
                     self.error(f"unexpected {nxt.value!r} in command")
         self.expect(";")
         return ("command", cmd, args, tok.line, tok.col)
-
-    def parse_call_args(self):
-        args = []
-        if self.peek().kind == ")":
-            return args
-        while True:
-            if self.peek().kind == "[":
-                args.append(self.parse_bracket_list())
-            else:
-                args.append(self.parse_expr_tokens(stop={",", ")"}))
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            break
-        return args
 
     def parse_bracket_list(self):
         self.expect("[")
@@ -259,17 +251,20 @@ class _Parser:
         self.expect("]")
         return ("list", exprs)
 
-    def parse_expr_list(self, stop):
+    def parse_expr_list(self, stop, lists=False):
+        """Comma-separated expressions up to `stop`; with `lists`, an
+        item may also be a bracketed list (the arguments of a call)."""
         exprs = []
         if self.peek().kind == stop:
             return exprs
         while True:
-            exprs.append(self.parse_expr_tokens(stop={",", stop}))
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            break
-        return exprs
+            if lists and self.peek().kind == "[":
+                exprs.append(self.parse_bracket_list())
+            else:
+                exprs.append(self.parse_expr_tokens(stop={",", stop}))
+            if self.peek().kind != ",":
+                return exprs
+            self.next()
 
     def parse_expr_tokens(self, stop):
         """Collect the raw tokens of one expression, respecting nested
@@ -302,13 +297,11 @@ def parse_script(text):
 
 class _ExprEval:
     """Recursive-descent evaluation of an expression token list in a
-    ring, with bindings and optional implicit variable creation (for
-    kernel images)."""
+    ring, with bindings."""
 
-    def __init__(self, ring, lookup, implicit=None):
+    def __init__(self, ring, lookup):
         self.ring = ring
         self.lookup = lookup
-        self.implicit = implicit
         self.tokens = None
         self.pos = 0
 
@@ -439,27 +432,14 @@ class _ExprEval:
             raise ScriptSyntaxError(f"{text!r} is not a polynomial",
                                     tok.line, tok.col)
         # exponent shorthand: known variable followed by digits
+        index = self.ring._index
         base = text.rstrip("0123456789")
-        digits = text[len(base):]
-        if base and base != text:
-            f = self._variable(base)
-            if f is not None:
-                return f ** int(digits)
-        f = self._variable(text)
-        if f is not None:
-            return f
+        if base != text and base in index:
+            return self.ring.var(index[base]) ** int(text[len(base):])
+        if text in index:
+            return self.ring.var(index[text])
         raise ScriptSyntaxError(f"unknown name {text!r}",
                                 tok.line, tok.col)
-
-    def _variable(self, name):
-        if name in self.ring._index:
-            return self.ring.var(self.ring._index[name])
-        if self.implicit is not None:
-            if name not in self.implicit:
-                self.implicit[name] = None
-                return None  # caller rebuilds the ring and re-evaluates
-            return None
-        return None
 
 
 def parse_polynomial(ring, text, lookup=None):
@@ -483,12 +463,13 @@ class RunFlags:
         self.allow_long = allow_long
 
 
-def _ideal_payload(ideal):
-    return {"generators": [str(g) for g in ideal.groebner().generators]}
-
-
-def _gens_payload(ideal):
-    return {"generators": [str(g) for g in ideal.generators]}
+def _takes(spec):
+    """Declare the kinds of a command's or ideal operation's arguments
+    (see Interpreter.convert_args)."""
+    def mark(method):
+        method.spec = spec
+        return method
+    return mark
 
 
 class Interpreter:
@@ -505,12 +486,6 @@ class Interpreter:
     def eval_expr(self, expr_node):
         _, tokens = expr_node
         return _ExprEval(self.ring, self.lookup).run(list(tokens))
-
-    def eval_list(self, node):
-        kind = node[0]
-        if kind != "list":
-            raise ScriptSyntaxError("expected a bracketed list", 1, 1)
-        return [self.eval_expr(("expr", toks)) for (_, toks) in node[1]]
 
     def need_ring(self, line=1, col=1):
         if self.ring is None:
@@ -557,234 +532,210 @@ class Interpreter:
             self.bindings[name] = Ideal(self.ring, gens)
             return
         _, op, args, line, col = rhs
-        self.bindings[name] = self.eval_ideal_op(op, args, line, col)
-
-    def arg_ideal(self, arg, line, col):
-        if arg[0] == "expr":
-            tokens = list(arg[1])
-            if len(tokens) == 1 and tokens[0].kind == "name":
-                obj = self.lookup(tokens[0].value)
-                if isinstance(obj, Ideal):
-                    return obj
-            # inline generator tuple: (f, g, ...)
-            if (tokens and tokens[0].value == "("
-                    and tokens[-1].value == ")"):
-                parts, depth, cur = [], 0, []
-                for t in tokens[1:-1]:
-                    if t.value == "(":
-                        depth += 1
-                    elif t.value == ")":
-                        depth -= 1
-                    if t.value == "," and depth == 0:
-                        parts.append(cur)
-                        cur = []
-                    else:
-                        cur.append(t)
-                if cur:
-                    parts.append(cur)
-                if parts:
-                    gens = [self.eval_expr(("expr", p)) for p in parts]
-                    return Ideal(self.ring, gens)
-        raise ScriptSyntaxError(
-            "expected an ideal name or an inline (generators) tuple",
-            line, col)
-
-    def arg_int(self, arg, line, col):
-        if arg[0] == "expr" and len(arg[1]) == 1 and arg[1][0].kind == "int":
-            return int(arg[1][0].value)
-        raise ScriptSyntaxError("expected an integer", line, col)
-
-    def eval_ideal_op(self, op, args, line, col):
-        if op == "kernel":
-            return self.eval_kernel(args, line, col)
-        if op in ("colon", "intersect", "saturate", "sum", "product"):
-            A = self.arg_ideal(args[0], line, col)
-            B = self.arg_ideal(args[1], line, col)
-            if op == "colon":
-                return A.colon(B)
-            if op == "intersect":
-                return A.intersect(B)
-            if op == "saturate":
-                return A.saturate(B)
-            if op == "sum":
-                return A + B
-            return A * B
-        if op == "power":
-            A = self.arg_ideal(args[0], line, col)
-            return A ** self.arg_int(args[1], line, col)
-        if op == "eliminate":
-            A = self.arg_ideal(args[0], line, col)
-            names = []
-            for arg in args[1:]:
-                if arg[0] == "expr" and len(arg[1]) == 1 and \
-                        arg[1][0].kind == "name":
-                    names.append(arg[1][0].value)
-                else:
-                    raise ScriptSyntaxError("expected a variable name",
-                                            line, col)
-            return A.eliminate(names)
-        if op == "linkideal":
-            A = self.arg_ideal(args[0], line, col)
-            a = self.eval_list(args[1])
-            return cancellation.link_ideal(A, a).K
-        if op == "minreduction":
-            A = self.arg_ideal(args[0], line, col)
-            search = reductions.find_minimal_reduction(
-                A, seed=self.flags.seed, attempts=self.flags.attempts,
-                n_cap=self.flags.n_cap)
-            return search.result
-        raise ScriptSyntaxError(f"unknown ideal operation {op!r}",
-                                line, col)
-
-    def eval_kernel(self, args, line, col):
-        # collect target variable names: identifiers that are not ring
-        # variables or bindings, with exponent shorthand stripped
-        target_names = []
-        for arg in args:
-            if arg[0] != "expr":
-                raise ScriptSyntaxError("kernel takes polynomial images",
-                                        line, col)
-            for tok in arg[1]:
-                if tok.kind != "name":
-                    continue
-                text = tok.value
-                if text in self.ring._index or text in self.bindings:
-                    continue
-                base = text.rstrip("0123456789")
-                if base and base not in self.ring._index \
-                        and base not in self.bindings:
-                    if base not in target_names:
-                        target_names.append(base)
-                elif text not in target_names and \
-                        text not in self.ring._index and \
-                        text not in self.bindings:
-                    target_names.append(text)
-        if not target_names:
-            raise ScriptSyntaxError("kernel images use no new variables",
-                                    line, col)
-        target = Ring(self.ring.field, target_names)
-
-        def lookup(name):
-            return self.bindings.get(name)
-
-        images = [_ExprEval(target, lookup).run(list(arg[1]))
-                  for arg in args]
-        return kernel_of_map(self.ring, images)
-
-    # -- commands --
+        self.bindings[name] = self.call("op", op, args, line, col)
 
     def exec_command(self, stmt, index):
         _, cmd, args, line, col = stmt
         self.need_ring(line, col)
-        handler = getattr(self, f"cmd_{cmd.replace('-', '_')}", None)
-        if handler is None:
-            raise ScriptSyntaxError(f"unknown command {cmd!r}", line, col)
-        result = handler(args, line, col)
-        echo_parts = [cmd]
-        for arg in args:
-            if arg[0] == "atom":
-                echo_parts.append(arg[1].value)
-            elif arg[0] == "expr":
-                echo_parts.append(" ".join(t.value for t in arg[1]))
-            else:
-                echo_parts.append("[...]")
+        result = self.call("cmd", cmd, args, line, col)
+        echo = [" ".join(t.value for t in arg[1]) if arg[0] == "expr"
+                else "[...]" for arg in args]
         self.entries.append({
             "index": index,
-            "command": " ".join(echo_parts),
+            "command": " ".join([cmd] + echo),
             "result": result,
         })
 
-    def _one_ideal(self, args, line, col):
-        if len(args) != 1:
-            raise ScriptSyntaxError("expected one ideal argument",
-                                    line, col)
-        return self._as_ideal(args[0], line, col)
+    def call(self, kind, name, args, line, col):
+        """Run the command (kind "cmd") or ideal operation (kind "op")
+        `name` on its converted arguments."""
+        handler = getattr(self, f"{kind}_{name}", None)
+        if handler is None:
+            noun = "command" if kind == "cmd" else "ideal operation"
+            raise ScriptSyntaxError(f"unknown {noun} {name!r}", line, col)
+        return handler(*self.convert_args(args, handler.spec, line, col))
 
-    def _as_ideal(self, arg, line, col):
-        if arg[0] == "atom" and arg[1].kind == "name":
-            obj = self.lookup(arg[1].value)
+    # -- arguments --
+
+    def convert_args(self, args, spec, line, col):
+        """The arguments converted by `spec`, one letter per argument: I
+        ideal, P polynomial, L polynomial list, N integer, W one-token
+        word (a variable name or a tag), E expression tokens.  A final
+        '?' makes the last argument optional (None when left out); a
+        final '*' repeats the last letter for any further arguments.  A
+        wrong argument count is a syntax error."""
+        kinds = spec.rstrip("?*")
+        repeat = spec.endswith("*")
+        need = len(kinds) - (kinds != spec)
+        most = len(args) if repeat else len(kinds)
+        if not need <= len(args) <= most:
+            expected = (f"at least {need}" if repeat else str(need)
+                        if need == most else f"{need} to {most}")
+            raise ScriptSyntaxError(
+                f"wrong number of arguments: expected {expected}, "
+                f"found {len(args)}", line, col)
+        values = [self._CONVERTERS[kinds[min(i, len(kinds) - 1)]](
+            self, arg, line, col) for i, arg in enumerate(args)]
+        return values + [None] * (len(kinds) - len(values) - repeat)
+
+    def _ideal(self, arg, line, col):
+        """An ideal name or an inline generator tuple (f, g, ...)."""
+        kind, tokens = arg
+        if kind == "expr" and len(tokens) == 1 and tokens[0].kind == "name":
+            tok = tokens[0]
+            obj = self.lookup(tok.value)
             if isinstance(obj, Ideal):
                 return obj
-            raise ScriptSyntaxError(f"{arg[1].value!r} is not an ideal",
-                                    arg[1].line, arg[1].col)
-        if arg[0] == "expr":
-            return self.arg_ideal(arg, line, col)
-        raise ScriptSyntaxError("expected an ideal name", line, col)
-
-    def _as_poly(self, arg, line, col):
-        if arg[0] == "atom":
-            return _ExprEval(self.ring, self.lookup).run([arg[1]])
-        if arg[0] == "expr":
-            return self.eval_expr(arg)
-        raise ScriptSyntaxError("expected a polynomial", line, col)
-
-    def _as_int(self, arg, line, col):
-        if arg[0] == "atom" and arg[1].kind == "int":
-            return int(arg[1].value)
-        if arg[0] == "expr":
-            return self.arg_int(arg, line, col)
-        raise ScriptSyntaxError("expected an integer", line, col)
-
-    def _as_list(self, arg, line, col):
-        if arg[0] == "list":
-            return self.eval_list(arg)
-        # an ideal name stands for its generator list
-        if arg[0] in ("atom", "expr"):
-            try:
-                return list(self._as_ideal(arg, line, col).generators)
-            except ScriptSyntaxError:
-                pass
+            raise ScriptSyntaxError(f"{tok.value!r} is not an ideal",
+                                    tok.line, tok.col)
+        if kind == "expr" and tokens[0].kind == "(":
+            last = tokens[-1]
+            parser = _Parser(tokens + [Token("eof", "", last.line,
+                                             last.col)])
+            parser.next()
+            exprs = parser.parse_expr_list(stop=")")
+            if exprs and parser.next().kind == ")" and \
+                    parser.peek().kind == "eof":
+                return Ideal(self.ring, [self.eval_expr(e) for e in exprs])
         raise ScriptSyntaxError(
-            "expected a bracketed list or an ideal name", line, col)
+            "expected an ideal name or an inline (generators) tuple",
+            line, col)
 
-    def cmd_gb(self, args, line, col):
-        return _ideal_payload(self._one_ideal(args, line, col))
+    def _poly(self, arg, line, col):
+        if arg[0] != "expr":
+            raise ScriptSyntaxError("expected a polynomial", line, col)
+        return self.eval_expr(arg)
 
-    def cmd_print(self, args, line, col):
-        return _gens_payload(self._one_ideal(args, line, col))
+    def _polys(self, arg, line, col):
+        """A bracketed list [f, g, ...], or the generators of an ideal."""
+        if arg[0] == "list":
+            return [self.eval_expr(e) for e in arg[1]]
+        return list(self._ideal(arg, line, col).generators)
 
-    def cmd_dim(self, args, line, col):
-        rep = self._one_ideal(args, line, col).dimension()
+    def _token(self, arg, kinds, what, line, col):
+        if arg[0] == "expr" and len(arg[1]) == 1 and arg[1][0].kind in kinds:
+            return arg[1][0].value
+        raise ScriptSyntaxError(f"expected {what}", line, col)
+
+    def _int(self, arg, line, col):
+        return int(self._token(arg, ("int",), "an integer", line, col))
+
+    def _word(self, arg, line, col):
+        return self._token(arg, ("name", "number"), "a name", line, col)
+
+    def _tokens(self, arg, line, col):
+        if arg[0] != "expr":
+            raise ScriptSyntaxError("expected an expression", line, col)
+        return arg[1]
+
+    _CONVERTERS = {"I": _ideal, "P": _poly, "L": _polys, "N": _int,
+                   "W": _word, "E": _tokens}
+
+    # -- ideal operations --
+
+    op_sum = _takes("II")(lambda self, A, B: A + B)
+    op_product = _takes("II")(lambda self, A, B: A * B)
+    op_intersect = _takes("II")(lambda self, A, B: A.intersect(B))
+    op_colon = _takes("II")(lambda self, A, B: A.colon(B))
+    op_saturate = _takes("II")(lambda self, A, B: A.saturate(B))
+    op_power = _takes("IN")(lambda self, A, n: A ** n)
+
+    @_takes("IW*")
+    def op_eliminate(self, A, *names):
+        return A.eliminate(names)
+
+    @_takes("IL")
+    def op_linkideal(self, A, a):
+        return cancellation.link_ideal(A, a).K
+
+    @_takes("I")
+    def op_minreduction(self, A):
+        return self._min_reduction(A).result
+
+    @_takes("EE*")
+    def op_kernel(self, *images):
+        # target variables: identifiers that are not ring variables or
+        # bindings, with exponent shorthand stripped
+        def known(text):
+            return text in self.ring._index or text in self.bindings
+
+        target_names = []
+        for tokens in images:
+            for tok in tokens:
+                if tok.kind != "name" or known(tok.value):
+                    continue
+                base = tok.value.rstrip("0123456789")
+                name = tok.value if known(base) else base
+                if name not in target_names:
+                    target_names.append(name)
+        if not target_names:
+            first = images[0][0]
+            raise ScriptSyntaxError("kernel images use no new variables",
+                                    first.line, first.col)
+        target = Ring(self.ring.field, target_names)
+        return kernel_of_map(self.ring, [
+            _ExprEval(target, self.lookup).run(list(tokens))
+            for tokens in images])
+
+    def _min_reduction(self, I):
+        return reductions.find_minimal_reduction(
+            I, seed=self.flags.seed, attempts=self.flags.attempts,
+            n_cap=self.flags.n_cap)
+
+    # -- commands --
+
+    @_takes("I")
+    def cmd_gb(self, I):
+        return {"generators": [str(g) for g in I.groebner().generators]}
+
+    @_takes("I")
+    def cmd_print(self, I):
+        return {"generators": [str(g) for g in I.generators]}
+
+    @_takes("I")
+    def cmd_dim(self, I):
+        rep = I.dimension()
         return {"dim": rep.dim, "height": rep.height,
                 "witness": list(rep.max_independent_set)}
 
-    def cmd_height(self, args, line, col):
-        return {"height": self._one_ideal(args, line, col).height}
+    @_takes("I")
+    def cmd_height(self, I):
+        return {"height": I.height}
 
-    def cmd_mingens(self, args, line, col):
-        return {"min_gens": self._one_ideal(args, line, col).min_gens()}
+    @_takes("I")
+    def cmd_mingens(self, I):
+        return {"min_gens": I.min_gens()}
 
-    def cmd_contains(self, args, line, col):
-        A = self._as_ideal(args[0], line, col)
-        B = self._as_ideal(args[1], line, col)
+    @_takes("II")
+    def cmd_contains(self, A, B):
         return {"contains": A.contains(B)}
 
-    def cmd_equal(self, args, line, col):
-        A = self._as_ideal(args[0], line, col)
-        B = self._as_ideal(args[1], line, col)
+    @_takes("II")
+    def cmd_equal(self, A, B):
         return {"equal": A == B}
 
-    def cmd_member(self, args, line, col):
-        A = self._as_ideal(args[0], line, col)
-        f = self._as_poly(args[1], line, col)
+    @_takes("IP")
+    def cmd_member(self, A, f):
         return {"member": A.contains_poly(f)}
 
-    def cmd_radicalmember(self, args, line, col):
-        A = self._as_ideal(args[0], line, col)
-        f = self._as_poly(args[1], line, col)
+    @_takes("IP")
+    def cmd_radicalmember(self, A, f):
         return {"radical_member": radical_contains(A, f)}
 
-    def cmd_resolution(self, args, line, col):
-        res = resolutions.free_resolution(self._one_ideal(args, line, col))
+    @_takes("I")
+    def cmd_resolution(self, I):
+        res = resolutions.free_resolution(I)
         return {"betti": list(res.betti_numbers()), "length": res.length}
 
-    def cmd_cohomology(self, args, line, col):
-        s = resolutions.cohomology_summary(self._one_ideal(args, line, col))
+    @_takes("I")
+    def cmd_cohomology(self, I):
+        s = resolutions.cohomology_summary(I)
         return {"g": s.g, "d": s.d, "depth": s.depth, "is_CM": s.is_CM,
                 "ext_vanishes": s.ext_vanishes}
 
-    def cmd_rees(self, args, line, col):
-        pres = rees.rees_presentation(self._one_ideal(args, line, col))
+    @_takes("I")
+    def cmd_rees(self, I):
+        pres = rees.rees_presentation(I)
         return {
             "analytic_spread": pres.analytic_spread,
             "analytic_deviation": pres.analytic_deviation,
@@ -792,22 +743,20 @@ class Interpreter:
                 str(g) for g in pres.fiber_ideal.groebner().generators],
         }
 
-    def cmd_syzygetic(self, args, line, col):
-        rep = rees.is_syzygetic(self._one_ideal(args, line, col))
+    @_takes("I")
+    def cmd_syzygetic(self, I):
+        rep = rees.is_syzygetic(I)
         return {"is_syzygetic": rep.is_syzygetic,
                 "offenders": [str(o) for o in rep.offenders]}
 
-    def cmd_reduction(self, args, line, col):
-        I = self._as_ideal(args[0], line, col)
-        J = self._as_ideal(args[1], line, col)
+    @_takes("II")
+    def cmd_reduction(self, I, J):
         rep = reductions.reduction_number(I, J, n_cap=self.flags.n_cap)
         return {"is_reduction": rep.is_reduction, "r": rep.r}
 
-    def cmd_minreduction(self, args, line, col):
-        I = self._one_ideal(args, line, col)
-        search = reductions.find_minimal_reduction(
-            I, seed=self.flags.seed, attempts=self.flags.attempts,
-            n_cap=self.flags.n_cap)
+    @_takes("I")
+    def cmd_minreduction(self, I):
+        search = self._min_reduction(I)
         return {
             "seed": str(search.seed),
             "attempts": search.attempts,
@@ -816,26 +765,19 @@ class Interpreter:
             "generators": [str(g) for g in search.result.generators],
         }
 
-    def _hypotheses_args(self, args, line, col):
-        I = self._as_ideal(args[0], line, col)
-        a = self._as_list(args[1], line, col)
-        extra = self._as_poly(args[2], line, col)
-        return I, a, extra
-
-    def cmd_hypotheses(self, args, line, col):
-        I, a, extra = self._hypotheses_args(args, line, col)
+    @_takes("ILP")
+    def cmd_hypotheses(self, I, a, extra):
         H = cancellation.check_hypotheses(I, a, extra)
         return {"g": H.g, "d": H.d, "checks": H.checks,
                 "certified": H.certified}
 
-    def cmd_cancelcheck(self, args, line, col):
-        I, a, extra = self._hypotheses_args(args, line, col)
-        K = self._as_ideal(args[3], line, col)
+    @_takes("ILPI")
+    def cmd_cancelcheck(self, I, a, extra, K):
         H = cancellation.check_hypotheses(I, a, extra)
         return {"holds": cancellation.cancel_check(H, K)}
 
-    def cmd_witness(self, args, line, col):
-        I, a, extra = self._hypotheses_args(args, line, col)
+    @_takes("ILP")
+    def cmd_witness(self, I, a, extra):
         H = cancellation.check_hypotheses(I, a, extra)
         trace = cancellation.construct_witness(H, seed=self.flags.seed)
         return {
@@ -845,9 +787,8 @@ class Interpreter:
             "steps": [[name, ok] for name, ok in trace.steps],
         }
 
-    def cmd_link(self, args, line, col):
-        I = self._as_ideal(args[0], line, col)
-        a = self._as_list(args[1], line, col)
+    @_takes("IL")
+    def cmd_link(self, I, a):
         rep = cancellation.link_ideal(I, a)
         out = {"degenerate": rep.degenerate,
                "K": [str(g) for g in rep.K.groebner().generators]}
@@ -856,25 +797,21 @@ class Interpreter:
                         "gci": rep.gci_K})
         return out
 
-    def cmd_cor213(self, args, line, col):
-        I, a, extra = self._hypotheses_args(args, line, col)
-        n = self._as_int(args[3], line, col)
+    @_takes("ILPN")
+    def cmd_cor213(self, I, a, extra, n):
         H = cancellation.check_hypotheses(I, a, extra)
         holds = cancellation.corollary213_check(H, n)
         return {"equivalent": True, "power_in_reduction": holds, "n": n}
 
-    def cmd_powerscan(self, args, line, col):
-        I = self._as_ideal(args[0], line, col)
-        J = self._as_ideal(args[1], line, col)
-        n_max = self._as_int(args[2], line, col) if len(args) > 2 \
-            else self.flags.n_cap
+    @_takes("IIN?")
+    def cmd_powerscan(self, I, J, n_max):
+        if n_max is None:
+            n_max = self.flags.n_cap
         n = cancellation.power_containment_scan(I, J, n_max=n_max)
         return {"n": n, "n_max": n_max}
 
-    def cmd_example(self, args, line, col):
-        if len(args) != 1 or args[0][0] != "atom":
-            raise ScriptSyntaxError("expected: example 2.5;", line, col)
-        tag = args[0][1].value
+    @_takes("W")
+    def cmd_example(self, tag):
         return fixtures.run_example(
             tag, seed=self.flags.seed, attempts=self.flags.attempts,
             n_cap=self.flags.n_cap, allow_long=self.flags.allow_long,

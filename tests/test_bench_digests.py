@@ -1,0 +1,79 @@
+"""One benchmark job per family, checked against the recorded digests.
+
+Runs each job in this process through ``cancelkit.cli.main``, as
+``perfbench/run.py`` does, and compares its exit code and the sha256 of
+its stdout with ``perfbench/reference.json``: a changed report shows here
+in about a second instead of in a full benchmark run.  Reads
+``perfbench/`` and writes nothing there.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from cancelkit import cli
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_jobs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", PERFBENCH / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+JOBS = _load_jobs()
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+
+# the cheapest job of each family
+SAMPLE = {
+    "verify": ("curve6-7-9", "link5-6-8", "ci25", "mixed1-2", "short4-6-9"),
+    "reduce": ("mpow3-2", "sparse3-0-1", "graph0"),
+}
+
+
+def _job(workload, name):
+    [job] = [j for j in JOBS.POOLS[workload]() if j.name == name]
+    ref = REFERENCE["workloads"][workload][name]
+    assert ref["script_sha256"] == job.sha, "the pool no longer matches"
+    return job, ref
+
+
+def _run(path, *flags):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(path), *flags])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload, name", [
+    (workload, name) for workload, names in SAMPLE.items()
+    for name in names])
+def test_job_matches_reference(tmp_path, workload, name):
+    job, ref = _job(workload, name)
+    path = tmp_path / f"{name}.ck"
+    path.write_text(job.text)
+    assert _run(path) == (ref["exit"], ref["stdout_sha256"])
+
+
+def test_cached_job_matches_reference_cold_and_warm(tmp_path):
+    job, ref = _job("rerun-q", "curve4-9-10")
+    path = tmp_path / "curve.ck"
+    path.write_text(job.text)
+    cache = tmp_path / "cache"
+    cold = _run(path, "--cache-dir", str(cache))
+    assert any(cache.iterdir())
+    warm = _run(path, "--cache-dir", str(cache))
+    assert cold == warm == (ref["exit"], ref["stdout_sha256"])

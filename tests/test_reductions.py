@@ -107,3 +107,20 @@ def test_power_stabilization(R):
     JI = J * I
     assert JI.contains(I * I)
     assert (J * (I * I)).contains(I * I * I)
+
+
+def test_minimal_reduction_refuses_mixed_degrees(R):
+    # (x^2, xy, y^3) has analytic spread 2 but generators of degrees 2
+    # and 3: no constant-coefficient combination is homogeneous, so the
+    # search stops at once instead of spending its attempt budget
+    x, y = R.gens()
+    I = Ideal(R, [x * x, x * y, y ** 3])
+    with pytest.raises(NotSubideal, match="weighted degrees 2, 3"):
+        find_minimal_reduction(I, seed=0)
+    # one weighted degree is what counts: x^4, x^2*y, y^2 all have
+    # degree 4 when y weighs 2
+    W = Ring(PrimeField(32003), ["x", "y"], None, [1, 2])
+    x, y = W.gens()
+    search = find_minimal_reduction(Ideal(W, [x ** 4, x * x * y, y * y]))
+    assert len(search.result.generators) == 2
+    assert search.report.is_reduction is True

@@ -84,6 +84,120 @@ reduction(I, J);
     assert r1["commands"][0]["result"]["is_reduction"] is True
 
 
+# commands and operations outside the benchmark, in both styles
+
+ALL_FORMS_HEAD = """\
+ring R = zp(32003)[x,y,z] grevlex;
+ideal I = (x2, x*y, y2);
+ideal M = (x, y, z);
+ideal A = (x2, y2);
+ideal S = sum(I, (z2));
+ideal T = product(I, M);
+ideal U = intersect(I, (x, z));
+ideal C = colon(I, (x, y));
+ideal D = saturate(I, M);
+ideal E = eliminate((x - z, y - z2), z);
+ideal F = minreduction(I);
+"""
+
+SPACE_STYLE = ALL_FORMS_HEAD + """\
+dim I;
+height C;
+mingens T;
+print S;
+print U;
+print D;
+print E;
+print F;
+contains I A;
+contains C M;
+equal C A;
+member I x2;
+member M z;
+radicalmember I x;
+cohomology I;
+syzygetic I;
+minreduction I;
+link I [x2, y2];
+link I A;
+"""
+
+CALL_STYLE = ALL_FORMS_HEAD + """\
+dim(I);
+height(C);
+mingens(T);
+print(S);
+print(U);
+print(D);
+print(E);
+print(F);
+contains(I, A);
+contains(C, M);
+equal(C, A);
+member(I, x2);
+member(M, z);
+radicalmember(I, x);
+cohomology(I);
+syzygetic(I);
+minreduction(I);
+link(I, [x2, y2]);
+link(I, A);
+contains(I, (x2, y2));
+equal(C, (x, y));
+member(I, x*y + y2);
+member((x, y), z);
+radicalmember(I, x + y);
+"""
+
+CALL_STYLE_REPORT = (
+    '{"commands":[{"command":"dim I","index":11,"result":{"dim":1,"heig'
+    'ht":2,"witness":["z"]}},{"command":"height C","index":12,"result":'
+    '{"height":2}},{"command":"mingens T","index":13,"result":{"min_gen'
+    's":7}},{"command":"print S","index":14,"result":{"generators":["x^'
+    '2","x*y","y^2","z^2"]}},{"command":"print U","index":15,"result":{'
+    '"generators":["x*y","x^2","y^2*z"]}},{"command":"print D","index":'
+    '16,"result":{"generators":["x^2","x*y","y^2"]}},{"command":"print '
+    'E","index":17,"result":{"generators":["x^2+32002*y"]}},{"command":'
+    '"print F","index":18,"result":{"generators":["10265*x^2+27033*x*y+'
+    '17948*y^2","6366*x^2+9644*x*y+27909*y^2"]}},{"command":"contains I'
+    ' A","index":19,"result":{"contains":true}},{"command":"contains C '
+    'M","index":20,"result":{"contains":false}},{"command":"equal C A",'
+    '"index":21,"result":{"equal":false}},{"command":"member I x2","ind'
+    'ex":22,"result":{"member":true}},{"command":"member M z","index":2'
+    '3,"result":{"member":true}},{"command":"radicalmember I x","index"'
+    ':24,"result":{"radical_member":true}},{"command":"cohomology I","i'
+    'ndex":25,"result":{"d":1,"depth":1,"ext_vanishes":true,"g":2,"is_C'
+    'M":true}},{"command":"syzygetic I","index":26,"result":{"is_syzyge'
+    'tic":false,"offenders":["T2^2+32002*T1*T3"]}},{"command":"minreduc'
+    'tion I","index":27,"result":{"analytic_spread":2,"attempts":1,"gen'
+    'erators":["10265*x^2+27033*x*y+17948*y^2","6366*x^2+9644*x*y+27909'
+    '*y^2"],"r":1,"seed":"0"}},{"command":"link I [...]","index":28,"re'
+    'sult":{"K":["y","x"],"degenerate":false,"gci":null,"height":2,"unm'
+    'ixed":null}},{"command":"link I A","index":29,"result":{"K":["y","'
+    'x"],"degenerate":false,"gci":null,"height":2,"unmixed":null}},{"co'
+    'mmand":"contains I ( x2 , y2 )","index":30,"result":{"contains":tr'
+    'ue}},{"command":"equal C ( x , y )","index":31,"result":{"equal":t'
+    'rue}},{"command":"member I x * y + y2","index":32,"result":{"membe'
+    'r":true}},{"command":"member ( x , y ) z","index":33,"result":{"me'
+    'mber":false}},{"command":"radicalmember I x + y","index":34,"resul'
+    't":{"radical_member":true}}],"field":"zp:32003","ring":{"order":"g'
+    'revlex","variables":["x","y","z"],"weights":null},"schema":1,"seed'
+    '":0}')
+
+
+def test_every_argument_form_in_both_styles():
+    # the commands and ideal operations the benchmark never runs, with
+    # an ideal given by name or as (f, g) and a list as [f, g]; the
+    # report is pinned byte for byte
+    assert canonical_json(run_script(CALL_STYLE)) == CALL_STYLE_REPORT
+    # space style takes the same arguments: its report is the call-style
+    # one without the five commands that need more than one token
+    expected = json.loads(CALL_STYLE_REPORT)
+    del expected["commands"][-5:]
+    assert canonical_json(run_script(SPACE_STYLE)) == \
+        canonical_json(expected)
+
+
 def _cli(args, **kw):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -220,18 +334,53 @@ def test_cli_syntax_error_exit_code(tmp_path):
     assert "line 2" in out.stderr
 
 
-def test_cli_hypothesis_failure_exit_code(tmp_path):
-    script = tmp_path / "hyp.ck"
-    script.write_text("""\
+WRONG_ARITY = (
+    "contains(I);",
+    "member I;",
+    "cancelcheck(I, [x], x);",
+    "ideal K = colon(I);",
+    "ideal K = power(I);",
+    "powerscan(I);",
+)
+
+
+def test_cli_wrong_arity_exit_code(tmp_path):
+    # a command or ideal operation given too few arguments is a syntax
+    # error at its statement, not a crash
+    script = tmp_path / "arity.ck"
+    for statement in WRONG_ARITY:
+        script.write_text("ring R = zp(32003)[x,y] grevlex;\n"
+                          f"ideal I = (x, y);\n{statement}\n")
+        out = _cli(["run", str(script)])
+        assert out.returncode == 1, statement
+        assert "syntax error at line 3" in out.stderr, statement
+        assert "Traceback" not in out.stderr, statement
+
+
+HYPOTHESIS_FAILURES = (
+    """\
 ring R = zp(32003)[x,y,z] grevlex;
 ideal I = (x2, x*y);
 ideal A = (x2);
 hypotheses(I, [x2], x*y);
 cancelcheck(I, [x2], x*y, A);
-""")
-    out = _cli(["run", str(script)])
-    assert out.returncode == 2
+""",
+    # generators of degrees 2 and 3 admit no sampled minimal reduction:
+    # exit 2 at once, not exit 1 after the whole attempt budget
+    """\
+ring R = zp(32003)[x,y];
+ideal I = (x2, x*y, y3);
+ideal J = minreduction(I);
+""",
+)
 
+
+def test_cli_hypothesis_failure_exit_code(tmp_path):
+    script = tmp_path / "hyp.ck"
+    for text in HYPOTHESIS_FAILURES:
+        script.write_text(text)
+        out = _cli(["run", str(script)])
+        assert out.returncode == 2, out.stderr
 
 def test_cli_text_mode(tmp_path):
     script = tmp_path / "s.ck"
