@@ -182,7 +182,6 @@ def _sample_s(H, N, seed, attempts, degree_cap):
     field = ring.field
     A = Ideal(ring, list(H.a))
     gens = list(N.groebner().generators)
-    monos_cache = {}
     if degree_cap is None:
         degree_cap = max((g.degree() for g in gens), default=0) + 2
     for attempt in range(attempts):
@@ -193,7 +192,7 @@ def _sample_s(H, N, seed, attempts, degree_cap):
         s = ring.zero()
         for g in gens:
             if use_poly_coeffs:
-                c = _random_low_poly(ring, rng, monos_cache)
+                c = _random_low_poly(ring, rng)
             else:
                 c = ring.constant(field.random(rng))
             s = s + c * g
@@ -206,19 +205,13 @@ def _sample_s(H, N, seed, attempts, degree_cap):
         f"no witness element s found in {attempts} attempts")
 
 
-def _random_low_poly(ring, rng, cache):
+def _random_low_poly(ring, rng):
     """Random polynomial of total degree <= 1 over the ring."""
     field = ring.field
-    terms = {0: field.random(rng)}
+    f = ring.constant(field.random(rng))
     for i in range(ring.n):
-        c = field.random(rng)
-        if c != field.zero:
-            terms[ring.encode(tuple(1 if j == i else 0
-                                    for j in range(ring.n)))] = c
-    if terms.get(0) == field.zero:
-        terms.pop(0)
-    from .ring import Polynomial
-    return Polynomial(ring, terms)
+        f = f + ring.var(i).scale(field.random(rng))
+    return f
 
 
 def link_ideal(I, a):

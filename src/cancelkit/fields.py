@@ -62,14 +62,8 @@ class PrimeField:
             raise ZeroInversion("0 has no inverse")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def random(self, rng):
         return rng.randrange(self.p)
-
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
 
     def to_str(self, a):
         return str(a)
@@ -116,17 +110,8 @@ class RationalField:
             raise ZeroInversion("0 has no inverse")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroInversion("0 has no inverse")
-        return Fraction(a) / b
-
     def random(self, rng):
         return Fraction(rng.randrange(-20, 21))
-
-    def random_nonzero(self, rng):
-        n = rng.randrange(1, 41)
-        return Fraction(n if rng.random() < 0.5 else -n)
 
     def to_str(self, a):
         return str(a)
@@ -142,11 +127,6 @@ class RationalField:
 
     def describe(self):
         return "q"
-
-
-def inverse(x, field):
-    """Multiplicative inverse of x in the given field."""
-    return field.inv(x)
 
 
 def field_from_spec(spec):

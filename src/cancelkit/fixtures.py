@@ -10,7 +10,8 @@ one code path.
 import itertools
 import random
 
-from .cancellation import check_hypotheses, link_ideal
+from .cancellation import (check_hypotheses, link_ideal,
+                           power_containment_scan)
 from .errors import PreconditionUnmet, SearchExhausted
 from .fields import DEFAULT_PRIME, PrimeField
 from .ideals import Ideal, kernel_of_map
@@ -329,15 +330,6 @@ def run_example(tag, seed=0, attempts=50, n_cap=10, allow_long=False,
     raise ValueError(f"unknown example tag {tag!r}")
 
 
-def _power_in(I, J, n_max=4):
-    power = I
-    for n in range(1, n_max + 1):
-        if J.contains(power):
-            return n
-        power = power * I
-    return None
-
-
 def _run_surface_curve(seed, attempts, n_cap, field):
     P = surface_curve_ideal(field)
     mu = P.min_gens()
@@ -355,7 +347,7 @@ def _run_surface_curve(seed, attempts, n_cap, field):
     search = find_minimal_reduction(P, seed=seed, attempts=attempts,
                                     n_cap=n_cap,
                                     spread=pres.analytic_spread)
-    n = _power_in(P, search.result)
+    n = power_containment_scan(P, search.result, 4, search.report)
     return {
         "example": "2.5",
         "height": P.height,
@@ -385,7 +377,7 @@ def _run_space_surface(seed, attempts, n_cap, field):
     search = find_minimal_reduction(P, seed=seed, attempts=attempts,
                                     n_cap=n_cap,
                                     spread=pres.analytic_spread)
-    n = _power_in(P, search.result)
+    n = power_containment_scan(P, search.result, 4, search.report)
     return {
         "example": "2.6",
         "height": P.height,
@@ -409,7 +401,7 @@ def _run_circulant_minors(seed, attempts, n_cap, field):
                                     n_cap=n_cap,
                                     spread=pres.analytic_spread)
     J = search.result
-    n = _power_in(I, J, n_max=4)
+    n = power_containment_scan(I, J, 4, search.report)
     return {
         "example": "2.7",
         "height": I.height,

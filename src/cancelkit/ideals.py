@@ -13,9 +13,8 @@ a polynomial ring over a field (catenary and equidimensional).
 from .errors import (ArityMismatch, BadRegularSequence, NotHomogeneous,
                      RingMismatch, ZeroColon)
 from .gb import GroebnerBasis, buchberger, is_member, normal_form
-from .linalg import rank
 from .orders import Block, Grevlex, Lex
-from .ring import Polynomial, Ring, embed, restrict
+from .ring import Polynomial, Ring, embed
 
 
 class DimensionReport:
@@ -123,34 +122,17 @@ class Ideal:
 
     # -- elimination machinery --
 
-    @staticmethod
-    def _drop_aux(gb, ext, k, target, offset_map):
-        """Keep GB elements free of the first k (eliminated) variables,
-        mapped into `target` via offset_map."""
-        kept = []
-        for g in gb:
-            if all(all(e == 0 for e in ext.decode(m)[:k]) for m in g.terms):
-                kept.append(restrict(g, target, offset_map))
-        return kept
-
     def intersect(self, other):
-        """I cap J by component elimination in R^2: the module generated
-        by (f_i, f_i) and (g_j, 0) contains (0, h) exactly for h in I cap
-        J, and no auxiliary variable is needed (homogeneity survives)."""
+        """I cap J: the h with h*(1, 1) in the submodule I x J of R^2,
+        the same module kernel as colon (no auxiliary variable, so
+        homogeneity survives)."""
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, [])
-        from .modules import components, module_buchberger, vector
-        ring = self.ring
-        zero = ring.zero()
-        vecs = [vector([f, f]) for f in self.generators]
-        vecs += [vector([g, zero]) for g in other.generators]
-        kept = []
-        for v in module_buchberger(vecs):
-            first, h = components(v)
-            if first.is_zero() and not h.is_zero():
-                kept.append(h)
-        return Ideal(ring, kept)
+        from .modules import syzygy_columns
+        one, zero = self.ring.one(), self.ring.zero()
+        relations = ([[f, zero] for f in self.generators]
+                     + [[zero, g] for g in other.generators])
+        cols = syzygy_columns([[one, one]], relations)
+        return Ideal(self.ring, [col[0] for col in cols])
 
     def colon_poly(self, f):
         """I : f, the colon by the principal ideal (f)."""
@@ -217,10 +199,8 @@ class Ideal:
                    else [self.ring.weights[i] for i in perm])
         var_map = [old_to_new[i] for i in range(self.ring.n)]
         gens = [embed(g, ext, var_map) for g in self.generators]
-        gb = buchberger(gens)
-        offset_map = list(range(len(positions), ext.n))
-        kept = self._drop_aux(gb, ext, len(positions), target, offset_map)
-        return Ideal(target, kept)
+        return Ideal(target, _eliminated(buchberger(gens), target,
+                                         len(positions)))
 
     # -- structure --
 
@@ -261,37 +241,8 @@ class Ideal:
         return self.dimension().height
 
     def min_gens(self):
-        """Number of minimal homogeneous generators, via ranks of the
-        degree slices of I and m*I."""
-        for g in self.generators:
-            if not g.is_homogeneous():
-                raise NotHomogeneous(f"generator {g} is not homogeneous")
-        if self.is_zero():
-            return 0
-        gens = self.groebner().generators
-        ring = self.ring
-        field = ring.field
-        weights = ring.weights or tuple(1 for _ in range(ring.n))
-        degrees = sorted({g.wdegree() for g in gens})
-        total = 0
-        for d in degrees:
-            monos = _weighted_monomials(ring, weights, d)
-            index = {m: i for i, m in enumerate(monos)}
-            full_rows, proper_rows = [], []
-            for g in gens:
-                dg = g.wdegree()
-                if dg > d:
-                    continue
-                for mult in _weighted_monomials(ring, weights, d - dg):
-                    prod = g.mul_term(mult, field.one)
-                    row = [field.zero] * len(monos)
-                    for m, c in prod.terms.items():
-                        row[index[m]] = c
-                    full_rows.append(row)
-                    if mult != 0:
-                        proper_rows.append(row)
-            total += rank(full_rows, field) - rank(proper_rows, field)
-        return total
+        """Number of minimal homogeneous generators."""
+        return len(self.minimal_generators())
 
     def minimal_generators(self):
         """A minimal homogeneous generating set, greedily extracted from
@@ -312,33 +263,18 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def _weighted_monomials(ring, weights, d, _memo=None):
-    """Packed monomials of weighted degree exactly d."""
-    if _memo is None:
-        _memo = getattr(ring, "_wmono_memo", None)
-        if _memo is None:
-            _memo = {}
-            ring._wmono_memo = _memo
-    key = (tuple(weights), d)
-    if key in _memo:
-        return _memo[key]
-
-    out = []
-
-    def rec(i, remaining, exps):
-        if i == ring.n - 1:
-            if remaining % weights[i] == 0:
-                out.append(ring.encode(tuple(exps + [remaining // weights[i]])))
-            return
-        e = 0
-        while e * weights[i] <= remaining:
-            rec(i + 1, remaining - e * weights[i], exps + [e])
-            e += 1
-
-    if d >= 0:
-        rec(0, d, [])
-    _memo[key] = out
-    return out
+def _eliminated(gb, target, k):
+    """The basis elements free of the first k variables, moved into
+    `target` (the remaining variables, in order).  embed sends distinct
+    monomials free of those variables to distinct monomials, so an
+    element is free of them iff it keeps its term count."""
+    var_map = [None] * k + list(range(target.n))
+    kept = []
+    for g in gb:
+        h = embed(g, target, var_map)
+        if len(h.terms) == len(g.terms):
+            kept.append(h)
+    return kept
 
 
 def kernel_of_map(source_ring, images):
@@ -378,13 +314,11 @@ def kernel_of_map(source_ring, images):
         xi = ext.var(target.n + i)
         gi = embed(g, ext, list(range(target.n)))
         gens.append(xi - gi)
-    gb = buchberger(gens)
     result_ring = source_ring
     if source_ring.weights is None and any(w != 1 for w in s_weights):
         result_ring = Ring(source_ring.field, source_ring.names,
                            source_ring.order, s_weights)
-    offset_map = list(range(target.n, ext.n))
-    kept = Ideal._drop_aux(gb, ext, target.n, result_ring, offset_map)
+    kept = _eliminated(buchberger(gens), result_ring, target.n)
     full = Ideal(result_ring, kept)
     # present the kernel by a minimal generating set (the elimination
     # Groebner basis is usually redundant as a generating set)
@@ -400,11 +334,9 @@ def radical_contains(ideal, f):
     if f.is_zero():
         return True
     ring = ideal.ring
-    ext = ring.extended(("@z",), front=True,
-                        order=Block(1, Grevlex(),
-                                    ring.order if isinstance(
-                                        ring.order, (Lex, Grevlex))
-                                    else Grevlex()))
+    order = ring.order if isinstance(ring.order, (Lex, Grevlex)) else Grevlex()
+    ext = Ring(ring.field, ("@z",) + ring.names, Block(1, Grevlex(), order),
+               None if ring.weights is None else (1,) + ring.weights)
     z = ext.var(0)
     var_map = list(range(1, ext.n))
     gens = [embed(g, ext, var_map) for g in ideal.generators]

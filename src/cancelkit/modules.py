@@ -6,9 +6,9 @@ position-over-term (earlier positions dominate), which makes the
 component-elimination trick work: to find the columns h of R^c with
 sum h_j*v_j in a submodule N = (n_1..n_s) of R^r, compute one basis of
 the (v_j, e_j) and (n_i, 0) in R^(r+c) and keep the elements supported
-entirely in the tail block.  Syzygies (N = 0), the colon I : J and the
-colon by a polynomial are all this one kernel construction; intersection
-(`Ideal.intersect`) uses its own graph construction in R^2.
+entirely in the tail block.  Syzygies (N = 0), the colon I : J, the
+colon by a polynomial and the intersection I cap J are all this one
+kernel construction.
 """
 
 from .gb import buchberger, normal_form

@@ -6,9 +6,6 @@ tuples of ints with the property that key(m1) > key(m2) iff m1 > m2.
 
 from .errors import ArityMismatch
 
-LT, EQ, GT = -1, 0, 1
-
-
 class Lex:
     kind = "lex"
 
@@ -94,17 +91,3 @@ class Block:
     def __hash__(self):
         return hash(("block", self.elim_count, self.elim_order, self.rest_order))
 
-
-def compare(m1, m2, order, weights=None):
-    """Compare exponent tuples under an order: returns LT, EQ or GT."""
-    if len(m1) != len(m2):
-        raise ArityMismatch(f"exponent lengths differ: {len(m1)} vs {len(m2)}")
-    if weights is not None and len(weights) != len(m1):
-        raise ArityMismatch("weights length differs from exponent length")
-    key = order.key_fn(len(m1), weights)
-    k1, k2 = key(tuple(m1)), key(tuple(m2))
-    if k1 < k2:
-        return LT
-    if k1 > k2:
-        return GT
-    return EQ

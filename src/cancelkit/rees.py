@@ -21,7 +21,7 @@ from .gb import buchberger, normal_form
 from .ideals import Ideal, kernel_of_map
 from .linalg import echelonize
 from .modules import syzygy_columns
-from .ring import FIELD_BITS, Polynomial, Ring, apply_map, embed
+from .ring import Polynomial, Ring, apply_map, embed
 
 
 def t_degree(poly, base_count):
@@ -99,15 +99,20 @@ def rees_presentation(ideal):
                    + tuple(a.wdegree() + 1 for a in gens))
     s_ring = Ring(ring.field, ring.names + t_names, weights=weights)
     var_map = list(range(ring.n))
-    # Presentation of the symmetric algebra: one linear form sum c_i T_i
-    # per syzygy (c_1..c_m) of the generators.
-    linear = []
-    for col in _trim_columns(syzygy_columns([[a] for a in gens]), ring):
-        f = s_ring.zero()
-        for i, c in enumerate(col):
-            f = f + embed(c, s_ring, var_map) * s_ring.var(ring.n + i)
-        if not f.is_zero():
-            linear.append(f)
+
+    def linear_forms():
+        # Presentation of the symmetric algebra: one linear form
+        # sum c_i T_i per syzygy (c_1..c_m) of the generators; built only
+        # where read (the certificate path needs it only for Q).
+        linear = []
+        for col in _trim_columns(syzygy_columns([[a] for a in gens]), ring):
+            f = s_ring.zero()
+            for i, c in enumerate(col):
+                f = f + embed(c, s_ring, var_map) * s_ring.var(ring.n + i)
+            if not f.is_zero():
+                linear.append(f)
+        return linear
+
     # Inverting any nonzerodivisor a in I turns I into the unit ideal, so
     # Sym(I) and the Rees algebra agree there; the presentation ideal Q is
     # therefore the a-torsion of L, i.e. the saturation L : a^infinity.
@@ -121,18 +126,18 @@ def rees_presentation(ideal):
         fiber = _fiber_by_certificates(ideal, t_ring)
     if fiber is not None:
         def q_factory():
-            return _saturate_graded(s_ring, linear, pivot_s, ring.n,
-                                    t_ring)[0]()
+            return _saturate_graded(s_ring, linear_forms(), pivot_s,
+                                    ring.n, t_ring)[0]()
     elif weights is not None:
-        q_factory, fiber_gens = _saturate_graded(s_ring, linear, pivot_s,
-                                                 ring.n, t_ring)
+        q_factory, fiber_gens = _saturate_graded(
+            s_ring, linear_forms(), pivot_s, ring.n, t_ring)
     else:
-        Q = Ideal(s_ring, linear).saturate(Ideal(s_ring, [pivot_s]))
+        Q = Ideal(s_ring, linear_forms()).saturate(Ideal(s_ring, [pivot_s]))
         q_factory = lambda: Q  # noqa: E731
         # The fiber-cone ideal (Q + (x)) cap k[T] is the image of Q under
         # x -> 0, generated by the images of Q's generators.
-        fiber_gens = [_kill_base_vars(q, ring.n, t_ring)
-                      for q in Q.generators]
+        to_t = [None] * ring.n + list(range(m))
+        fiber_gens = [embed(q, t_ring, to_t) for q in Q.generators]
     if fiber is None:
         fiber = Ideal(t_ring, [g for g in fiber_gens if not g.is_zero()])
     spread = fiber.dim
@@ -158,23 +163,16 @@ def _saturate_graded(s_ring, linear, pivot, base_count, t_ring):
     sat_gens.append(sat_ring.var(s_ring.n) - embed(pivot, sat_ring, lift))
     basis = buchberger(sat_gens, reduced=False).generators
 
-    u_mask = (1 << FIELD_BITS) - 1
     stripped = []
     for g in basis:
-        e = min(m & u_mask for m in g.terms)
-        stripped.append(g if e == 0 else
-                        Polynomial(sat_ring, {m - e: c
-                                              for m, c in g.terms.items()}))
+        e = min(sat_ring.decode(m)[-1] for m in g.terms)
+        if e:
+            u_e = sat_ring.encode((0,) * s_ring.n + (e,))
+            g = Polynomial(sat_ring, {m - u_e: c for m, c in g.terms.items()})
+        stripped.append(g)
 
-    fiber_gens = []
-    for g in stripped:
-        terms = {}
-        for m, c in g.terms.items():
-            exps = sat_ring.decode(m)
-            if m & u_mask or any(exps[:base_count]):
-                continue
-            terms[t_ring.encode(exps[base_count:-1])] = c
-        fiber_gens.append(Polynomial(t_ring, terms))
+    to_t = [None] * base_count + list(range(t_ring.n)) + [None]
+    fiber_gens = [embed(g, t_ring, to_t) for g in stripped]
 
     def q_factory():
         images = [s_ring.var(i) for i in range(s_ring.n)] + [pivot]
@@ -226,7 +224,7 @@ def _fiber_by_certificates(ideal, t_ring):
             d = degs.pop()
             src = Ring(ring.field, t_ring.names, weights=(d,) * len(gens))
             K = kernel_of_map(src, list(gens))
-            return Ideal(t_ring, [Polynomial(t_ring, dict(g.terms))
+            return Ideal(t_ring, [embed(g, t_ring, range(len(gens)))
                                   for g in K.generators])
         upper = None
         for w in _equalizing_weights(ideal):
@@ -420,18 +418,6 @@ def _trim_columns(cols, ring):
         kept.append(col)
         basis = module_buchberger([vector(c) for c in kept])
     return kept
-
-
-def _kill_base_vars(poly, base_count, t_ring):
-    """Image of a polynomial of R[T] under x_j -> 0, landing in k[T]."""
-    ring = poly.ring
-    terms = {}
-    for m, c in poly.terms.items():
-        exps = ring.decode(m)
-        if any(exps[:base_count]):
-            continue
-        terms[t_ring.encode(exps[base_count:])] = c
-    return Polynomial(t_ring, terms)
 
 
 def graded_piece(Q, d, base_count=0):

@@ -127,11 +127,6 @@ class Ring:
             self._dmask_memo[m] = k
         return k
 
-    def compare(self, e1, e2):
-        """Compare exponent tuples under this ring's order."""
-        from .orders import compare
-        return compare(e1, e2, self.order, self.weights)
-
     # -- polynomial constructors --
 
     def zero(self):
@@ -197,24 +192,6 @@ class Ring:
                 ring._components |= 1 << s
             self._module_rings[rank] = ring
         return ring
-
-    def extended(self, extra_names, *, front=True, order=None, extra_weights=None):
-        """New ring with extra variables added (at the front by default)."""
-        if extra_weights is None and self.weights is not None:
-            extra_weights = tuple(1 for _ in extra_names)
-        if self.weights is None and extra_weights is not None:
-            base_weights = tuple(1 for _ in self.names)
-        else:
-            base_weights = self.weights
-        if front:
-            names = tuple(extra_names) + self.names
-            weights = (None if base_weights is None
-                       else tuple(extra_weights) + base_weights)
-        else:
-            names = self.names + tuple(extra_names)
-            weights = (None if base_weights is None
-                       else base_weights + tuple(extra_weights))
-        return Ring(self.field, names, order or self.order, weights)
 
     def describe(self):
         parts = [self.field.describe(), ",".join(self.names),
@@ -443,42 +420,23 @@ def apply_map(images, f):
 
 
 def embed(f, target, var_map):
-    """Re-express f in `target`, sending variable i to variable var_map[i].
+    """Re-express f in `target`, sending variable i to variable var_map[i],
+    or to 0 when var_map[i] is None (every term containing it is dropped).
 
-    Requires matching fields.  Used for ring extensions and for restricting
-    an eliminated polynomial to a subring (the inverse direction checks that
-    only mapped variables occur).
+    Requires matching fields.  Covers ring extensions, restriction to a
+    subring, and projections that kill variables.
     """
     if f.ring.field != target.field:
         raise RingMismatch("fields differ")
     terms = {}
     for m, c in f.terms.items():
-        exps = f.ring.decode(m)
         new = [0] * target.n
-        for i, e in enumerate(exps):
+        for i, e in enumerate(f.ring.decode(m)):
             if e:
-                new[var_map[i]] = e
-        terms[target.encode(tuple(new))] = c
-    return Polynomial(target, terms)
-
-
-def restrict(f, target, var_positions):
-    """Map f into the subring `target` whose variable j sits at source
-    position var_positions[j]; f must only involve those positions."""
-    keep = set(var_positions)
-    for m in f.terms:
-        exps = f.ring.decode(m)
-        for i, e in enumerate(exps):
-            if e and i not in keep:
-                raise ArityMismatch(
-                    f"polynomial involves unmapped variable {f.ring.names[i]}")
-    inv = {src: j for j, src in enumerate(var_positions)}
-    terms = {}
-    for m, c in f.terms.items():
-        exps = f.ring.decode(m)
-        new = [0] * target.n
-        for i, e in enumerate(exps):
-            if e:
-                new[inv[i]] = e
-        terms[target.encode(tuple(new))] = c
+                j = var_map[i]
+                if j is None:
+                    break
+                new[j] = e
+        else:
+            terms[target.encode(tuple(new))] = c
     return Polynomial(target, terms)

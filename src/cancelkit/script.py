@@ -655,17 +655,14 @@ class Interpreter:
     @_takes("EE*")
     def op_kernel(self, *images):
         # target variables: identifiers that are not ring variables or
-        # bindings, with exponent shorthand stripped
-        def known(text):
-            return text in self.ring._index or text in self.bindings
-
+        # bindings, with exponent shorthand stripped (x2 names x)
         target_names = []
         for tokens in images:
             for tok in tokens:
-                if tok.kind != "name" or known(tok.value):
+                if (tok.kind != "name" or tok.value in self.ring._index
+                        or tok.value in self.bindings):
                     continue
-                base = tok.value.rstrip("0123456789")
-                name = tok.value if known(base) else base
+                name = tok.value.rstrip("0123456789")
                 if name not in target_names:
                     target_names.append(name)
         if not target_names:

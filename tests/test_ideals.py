@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cancelkit.fields import PrimeField, RationalField
+from cancelkit.fixtures import space_surface_ideal, surface_curve_ideal
 from cancelkit.ideals import Ideal, is_unmixed, kernel_of_map, radical_contains
 from cancelkit.ring import Ring
 
@@ -115,6 +116,14 @@ def test_min_gens(R):
     x, y, z = R.gens()
     assert Ideal(R, [x, y, x + y, x * x]).min_gens() == 2
     assert Ideal(R, [x * x, x * y, y * y]).min_gens() == 3
+
+
+def test_worked_example_generator_counts():
+    # README "Worked examples": the 2.5 prime has height 2 and 5 minimal
+    # generators, the 2.6 prime has 8
+    P = surface_curve_ideal()
+    assert (P.height, P.min_gens()) == (2, 5)
+    assert space_surface_ideal().min_gens() == 8
 
 
 def test_radical_membership(R):

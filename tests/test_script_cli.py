@@ -357,6 +357,20 @@ def test_cli_wrong_arity_exit_code(tmp_path):
         assert "Traceback" not in out.stderr, statement
 
 
+def test_cli_kernel_image_names_a_ring_variable(tmp_path):
+    # trailing digits in a kernel image are exponent shorthand on a new
+    # target variable, so x2 names x and clashes with the ring's x
+    script = tmp_path / "kernel.ck"
+    for image, code, out_text in (("x2, x3", 1, "must be disjoint"),
+                                  ("s2, s3", 0, '["x^3+32002*y^2"]')):
+        script.write_text("ring R = zp(32003)[x,y];\n"
+                          f"ideal K = kernel({image});\nprint K;\n")
+        out = _cli(["run", str(script)])
+        assert out.returncode == code, image
+        assert out_text in out.stdout + out.stderr, image
+        assert "Traceback" not in out.stderr, image
+
+
 HYPOTHESIS_FAILURES = (
     """\
 ring R = zp(32003)[x,y,z] grevlex;
