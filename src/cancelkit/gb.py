@@ -11,7 +11,7 @@ import heapq
 
 from . import cache as _cache
 from .errors import ResourceExceeded, RingMismatch
-from .ring import Polynomial
+from .ring import EXP_MAX, Polynomial
 
 
 class EngineLimits:
@@ -60,10 +60,15 @@ def _common_ring(polys):
 
 
 def _divisor(g, ring):
-    """(lm, dmask, inv_lc, tail) of a nonzero g, tail excluding the lead."""
+    """(lm, dmask, inv_lc, tail, top) of a nonzero g: tail excludes the
+    lead; top, the bitwise or of the tail's monomials, bounds each of
+    their exponents."""
     lm = g.lm()
-    return (lm, ring.dmask(lm), ring.field.inv(g.lc()),
-            tuple((m, c) for m, c in g.terms.items() if m != lm))
+    tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
+    top = 0
+    for m, _ in tail:
+        top |= m
+    return (lm, ring.dmask(lm), ring.field.inv(g.lc()), tail, top)
 
 
 def normal_form(f, G):
@@ -111,7 +116,7 @@ def _divide(f, divisors, ring, full):
             continue
         bg = m | guards
         nmm = ~dmask(m)
-        for lm, dm, inv_lc, tail in divisors:
+        for lm, dm, inv_lc, tail, top in divisors:
             if dm & nmm == 0 and (bg - lm) & guards == guards:
                 break
         else:
@@ -121,6 +126,13 @@ def _divide(f, divisors, ring, full):
                 break
             continue
         q = m - lm
+        # exponents below 2^15 add without a carry, so a new term mt + q
+        # has an exponent above EXP_MAX iff it sets a guard bit; top
+        # bounds every mt, so most steps test one sum
+        if (top + q) & guards and any((mt + q) & guards for mt, _ in tail):
+            raise ResourceExceeded(
+                "exponent overflow: a division step makes an exponent "
+                f"above {EXP_MAX}")
         if p is not None:
             factor = c * inv_lc % p
             for mt, ct in tail:

@@ -1,10 +1,14 @@
 """Ideal-level operations built on the Groebner engine.
 
 Covers sums, products, powers, intersection, colon, saturation,
-elimination, containment/equality, radical membership (Rabinowitsch),
-Krull dimension via independent sets modulo the initial ideal, minimal
-generator counts, kernels of algebra maps, and the linkage-based
-unmixedness test.
+elimination, containment/equality, radical membership, Krull dimension
+via independent sets modulo the initial ideal, minimal generator counts,
+kernels of algebra maps, and the linkage-based unmixedness test.
+
+Saturation by one element f and radical membership of f share one
+construction, the Rabinowitsch ideal (I, 1 - z*f) in R[z]: eliminating z
+from its basis gives I : f^infinity, and f is in the radical of I iff
+the basis is (1).  Saturation by a larger ideal is colons until stable.
 
 Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
@@ -156,7 +160,22 @@ class Ideal:
         return Ideal(self.ring, [col[0] for col in cols])
 
     def saturate(self, other):
-        """Stable value of I : J^infinity (colon until idempotent)."""
+        """I : J^infinity.  By one element f (a Polynomial or a principal
+        J) it is one elimination basis, (I, 1 - z*f) cap R; by a larger J
+        it is the stable value of colons by J."""
+        if isinstance(other, Polynomial):
+            other = Ideal(self.ring, [other])
+        self._check(other)
+        if other.is_zero():
+            raise ZeroColon("saturation by the zero ideal")
+        if len(other.generators) == 1:
+            gens = _inverting(self.generators, other.generators[0])
+            kept = _eliminated(buchberger(gens), self.ring, 1)
+            # when R[z] orders the variables of R as R does, kept is
+            # already the reduced basis of the saturation
+            same = gens[-1].ring.order.rest_order == self.ring.order
+            return Ideal(self.ring, kept,
+                         GroebnerBasis(self.ring, kept) if same else None)
         current = self
         while True:
             nxt = current.colon(other)
@@ -327,21 +346,29 @@ def kernel_of_map(source_ring, images):
     return full
 
 
+def _inverting(gens, f):
+    """The Rabinowitsch generators (gens, 1 - z*f) in R[z], z first under
+    Block(1, Grevlex(), order): their basis eliminates z to I : f^infinity,
+    and they generate the unit ideal iff f is in the radical of I."""
+    ring = f.ring
+    order = ring.order if isinstance(ring.order, (Lex, Grevlex)) else Grevlex()
+    ext = Ring(ring.field, ("@z",) + ring.names, Block(1, Grevlex(), order),
+               None if ring.weights is None else (1,) + ring.weights)
+    z = ext.var(0)
+    var_map = list(range(1, ext.n))
+    out = [embed(g, ext, var_map) for g in gens]
+    out.append(ext.one() - z * embed(f, ext, var_map))
+    return out
+
+
 def radical_contains(ideal, f):
     """True iff f lies in the radical of the ideal (Rabinowitsch trick)."""
     if ideal.ring != f.ring:
         raise RingMismatch("polynomial not in the ideal's ring")
     if f.is_zero():
         return True
-    ring = ideal.ring
-    order = ring.order if isinstance(ring.order, (Lex, Grevlex)) else Grevlex()
-    ext = Ring(ring.field, ("@z",) + ring.names, Block(1, Grevlex(), order),
-               None if ring.weights is None else (1,) + ring.weights)
-    z = ext.var(0)
-    var_map = list(range(1, ext.n))
-    gens = [embed(g, ext, var_map) for g in ideal.generators]
-    gens.append(ext.one() - z * embed(f, ext, var_map))
-    return is_member(ext.one(), gens)
+    gens = _inverting(ideal.generators, f)
+    return is_member(gens[-1].ring.one(), gens)
 
 
 def is_unmixed(ideal, a):

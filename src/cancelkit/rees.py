@@ -3,11 +3,11 @@
 For I = (a_1..a_m) in R = k[x], the presentation ideal Q of the Rees
 algebra R[It] is the kernel of S = R[T_1..T_m] -> R[It], T_i -> a_i t,
 computed as the saturation of the symmetric-algebra relations (one
-linear form per syzygy of the a_i) by a nonzerodivisor of I.  Q is
-homogeneous in the T-grading (deg T_i = 1, deg x_j = 0), so its graded
-pieces Q_d can be read off any Groebner basis.  The fiber-cone ideal is
-the image of Q in k[T] = S/(x)S; the analytic spread is the dimension
-of the fiber cone.
+linear form per syzygy of the a_i) by a nonzerodivisor of I: one
+elimination basis (Ideal.saturate).  Q is homogeneous in the T-grading
+(deg T_i = 1, deg x_j = 0), so its graded pieces Q_d can be read off any
+Groebner basis.  The fiber-cone ideal is the image of Q in
+k[T] = S/(x)S; the analytic spread is the dimension of the fiber cone.
 """
 
 import itertools
@@ -21,7 +21,7 @@ from .gb import buchberger, normal_form
 from .ideals import Ideal, kernel_of_map
 from .linalg import echelonize
 from .modules import syzygy_columns
-from .ring import Polynomial, Ring, apply_map, embed
+from .ring import Polynomial, Ring, embed
 
 
 def t_degree(poly, base_count):
@@ -37,16 +37,15 @@ def t_degree(poly, base_count):
 class ReesPresentation:
     """Presentation data of the Rees algebra of an ideal."""
 
-    def __init__(self, base, q_factory, s_ring, base_count, fiber_ideal,
-                 analytic_spread):
+    def __init__(self, base, q_factory, s_ring, base_count, fiber_ideal):
         self.base = base
         self._q_factory = q_factory
         self._Q = None
         self.s_ring = s_ring
         self.base_count = base_count
         self.fiber_ideal = fiber_ideal
-        self.analytic_spread = analytic_spread
-        self.analytic_deviation = analytic_spread - base.height
+        self.analytic_spread = fiber_ideal.dim
+        self.analytic_deviation = self.analytic_spread - base.height
 
     @property
     def Q(self):
@@ -87,16 +86,14 @@ def rees_presentation(ideal):
     m = len(gens)
     t_names = tuple(f"T{i + 1}" for i in range(m))
     if set(t_names) & set(ring.names):
-        raise ArityMismatch(
-            "base ring variable names collide with T1..Tm")
+        raise ArityMismatch("base ring variable names collide with T1..Tm")
     # Weight T_i = deg a_i + 1 when every generator is homogeneous, so Q
     # (which is bihomogeneous for the x-grading and the T-count) stays
     # homogeneous and the Groebner computations are degree-bounded.
     weights = None
     if all(a.is_homogeneous() for a in gens):
         base_w = ring.weights or tuple(1 for _ in range(ring.n))
-        weights = (tuple(base_w)
-                   + tuple(a.wdegree() + 1 for a in gens))
+        weights = tuple(base_w) + tuple(a.wdegree() + 1 for a in gens)
     s_ring = Ring(ring.field, ring.names + t_names, weights=weights)
     var_map = list(range(ring.n))
 
@@ -118,77 +115,22 @@ def rees_presentation(ideal):
     # therefore the a-torsion of L, i.e. the saturation L : a^infinity.
     pivot = min(gens, key=lambda a: (a.wdegree(), len(a.terms)))
     pivot_s = embed(pivot, s_ring, var_map)
+
+    def q_factory():
+        return Ideal(s_ring, linear_forms()).saturate(pivot_s)
+
     t_ring = Ring(ring.field, t_names,
-                  weights=tuple(a.wdegree() + 1 for a in gens)
-                  if weights is not None else None)
-    fiber = None
-    if weights is not None:
-        fiber = _fiber_by_certificates(ideal, t_ring)
-    if fiber is not None:
-        def q_factory():
-            return _saturate_graded(s_ring, linear_forms(), pivot_s,
-                                    ring.n, t_ring)[0]()
-    elif weights is not None:
-        q_factory, fiber_gens = _saturate_graded(
-            s_ring, linear_forms(), pivot_s, ring.n, t_ring)
-    else:
-        Q = Ideal(s_ring, linear_forms()).saturate(Ideal(s_ring, [pivot_s]))
+                  weights=None if weights is None else weights[ring.n:])
+    fiber = (_fiber_by_certificates(ideal, t_ring)
+             if weights is not None else None)
+    if fiber is None:
+        Q = q_factory()
         q_factory = lambda: Q  # noqa: E731
         # The fiber-cone ideal (Q + (x)) cap k[T] is the image of Q under
         # x -> 0, generated by the images of Q's generators.
         to_t = [None] * ring.n + list(range(m))
-        fiber_gens = [embed(q, t_ring, to_t) for q in Q.generators]
-    if fiber is None:
-        fiber = Ideal(t_ring, [g for g in fiber_gens if not g.is_zero()])
-    spread = fiber.dim
-    return ReesPresentation(ideal, q_factory, s_ring, ring.n, fiber, spread)
-
-
-def _saturate_graded(s_ring, linear, pivot, base_count, t_ring):
-    """Saturation L : pivot^infinity for homogeneous data, via one basis.
-
-    Adjoin a last variable u of the pivot's weight together with the
-    relation u - pivot.  Under (weighted) grevlex a homogeneous basis
-    element with leading monomial divisible by u is divisible by u
-    throughout, so dividing every basis element of (L, u - pivot) by its
-    largest u-power yields a basis of the saturation by u; substituting
-    u -> pivot then lands generators of Q = L : pivot^infinity back in
-    R[T], and setting x -> 0, u -> 0 gives the fiber-cone generators
-    directly.  One Groebner run replaces the iterated-colon saturation.
-    """
-    sat_ring = Ring(s_ring.field, s_ring.names + ("@u",),
-                    weights=s_ring.weights + (pivot.wdegree(),))
-    lift = list(range(s_ring.n))
-    sat_gens = [embed(f, sat_ring, lift) for f in linear]
-    sat_gens.append(sat_ring.var(s_ring.n) - embed(pivot, sat_ring, lift))
-    basis = buchberger(sat_gens, reduced=False).generators
-
-    stripped = []
-    for g in basis:
-        e = min(sat_ring.decode(m)[-1] for m in g.terms)
-        if e:
-            u_e = sat_ring.encode((0,) * s_ring.n + (e,))
-            g = Polynomial(sat_ring, {m - u_e: c for m, c in g.terms.items()})
-        stripped.append(g)
-
-    to_t = [None] * base_count + list(range(t_ring.n)) + [None]
-    fiber_gens = [embed(g, t_ring, to_t) for g in stripped]
-
-    def q_factory():
-        images = [s_ring.var(i) for i in range(s_ring.n)] + [pivot]
-        q_gens = []
-        seen = set()
-        for g in stripped:
-            q = apply_map(images, g)
-            if q.is_zero():
-                continue
-            key = tuple(sorted(q.monic().terms.items()))
-            if key not in seen:
-                seen.add(key)
-                q_gens.append(q)
-        return Ideal(s_ring, q_gens)
-
-    return q_factory, fiber_gens
+        fiber = Ideal(t_ring, [embed(q, t_ring, to_t) for q in Q.generators])
+    return ReesPresentation(ideal, q_factory, s_ring, ring.n, fiber)
 
 
 def _fiber_by_certificates(ideal, t_ring):

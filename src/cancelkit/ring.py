@@ -386,39 +386,6 @@ def render(f):
     return out
 
 
-def apply_map(images, f):
-    """Substitute images[i] for variable i of f; images share a target ring.
-
-    Realizes the ring homomorphism k[x_1..x_n] -> T determined by the
-    images; the result is fully expanded in the target ring.
-    """
-    if len(images) != f.ring.n:
-        raise ArityMismatch(f"need {f.ring.n} images, got {len(images)}")
-    target = images[0].ring
-    for g in images:
-        if g.ring != target:
-            raise RingMismatch("images must share a common target ring")
-    power_cache = [dict() for _ in images]
-
-    def image_power(i, e):
-        cache = power_cache[i]
-        if e not in cache:
-            if e == 0:
-                cache[e] = target.one()
-            else:
-                cache[e] = image_power(i, e - 1) * images[i]
-        return cache[e]
-
-    result = target.zero()
-    for m, c in f.terms.items():
-        term = target.constant(c)
-        for i, e in enumerate(f.ring.decode(m)):
-            if e:
-                term = term * image_power(i, e)
-        result = result + term
-    return result
-
-
 def embed(f, target, var_map):
     """Re-express f in `target`, sending variable i to variable var_map[i],
     or to 0 when var_map[i] is None (every term containing it is dropped).

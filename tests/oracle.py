@@ -6,7 +6,6 @@ bounded-degree exact linear algebra over the coefficient field, written
 from scratch here.
 """
 
-import itertools
 from fractions import Fraction
 
 

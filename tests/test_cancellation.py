@@ -1,7 +1,7 @@
 import pytest
 
 from cancelkit.errors import (HypothesisFailed, PreconditionUnmet,
-                              RequiresDimensionOne, TheoremViolation)
+                              RequiresDimensionOne)
 from cancelkit.fields import PrimeField
 from cancelkit.ideals import Ideal
 from cancelkit.cancellation import (cancel_check, check_hypotheses,

@@ -144,6 +144,17 @@ def test_resource_limits(R):
                    EngineLimits(degree_cap=10))
 
 
+def test_division_exponent_overflow_is_exact():
+    R = Ring(PrimeField(32003), ["x", "y"], Lex())
+    x, y = R.gens()
+    # the or of the tail exponents 2^14 and 2^13 - 1 exceeds their max:
+    # y^10000 keeps every new exponent below 2^15, y^16384 does not
+    g = x - y ** 16384 - y ** 8191
+    assert normal_form(x * y ** 10000, [g]) == y ** 26384 + y ** 18191
+    with pytest.raises(ResourceExceeded, match="exponent overflow"):
+        normal_form(x * y ** 16384, [g])
+
+
 @st.composite
 def _small_homog_gens(draw):
     R = Ring(PrimeField(32003), ["x", "y", "z"])

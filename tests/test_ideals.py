@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cancelkit.errors import ZeroColon
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.fixtures import space_surface_ideal, surface_curve_ideal
 from cancelkit.ideals import Ideal, is_unmixed, kernel_of_map, radical_contains
@@ -73,17 +74,35 @@ def test_intersection_vs_oracle():
         assert not K.contains(I)
 
 
-def test_colon_and_saturation(R):
-    x, y, z = R.gens()
-    I = Ideal(R, [x * y, x * z])
-    # (xy, xz) : x = (y, z)
-    Q = I.colon_poly(x)
-    assert Q == Ideal(R, [y, z])
-    # saturating x^2*(y,z) by (x) recovers (y, z)
-    J = Ideal(R, [x * x * y, x * x * z])
-    assert J.saturate(Ideal(R, [x])) == Ideal(R, [y, z])
-    # colon by an ideal
-    assert I.colon(Ideal(R, [x])) == Ideal(R, [y, z])
+def test_colon_and_saturation():
+    for field in (PrimeField(32003), RationalField()):
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        I = Ideal(R, [x * y, x * z])
+        # (xy, xz) : x = (y, z)
+        Q = I.colon_poly(x)
+        assert Q == Ideal(R, [y, z])
+        # saturating x^2*(y,z) by (x) recovers (y, z)
+        J = Ideal(R, [x * x * y, x * x * z])
+        assert J.saturate(Ideal(R, [x])) == Ideal(R, [y, z])
+        # the same by a Polynomial
+        assert J.saturate(x) == Ideal(R, [y, z])
+        # non-homogeneous, by a non-monomial, with coefficients 2 and 3
+        f, g = x + R.one(), y * y.scale(2) + R.constant(3)
+        N = Ideal(R, [f * f * g, f * (z - R.one())])
+        assert N.saturate(f) == Ideal(R, [g, z - R.one()])
+        assert N.saturate(x) == N
+        # by a 2-generated ideal (the colon loop): (x) cap (x^2, y) loses
+        # its (x, y)-primary component
+        M = Ideal(R, [x * x, x * y])
+        assert M.saturate(Ideal(R, [x, y])) == Ideal(R, [x])
+        assert Ideal(R, [x * z, y * z]).saturate(Ideal(R, [x, y])) == \
+            Ideal(R, [z])
+        # colon by an ideal
+        assert I.colon(Ideal(R, [x])) == Ideal(R, [y, z])
+        for zero in (R.zero(), Ideal(R, []), Ideal(R, [R.zero()])):
+            with pytest.raises(ZeroColon):
+                J.saturate(zero)
 
 
 def test_colon_untouched_when_coprime(R):
@@ -230,6 +249,30 @@ def test_colon_is_one_module_computation(monkeypatch):
     assert len(calls) == 1
     # a monomial h is in the colon iff hx, hy and hz all lie in I
     assert C == Ideal(R, [x * y * z, x * x * y, x * y * y, y ** 3])
+
+
+def test_saturation_by_an_element_is_one_basis(monkeypatch):
+    from cancelkit import ideals, modules
+    calls = {"buchberger": 0, "module_buchberger": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return original(*args, **kw)
+        return wrapper
+
+    R = Ring(PrimeField(32003), ["x", "y", "z"])
+    x, y, z = R.gens()
+    I = Ideal(R, [x ** 3 * y, x * x * z * z, x * y * z])
+    monkeypatch.setattr(ideals, "buchberger",
+                        counted("buchberger", ideals.buchberger))
+    monkeypatch.setattr(modules, "module_buchberger",
+                        counted("module_buchberger",
+                                modules.module_buchberger))
+    S = I.saturate(Ideal(R, [x]))
+    assert calls == {"buchberger": 1, "module_buchberger": 0}
+    monkeypatch.undo()
+    assert S == Ideal(R, [y, z * z])
 
 
 @settings(max_examples=20, deadline=None)

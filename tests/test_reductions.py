@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from cancelkit.errors import NotSubideal, SearchExhausted
+from cancelkit.errors import NotSubideal
 from cancelkit.fields import PrimeField
 from cancelkit.ideals import Ideal
 from cancelkit.reductions import (analytic_deviation, find_minimal_reduction,

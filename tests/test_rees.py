@@ -1,12 +1,12 @@
 import pytest
 
 from cancelkit.errors import BadRegularSequence, NotGraded
-from cancelkit.fields import PrimeField
-from cancelkit.ideals import Ideal
+from cancelkit.fields import PrimeField, RationalField
+from cancelkit.ideals import Ideal, kernel_of_map
 from cancelkit.rees import (graded_piece, is_syzygetic,
                             lemma_prefix_relations_check, rees_presentation,
                             t_degree)
-from cancelkit.ring import Ring
+from cancelkit.ring import Ring, embed
 from cancelkit.fixtures import monomial_curve
 
 import oracle
@@ -102,6 +102,31 @@ def test_fiber_matches_oracle(R):
     T = pres.fiber_ideal.ring
     expected = [T.poly("T2^2") - T.poly("T1*T3")]
     assert oracle.ideals_equal_upto_degree(fiber_gens, expected, 4)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), RationalField()],
+                         ids=["zp", "q"])
+def test_rees_presentation_is_kernel(field):
+    # Q against graph elimination: the kernel of S -> R[t], x -> x,
+    # T_i -> a_i*t.  The first two ideals are homogeneous but their fiber
+    # certificates fail, (x,y,z)^2 takes the certificate path, and the
+    # last is not homogeneous.
+    R3 = Ring(field, ["x", "y", "z"])
+    x, y, z = R3.gens()
+    R4 = Ring(field, ["a", "b", "c", "d"])
+    a, b, c, d = R4.gens()
+    for I in (Ideal(R3, [x ** 2, y ** 3, z ** 3, x * y * z]),
+              Ideal(R4, [a ** 2, b ** 3, c ** 2 * d, a * b * c]),
+              Ideal(R3, [x, y, z]) ** 2,
+              Ideal(R3, [x ** 2 - y, y ** 2 - z, x * z])):
+        pres = rees_presentation(I)
+        n = I.ring.n
+        target = Ring(field, tuple("@" + v for v in I.ring.names) + ("@t",))
+        t = target.var(n)
+        images = [target.var(j) for j in range(n)]
+        images += [embed(g, target, range(n)) * t for g in I.generators]
+        K = kernel_of_map(pres.s_ring, images)
+        assert K == pres.Q
 
 
 def test_lemma_prefix_relations(R):

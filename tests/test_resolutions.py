@@ -1,6 +1,5 @@
 import pytest
 
-from cancelkit.errors import PreconditionUnmet, ZeroColon
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
 from cancelkit.modules import (components, module_buchberger, module_member,

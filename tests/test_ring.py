@@ -166,16 +166,6 @@ def test_embed_restrict():
     assert embed(t * g + g - t, R2, [None, 0, 1]) == f
 
 
-def test_apply_map():
-    F = PrimeField(32003)
-    R = Ring(F, ["x", "y"])
-    S = Ring(F, ["t"])
-    x, y = R.gens()
-    t, = S.gens()
-    from cancelkit.ring import apply_map
-    assert apply_map([t ** 2, t ** 3], x * y - y) == t ** 5 - t ** 3
-
-
 @settings(max_examples=50)
 @given(st.randoms(use_true_random=False))
 def test_ring_axioms_random(rng):

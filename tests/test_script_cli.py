@@ -326,6 +326,22 @@ contains(K, J);
     assert out.stdout == ""
 
 
+def test_cli_exponent_overflow_in_division(tmp_path):
+    # reducing x^3 by x - y^22000 under lex reaches x*y^44000; packed, the
+    # carry out of y's field used to turn it into a smaller monomial and
+    # the answer into a wrong "member: true"
+    script = tmp_path / "div.ck"
+    script.write_text("""\
+ring R = zp(32003)[x,y] lex;
+ideal I = (x - y22000);
+member(I, x3 - y22464);
+""")
+    out = _cli(["run", str(script)])
+    assert out.returncode == 3, out.stdout
+    assert "exponent overflow" in out.stderr
+    assert out.stdout == ""
+
+
 def test_cli_syntax_error_exit_code(tmp_path):
     script = tmp_path / "bad.ck"
     script.write_text("ring R = zp(32003)[x,y] grevlex;\nideal = ;\n")
