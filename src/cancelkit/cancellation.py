@@ -125,7 +125,7 @@ def cancel_check(H, K):
         f"I={H.I}, J={H.J}, K={K}")
 
 
-def construct_witness(H, seed=0, attempts=200, degree_cap=None):
+def construct_witness(H, seed=0, attempts=200):
     """Replay the proof's construction in the d = 1 case.
 
     Writes (a) = N cap I with N = saturate((a), I), samples s in N with
@@ -157,7 +157,7 @@ def construct_witness(H, seed=0, attempts=200, degree_cap=None):
     N = A.saturate(H.I)
     steps.append(("a_equals_N_cap_I", N.intersect(H.I) == A))
 
-    s = _sample_s(H, N, seed, attempts, degree_cap)
+    s = _sample_s(H, N, seed, attempts)
     steps.append(("a_colon_s_is_I", True))
     steps.append(("I_colon_s_is_I", True))
 
@@ -175,15 +175,13 @@ def construct_witness(H, seed=0, attempts=200, degree_cap=None):
     return WitnessTrace(N, s, b, frak_a, q, steps)
 
 
-def _sample_s(H, N, seed, attempts, degree_cap):
-    """Random degree-bounded combination s of N's generators with
-    (a):s = I and I:s = I."""
+def _sample_s(H, N, seed, attempts):
+    """Random combination s of N's generators, with constant or linear
+    coefficients, such that (a):s = I and I:s = I."""
     ring = H.I.ring
     field = ring.field
     A = Ideal(ring, list(H.a))
     gens = list(N.groebner().generators)
-    if degree_cap is None:
-        degree_cap = max((g.degree() for g in gens), default=0) + 2
     for attempt in range(attempts):
         rng = random.Random(f"{seed}-s-{attempt}")
         # round-robin richness: first tries bare combinations, later
@@ -196,8 +194,7 @@ def _sample_s(H, N, seed, attempts, degree_cap):
             else:
                 c = ring.constant(field.random(rng))
             s = s + c * g
-        if s.is_zero() or s.degree() > degree_cap + max(
-                (g.degree() for g in gens), default=0):
+        if s.is_zero():
             continue
         if A.colon_poly(s) == H.I and H.I.colon_poly(s) == H.I:
             return s

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage/parse/other error, 2 hypothesis failure,
 """
 
 import argparse
+import functools
 import sys
 import time
 
@@ -30,7 +31,9 @@ _HYPOTHESIS_ERRORS = (HypothesisFailed, PreconditionUnmet, NotSubideal,
                       NotReduction)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="cancelkit",
         description="polynomial ideal arithmetic and cancellation-theorem "

@@ -1,6 +1,7 @@
 """The Groebner engine: multivariate division, Buchberger with the
-coprimality and chain criteria (Gebauer-Moeller pair updates), reduced
-bases, and ideal membership.
+coprimality and chain criteria (Gebauer-Moeller pair updates over one
+table of live pairs, each kept with its lcm), reduced bases, and ideal
+membership.
 
 Everything here is deterministic: pair selection is by minimal lcm degree
 with ties broken by the lcm's exponent key and then the pair indices, and
@@ -27,10 +28,9 @@ default_limits = EngineLimits()
 
 
 class GroebnerBasis:
-    def __init__(self, ring, generators, reduced=True):
+    def __init__(self, ring, generators):
         self.ring = ring
         self.generators = list(generators)
-        self.reduced = reduced
         self._divisors = None
 
     def divisors(self):
@@ -172,47 +172,42 @@ def _spoly(f, g, ring):
     return a - b
 
 
-def _gm_update(G, lms, pairs, h_index, ring):
-    """Gebauer-Moeller pair update when basis element h_index is added.
+def _gm_update(lms, pairs, heap, ring, pair_deg):
+    """Gebauer-Moeller pair update when the newest basis element t joins.
 
-    Applies the chain criterion (drop pairs whose lcm is properly covered
-    by the new leading monomial) and the coprimality criterion.  In a
-    module ring only pairs within one component are formed.
+    pairs maps each live pair (i, j) to lcm(lm_i, lm_j), computed once
+    when the pair is made.  The chain criterion deletes, in place, the
+    pairs whose lcm the new leading monomial properly covers.  The new
+    pairs (i, t) are grouped by lcm; only lcm-minimal classes are kept,
+    one representative each, and a class with a coprime member is
+    skipped.  Each new pair is pushed on the heap under its selection
+    key.  In a module ring only pairs within one component are formed.
     """
-    t = h_index
+    t = len(lms) - 1
     lm_t = lms[t]
-    components = ring._components
     divides = ring.mono_divides
-    lcm = ring.mono_lcm
+    with_t = [ring.mono_lcm(lm, lm_t) for lm in lms[:t]]
 
-    # chain criterion on existing pairs
-    survivors = set()
-    for (i, j) in pairs:
-        lij = lcm(lms[i], lms[j])
-        if (divides(lm_t, lij)
-                and lij != lcm(lms[i], lm_t) and lij != lcm(lms[j], lm_t)):
-            continue
-        survivors.add((i, j))
+    for (i, j), L in list(pairs.items()):
+        if divides(lm_t, L) and L != with_t[i] and L != with_t[j]:
+            del pairs[i, j]
 
-    # organize candidate new pairs by their lcm
+    components = ring._components
     by_lcm = {}
     for i in range(t):
-        if (lms[i] ^ lm_t) & components:
-            continue
-        by_lcm.setdefault(lcm(lms[i], lm_t), []).append(i)
-    # keep only lcm-minimal classes, one representative each
-    new_pairs = []
+        if not (lms[i] ^ lm_t) & components:
+            by_lcm.setdefault(with_t[i], []).append(i)
     minimal = []
     for L in sorted(by_lcm, key=ring.key):
         if any(divides(Lm, L) for Lm in minimal):
             continue
         minimal.append(L)
-        # coprimality: if any member of the class has coprime leading terms,
-        # the whole class can be skipped
-        if any(lcm(lms[i], lm_t) == lms[i] + lm_t for i in by_lcm[L]):
+        members = by_lcm[L]
+        if any(L == lms[i] + lm_t for i in members):
             continue
-        new_pairs.append((min(by_lcm[L]), t))
-    return survivors | set(new_pairs)
+        i = min(members)
+        pairs[i, t] = L
+        heapq.heappush(heap, (pair_deg(L), ring.key(L), i, t))
 
 
 def buchberger(gens, limits=None, reduced=True):
@@ -224,8 +219,9 @@ def buchberger(gens, limits=None, reduced=True):
     generating set is needed.
 
     Zero generators are filtered; pair selection uses the normal strategy
-    (minimal lcm degree, ties by lcm key then indices).  Consults the
-    active GB cache when one is installed.
+    (minimal lcm degree, ties by lcm key then indices).  A popped pair
+    no longer in the pair table was dropped by the chain criterion and is
+    skipped.  Consults the active GB cache when one is installed.
     """
     gens = list(gens)
     ring = _common_ring(gens)
@@ -242,42 +238,27 @@ def buchberger(gens, limits=None, reduced=True):
         if hit is not None:
             return GroebnerBasis(ring, hit)
 
-    G = []
-    lms = []
-    div = []
-    pairs = set()
+    # normal selection strategy: smallest lcm degree first -- weighted
+    # degree when the ring is weighted, so homogeneous inputs are
+    # processed degree by degree
+    pair_deg = ring.mono_wdeg if ring.weights is not None else ring.mono_deg
+    G, lms, div = [], [], []
+    pairs, heap = {}, []
 
     def add(g):
         G.append(g)
         lms.append(g.lm())
         div.append(_divisor(g, ring))
+        _gm_update(lms, pairs, heap, ring, pair_deg)
 
     for g in sorted(gens, key=lambda f: ring.key(f.lm())):
         add(g.monic())
-        pairs = _gm_update(G, lms, pairs, len(G) - 1, ring)
 
-    heap = []
-    in_heap = set()
-    # normal selection strategy: smallest lcm degree first -- weighted
-    # degree when the ring is weighted, so homogeneous inputs are
-    # processed degree by degree
-    pair_deg = ring.mono_wdeg if ring.weights is not None else ring.mono_deg
-
-    def push_pairs():
-        for (i, j) in pairs:
-            if (i, j) not in in_heap:
-                L = ring.mono_lcm(lms[i], lms[j])
-                heapq.heappush(heap, (pair_deg(L), ring.key(L), i, j))
-                in_heap.add((i, j))
-
-    push_pairs()
     processed = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        in_heap.discard((i, j))
-        if (i, j) not in pairs:
+        if pairs.pop((i, j), None) is None:
             continue
-        pairs.discard((i, j))
         processed += 1
         if processed > limits.pair_cap:
             raise ResourceExceeded(f"pair ceiling {limits.pair_cap} exceeded")
@@ -289,16 +270,13 @@ def buchberger(gens, limits=None, reduced=True):
                 f"degree ceiling {limits.degree_cap} exceeded "
                 f"(element of degree {r.degree()})")
         add(r.monic())
-        pairs = _gm_update(G, lms, pairs, len(G) - 1, ring)
-        push_pairs()
 
     if not reduced:
-        return GroebnerBasis(ring, _minimalize(G, ring), reduced=False)
+        return GroebnerBasis(ring, _minimalize(G, ring))
     basis = _interreduce(G, ring)
-    result = GroebnerBasis(ring, basis)
     if cache is not None:
         cache.put(ring, gens, basis)
-    return result
+    return GroebnerBasis(ring, basis)
 
 
 def _minimalize(G, ring):

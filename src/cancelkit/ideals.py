@@ -105,13 +105,8 @@ class Ideal:
         self._check(other)
         # dedup equal products so that iterated multiplication grows like
         # combinations with repetition, not exponentially
-        seen = {}
-        for f in self.generators:
-            for g in other.generators:
-                h = f * g
-                key = tuple(sorted(h.terms.items()))
-                seen.setdefault(key, h)
-        return Ideal(self.ring, list(seen.values()))
+        products = (f * g for f in self.generators for g in other.generators)
+        return Ideal(self.ring, list(dict.fromkeys(products)))
 
     def __pow__(self, k):
         if k < 0:

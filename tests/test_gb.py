@@ -187,3 +187,41 @@ def test_spolys_reduce_to_zero(data):
     # and the original generators reduce to zero
     for g in gens:
         assert normal_form(g, B).is_zero()
+
+
+def test_buchberger_pair_counts(monkeypatch):
+    """The number of S-polynomials the engine forms, pinned: a change to
+    the pair update that drops, adds or reorders a pair class moves it."""
+    from cancelkit import gb
+    from cancelkit.fixtures import monomial_curve
+    from cancelkit.ideals import Ideal
+
+    count = [0]
+    spoly = gb._spoly
+
+    def counting(f, g, ring):
+        count[0] += 1
+        return spoly(f, g, ring)
+
+    monkeypatch.setattr(gb, "_spoly", counting)
+
+    def pairs(thunk):
+        count[0] = 0
+        thunk()
+        return count[0]
+
+    def ideal(field):
+        R = Ring(field, ["x", "y", "z", "w"])
+        x, y, z, w = R.gens()
+        return [x**2 + y*z - w**2, x*y*z - z**3 + w, y**3 - x*w**2 + z,
+                x*z*w - y**2]
+
+    R = Ring(PrimeField(32003), ["x", "y", "z"])
+    x, y, z = R.gens()
+    I = Ideal(R, [x**3 - y*z, y**3 - x*z**2, x*y*z - z**3])
+    assert pairs(lambda: buchberger(ideal(PrimeField(32003)))) == 45
+    assert pairs(lambda: buchberger(ideal(RationalField()))) == 45
+    # a weighted ring: the kernel of t -> (t3, t4, t5), then its basis
+    assert pairs(lambda: monomial_curve((3, 4, 5)).groebner()) == 17
+    # a module basis: the colon by a 2-generated ideal
+    assert pairs(lambda: I.colon(Ideal(R, [x + y, z**2]))) == 36

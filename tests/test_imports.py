@@ -33,3 +33,43 @@ def test_no_unused_imports():
     paths += sorted(tests.glob("*.py"))
     offenders = [o for p in paths for o in _unused_imports(p)]
     assert offenders == []
+
+
+def _names(tree):
+    """Every name a module mentions: variables, attributes, and string
+    constants that are identifiers (``getattr`` targets, the benchmark's
+    span tables)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def test_no_unreferenced_functions():
+    """Every function and class defined in the package is referenced by
+    name in src/, tests/ or perfbench/.  Dunder methods are called by the
+    language, and the interpreter finds its cmd_/op_ handlers with
+    getattr."""
+    src = pathlib.Path(cancelkit.__file__).parent
+    root = pathlib.Path(__file__).parent.parent
+    paths = sorted(src.glob("*.py"))
+    referenced = set()
+    for path in paths + sorted((root / "tests").glob("*.py")) \
+            + sorted((root / "perfbench").glob("*.py")):
+        referenced.update(_names(ast.parse(path.read_text())))
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or name.startswith(("cmd_", "op_"))):
+                continue
+            if name not in referenced:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []

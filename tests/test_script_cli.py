@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cancelkit.cli import main
 from cancelkit.errors import ScriptSyntaxError
 from cancelkit.script import RunFlags, canonical_json, parse_script
 from cancelkit.script import run as run_parsed
@@ -412,12 +413,18 @@ def test_cli_hypothesis_failure_exit_code(tmp_path):
         out = _cli(["run", str(script)])
         assert out.returncode == 2, out.stderr
 
-def test_cli_text_mode(tmp_path):
+def test_cli_text_mode(tmp_path, capsys):
     script = tmp_path / "s.ck"
     script.write_text(BASIC)
     out = _cli(["run", str(script), "--text"])
     assert out.returncode == 0
     assert "dim" in out.stdout
+    # the parser is built once per process: --text must not stick
+    assert main(["run", str(script), "--text"]) == 0
+    assert "dim" in capsys.readouterr().out
+    assert main(["run", str(script)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["commands"][0]["result"]["dim"] == 1
 
 
 def test_cli_example_27_refused():
