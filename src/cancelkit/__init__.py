@@ -7,7 +7,7 @@ graded maximal ideal; all shipped fixtures are weighted-homogeneous so
 graded and local behavior agree.
 """
 
-from .cache import GBCache, active_cache
+from .cache import GBCache, Store, active_store
 from .cancellation import (CancellationHypotheses, LinkReport, WitnessTrace,
                            cancel_check, check_hypotheses,
                            construct_witness, corollary213_check,

@@ -17,6 +17,7 @@ recording every intermediate identity.
 
 import random
 
+from .cache import active_store
 from .errors import (BadRegularSequence, HypothesisFailed, NotReduction,
                      NotSubideal, PreconditionUnmet, RequiresDimensionOne,
                      SearchExhausted, TheoremViolation)
@@ -80,8 +81,17 @@ class LinkReport:
 
 
 def check_hypotheses(I, a, a_extra):
-    """Recompute each named hypothesis of the cancellation theorem."""
-    a = list(a)
+    """Recompute each named hypothesis of the cancellation theorem, once
+    per (I, a, a_extra) within a job that has a store."""
+    a = tuple(a)
+    store = active_store.get()
+    if store is None:
+        return _hypotheses(I, a, a_extra)
+    return store.recall(("hypotheses", I.ring, I.generators, a, a_extra),
+                        lambda: _hypotheses(I, a, a_extra))
+
+
+def _hypotheses(I, a, a_extra):
     ring = I.ring
     if not all(I.contains_poly(f) for f in a) or not I.contains_poly(a_extra):
         raise NotSubideal("a_1..a_g and a_extra must lie in I")

@@ -18,7 +18,7 @@ import functools
 import sys
 import time
 
-from .cache import GBCache, active_cache
+from .cache import GBCache, Store, active_store
 from .errors import (BadRegularSequence, CancelkitError, HypothesisFailed,
                      NotReduction, NotSubideal, PreconditionUnmet,
                      RequiresDimensionOne, ResourceExceeded,
@@ -123,7 +123,7 @@ def _synthesized_command(args):
     return None
 
 
-def _render_text(report, elapsed, cache=None):
+def _render_text(report, elapsed, store):
     lines = []
     if report.get("ring"):
         ring = report["ring"]
@@ -135,8 +135,10 @@ def _render_text(report, elapsed, cache=None):
     for entry in report.get("commands", []):
         lines.append(f"[{entry['index']}] {entry['command']}")
         lines.append(f"    {entry['result']}")
-    if cache is not None:
-        lines.append(f"cache: {cache.hits} hits, {cache.misses} misses")
+    if store.disk is not None:
+        lines.append(f"cache: {store.disk.hits} hits, "
+                     f"{store.disk.misses} misses")
+    lines.append(f"memo: {store.hits} hits, {store.misses} misses")
     lines.append(f"elapsed: {elapsed:.2f}s")
     return "\n".join(lines)
 
@@ -145,8 +147,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     flags = RunFlags(field=args.field, seed=args.seed, n_cap=args.ncap,
                      attempts=args.attempts, allow_long=args.allow_long)
-    cache = GBCache(args.cache_dir) if args.cache_dir else None
-    token = active_cache.set(cache) if cache else None
+    # one store per job, dropped when the job ends however it ends
+    store = Store(GBCache(args.cache_dir) if args.cache_dir else None)
+    token = active_store.set(store)
     start = time.monotonic()
     try:
         if args.subcommand == "example":
@@ -187,13 +190,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if token is not None:
-            active_cache.reset(token)
+        active_store.reset(token)
     elapsed = time.monotonic() - start
     if args.fmt == "json":
         print(canonical_json(report))
     else:
-        print(_render_text(report, elapsed, cache))
+        print(_render_text(report, elapsed, store))
     return 0
 
 

@@ -214,14 +214,15 @@ def buchberger(gens, limits=None, reduced=True):
     """Groebner basis of the ideal generated by gens; reduced by default.
 
     With reduced=False the basis is only minimalized (no leading monomial
-    divides another), tails are left alone, and the cache is bypassed --
+    divides another), tails are left alone, and nothing is stored --
     cheaper, and sufficient when only the leading-term ideal or a
     generating set is needed.
 
     Zero generators are filtered; pair selection uses the normal strategy
     (minimal lcm degree, ties by lcm key then indices).  A popped pair
     no longer in the pair table was dropped by the chain criterion and is
-    skipped.  Consults the active GB cache when one is installed.
+    skipped.  A reduced basis is asked of the job's store first, and
+    computed only when neither the store nor its disk cache holds it.
     """
     gens = list(gens)
     ring = _common_ring(gens)
@@ -231,13 +232,16 @@ def buchberger(gens, limits=None, reduced=True):
     if not gens:
         return GroebnerBasis(ring, [])
     limits = limits or default_limits
+    store = _cache.active_store.get() if reduced else None
+    if store is None:
+        return GroebnerBasis(ring, _basis(gens, ring, limits, reduced))
+    return GroebnerBasis(ring, store.basis(
+        ring, gens, lambda: _basis(gens, ring, limits, True)))
 
-    cache = _cache.active_cache.get() if reduced else None
-    if cache is not None:
-        hit = cache.get(ring, gens)
-        if hit is not None:
-            return GroebnerBasis(ring, hit)
 
+def _basis(gens, ring, limits, reduced):
+    """The Buchberger loop over nonzero gens, then minimalized or
+    reduced."""
     # normal selection strategy: smallest lcm degree first -- weighted
     # degree when the ring is weighted, so homogeneous inputs are
     # processed degree by degree
@@ -271,22 +275,19 @@ def buchberger(gens, limits=None, reduced=True):
                 f"(element of degree {r.degree()})")
         add(r.monic())
 
-    if not reduced:
-        return GroebnerBasis(ring, _minimalize(G, ring))
-    basis = _interreduce(G, ring)
-    if cache is not None:
-        cache.put(ring, gens, basis)
-    return GroebnerBasis(ring, basis)
+    return _interreduce(G, ring) if reduced else _minimalize(G, ring)
 
 
 def _minimalize(G, ring):
     """Drop basis elements whose leading monomial is divisible by
     another's; sorted by leading monomial."""
     divides = ring.mono_divides
-    minimal = []
+    minimal, lms = [], []
     for g in sorted(G, key=lambda f: ring.key(f.lm())):
-        if not any(divides(h.lm(), g.lm()) for h in minimal):
+        lm = g.lm()
+        if not any(divides(h, lm) for h in lms):
             minimal.append(g)
+            lms.append(lm)
     return minimal
 
 

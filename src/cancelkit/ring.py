@@ -342,7 +342,9 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        # the ring is left out: equal polynomials share it anyway, and
+        # hashing it costs more than the terms of a small polynomial
+        return hash(tuple(sorted(self.terms.items())))
 
     def __str__(self):
         return render(self)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -413,6 +414,16 @@ def test_cli_hypothesis_failure_exit_code(tmp_path):
         out = _cli(["run", str(script)])
         assert out.returncode == 2, out.stderr
 
+HYPOTHESES_THEN_CANCELCHECK = """\
+ring R = zp(32003)[x:3,y:4,z:5] grevlex;
+ideal P = kernel(t3,t4,t5);
+ideal A = (y2-x*z, x3-y*z);
+ideal J = (y2-x*z, x3-y*z, x2*y-z2);
+hypotheses(P, A, x2*y-z2);
+cancelcheck(P, A, x2*y-z2, J);
+"""
+
+
 def test_cli_text_mode(tmp_path, capsys):
     script = tmp_path / "s.ck"
     script.write_text(BASIC)
@@ -425,6 +436,18 @@ def test_cli_text_mode(tmp_path, capsys):
     assert main(["run", str(script)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["commands"][0]["result"]["dim"] == 1
+    # the job's store reports its counts with --text, without a disk
+    # cache too; the JSON report carries none
+    script.write_text(HYPOTHESES_THEN_CANCELCHECK)
+    assert main(["run", str(script), "--text"]) == 0
+    text = capsys.readouterr().out
+    memo = re.search(r"^memo: (\d+) hits, \d+ misses$", text, re.M)
+    assert memo and int(memo.group(1)) >= 1
+    assert "cache:" not in text
+    assert main(["run", str(script)]) == 0
+    out = capsys.readouterr().out
+    assert "hits" not in out and "misses" not in out
+    assert json.loads(out)["commands"][1]["result"] == {"holds": True}
 
 
 def test_cli_example_27_refused():
