@@ -20,7 +20,7 @@ from .errors import (ArityMismatch, BadRegularSequence, CancelkitError,
                      ZeroColon, ZeroInversion)
 from .fields import (DEFAULT_PRIME, PrimeField, RationalField,
                      field_from_spec)
-from .gb import EngineLimits, GroebnerBasis, buchberger, is_member, normal_form
+from .gb import GroebnerBasis, buchberger, is_member, normal_form
 from .ideals import (DimensionReport, Ideal, is_unmixed, kernel_of_map,
                      radical_contains)
 from .orders import Block, Grevlex, Lex

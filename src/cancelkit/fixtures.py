@@ -8,6 +8,7 @@ one code path.
 """
 
 import itertools
+import math
 import random
 
 from .cancellation import (check_hypotheses, link_ideal,
@@ -15,6 +16,7 @@ from .cancellation import (check_hypotheses, link_ideal,
 from .errors import PreconditionUnmet, SearchExhausted
 from .fields import DEFAULT_PRIME, PrimeField
 from .ideals import Ideal, kernel_of_map
+from .linalg import rank
 from .reductions import find_minimal_reduction
 from .rees import rees_presentation
 from .resolutions import cohomology_summary
@@ -99,12 +101,15 @@ def _det4(ring, m):
 def quadric_split_type(q):
     """(rank, splits) of a homogeneous quadric: rank of its Gram matrix
     and whether it factors into two distinct linear forms over the
-    field (rank 2 and isotropic).  Characteristic 2 unsupported."""
+    field, whose characteristic is odd (PrimeField needs p > 2).
+
+    A symmetric matrix of rank r has a nonsingular r x r principal
+    submatrix, and the form is that submatrix's form plus zero; so a
+    rank-2 quadric splits iff -m is a square for any nonzero 2 x 2
+    principal minor m."""
     ring = q.ring
     field = ring.field
     n = ring.n
-    if field.kind == "prime_field" and field.p == 2:
-        raise PreconditionUnmet("quadric analysis needs odd characteristic")
     half = field.inv(field.normalize(2))
     gram = [[field.zero] * n for _ in range(n)]
     for m, c in q.terms.items():
@@ -118,73 +123,22 @@ def quadric_split_type(q):
             h = field.mul(c, half)
             gram[i][j] = field.add(gram[i][j], h)
             gram[j][i] = field.add(gram[j][i], h)
-    diag = _congruence_diagonal(gram, field)
-    nonzero = [d for d in diag if d != field.zero]
-    rank = len(nonzero)
-    splits = rank == 2 and _is_square(
-        field.neg(field.mul(nonzero[0], nonzero[1])), field)
-    return rank, splits
-
-
-def _congruence_diagonal(gram, field):
-    """Diagonal of a congruence-diagonalized symmetric matrix."""
-    m = [row[:] for row in gram]
-    n = len(m)
-    diag = []
-    for k in range(n):
-        if m[k][k] == field.zero:
-            # find a nonzero diagonal candidate: swap, or mix in a row
-            # with m[i][k] != 0 (then (e_k + e_i) has nonzero square)
-            for i in range(k + 1, n):
-                if m[i][i] != field.zero:
-                    _sym_swap(m, k, i)
-                    break
-            else:
-                for i in range(k + 1, n):
-                    if m[i][k] != field.zero:
-                        _sym_add(m, k, i, field.one, field)
-                        break
-        pivot = m[k][k]
-        diag.append(pivot)
-        if pivot == field.zero:
-            continue
-        inv = field.inv(pivot)
-        for i in range(k + 1, n):
-            if m[i][k] != field.zero:
-                _sym_add(m, i, k, field.neg(field.mul(m[i][k], inv)), field)
-    return diag
-
-
-def _sym_swap(m, i, j):
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _sym_add(m, i, j, c, field):
-    """Row/column operation row_i += c*row_j, col_i += c*col_j."""
-    n = len(m)
-    for k in range(n):
-        m[i][k] = field.add(m[i][k], field.mul(c, m[j][k]))
-    for k in range(n):
-        m[k][i] = field.add(m[k][i], field.mul(c, m[k][j]))
+    r = rank(gram, field)
+    if r == 2:
+        for i, j in itertools.combinations(range(n), 2):
+            minor = field.sub(field.mul(gram[i][i], gram[j][j]),
+                              field.mul(gram[i][j], gram[i][j]))
+            if minor != field.zero:
+                return r, _is_square(field.neg(minor), field)
+    return r, False
 
 
 def _is_square(a, field):
+    """Whether a nonzero field element is a square."""
     if field.kind == "rationals":
-        if a < 0:
-            return False
-        num, den = a.numerator, a.denominator
-        rn, rd = _isqrt(num), _isqrt(den)
-        return rn * rn == num and rd * rd == den
-    if a == 0:
-        return True
+        return a > 0 and all(math.isqrt(v) ** 2 == v
+                             for v in (a.numerator, a.denominator))
     return pow(a, (field.p - 1) // 2, field.p) == 1
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)
 
 
 def mixed_ideal_control():
@@ -341,8 +295,8 @@ def _run_surface_curve(seed, attempts, n_cap, field):
         "degree": fiber_gens[0].degree() if len(fiber_gens) == 1 else None,
     }
     if len(fiber_gens) == 1 and fiber_gens[0].degree() == 2:
-        rank, splits = quadric_split_type(fiber_gens[0])
-        fiber_info["gram_rank"] = rank
+        gram_rank, splits = quadric_split_type(fiber_gens[0])
+        fiber_info["gram_rank"] = gram_rank
         fiber_info["splits_into_two_distinct_linear_forms"] = splits
     search = find_minimal_reduction(P, seed=seed, attempts=attempts,
                                     n_cap=n_cap,

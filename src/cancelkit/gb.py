@@ -6,6 +6,9 @@ membership.
 Everything here is deterministic: pair selection is by minimal lcm degree
 with ties broken by the lcm's exponent key and then the pair indices, and
 division always uses the first applicable divisor in list order.
+
+PAIR_CAP and DEGREE_CAP are the engine's resource ceilings: hitting one
+raises ResourceExceeded, never silently truncates.
 """
 
 import heapq
@@ -14,17 +17,8 @@ from . import cache as _cache
 from .errors import ResourceExceeded, RingMismatch
 from .ring import EXP_MAX, Polynomial
 
-
-class EngineLimits:
-    """Resource ceilings; hitting one raises ResourceExceeded, never
-    silently truncates."""
-
-    def __init__(self, pair_cap=10**6, degree_cap=60):
-        self.pair_cap = pair_cap
-        self.degree_cap = degree_cap
-
-
-default_limits = EngineLimits()
+PAIR_CAP = 10**6
+DEGREE_CAP = 60
 
 
 class GroebnerBasis:
@@ -163,12 +157,11 @@ def _divide(f, divisors, ring, full):
     return Polynomial(ring, result)
 
 
-def _spoly(f, g, ring):
+def _spoly(f, g, lcm, ring):
+    """The S-polynomial of f and g, given lcm(lm f, lm g)."""
     field = ring.field
-    lmf, lmg = f.lm(), g.lm()
-    lcm = ring.mono_lcm(lmf, lmg)
-    a = f.mul_term(lcm - lmf, field.inv(f.lc()))
-    b = g.mul_term(lcm - lmg, field.inv(g.lc()))
+    a = f.mul_term(lcm - f.lm(), field.inv(f.lc()))
+    b = g.mul_term(lcm - g.lm(), field.inv(g.lc()))
     return a - b
 
 
@@ -210,19 +203,14 @@ def _gm_update(lms, pairs, heap, ring, pair_deg):
         heapq.heappush(heap, (pair_deg(L), ring.key(L), i, t))
 
 
-def buchberger(gens, limits=None, reduced=True):
-    """Groebner basis of the ideal generated by gens; reduced by default.
-
-    With reduced=False the basis is only minimalized (no leading monomial
-    divides another), tails are left alone, and nothing is stored --
-    cheaper, and sufficient when only the leading-term ideal or a
-    generating set is needed.
+def buchberger(gens):
+    """The reduced Groebner basis of the ideal generated by gens.
 
     Zero generators are filtered; pair selection uses the normal strategy
     (minimal lcm degree, ties by lcm key then indices).  A popped pair
     no longer in the pair table was dropped by the chain criterion and is
-    skipped.  A reduced basis is asked of the job's store first, and
-    computed only when neither the store nor its disk cache holds it.
+    skipped.  The basis is asked of the job's store first, and computed
+    only when neither the store nor its disk cache holds it.
     """
     gens = list(gens)
     ring = _common_ring(gens)
@@ -231,17 +219,15 @@ def buchberger(gens, limits=None, reduced=True):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GroebnerBasis(ring, [])
-    limits = limits or default_limits
-    store = _cache.active_store.get() if reduced else None
+    store = _cache.active_store.get()
     if store is None:
-        return GroebnerBasis(ring, _basis(gens, ring, limits, reduced))
+        return GroebnerBasis(ring, _basis(gens, ring))
     return GroebnerBasis(ring, store.basis(
-        ring, gens, lambda: _basis(gens, ring, limits, True)))
+        ring, gens, lambda: _basis(gens, ring)))
 
 
-def _basis(gens, ring, limits, reduced):
-    """The Buchberger loop over nonzero gens, then minimalized or
-    reduced."""
+def _basis(gens, ring):
+    """The Buchberger loop over nonzero gens, then the reduced basis."""
     # normal selection strategy: smallest lcm degree first -- weighted
     # degree when the ring is weighted, so homogeneous inputs are
     # processed degree by degree
@@ -261,26 +247,28 @@ def _basis(gens, ring, limits, reduced):
     processed = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if pairs.pop((i, j), None) is None:
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
             continue
         processed += 1
-        if processed > limits.pair_cap:
-            raise ResourceExceeded(f"pair ceiling {limits.pair_cap} exceeded")
-        r = _divide(_spoly(G[i], G[j], ring), div, ring, full=False)
+        if processed > PAIR_CAP:
+            raise ResourceExceeded(f"pair ceiling {PAIR_CAP} exceeded")
+        r = _divide(_spoly(G[i], G[j], lcm, ring), div, ring, full=False)
         if r.is_zero():
             continue
-        if r.degree() > limits.degree_cap:
+        if r.degree() > DEGREE_CAP:
             raise ResourceExceeded(
-                f"degree ceiling {limits.degree_cap} exceeded "
+                f"degree ceiling {DEGREE_CAP} exceeded "
                 f"(element of degree {r.degree()})")
         add(r.monic())
 
-    return _interreduce(G, ring) if reduced else _minimalize(G, ring)
+    return _interreduce(G, ring)
 
 
-def _minimalize(G, ring):
-    """Drop basis elements whose leading monomial is divisible by
-    another's; sorted by leading monomial."""
+def _interreduce(G, ring):
+    """The unique reduced basis of a Groebner basis G: drop the elements
+    whose leading monomial another's divides, tail-reduce the rest, and
+    sort by leading monomial."""
     divides = ring.mono_divides
     minimal, lms = [], []
     for g in sorted(G, key=lambda f: ring.key(f.lm())):
@@ -288,12 +276,6 @@ def _minimalize(G, ring):
         if not any(divides(h, lm) for h in lms):
             minimal.append(g)
             lms.append(lm)
-    return minimal
-
-
-def _interreduce(G, ring):
-    """Minimalize, then tail-reduce, yielding the unique reduced basis."""
-    minimal = _minimalize(G, ring)
     divisors = [_divisor(g, ring) for g in minimal]
     reduced = []
     for i, g in enumerate(minimal):
@@ -303,9 +285,9 @@ def _interreduce(G, ring):
     return sorted(reduced, key=lambda f: ring.key(f.lm()))
 
 
-def is_member(f, gens, limits=None):
+def is_member(f, gens):
     """True iff f lies in the ideal generated by gens."""
-    basis = gens if isinstance(gens, GroebnerBasis) else buchberger(gens, limits)
+    basis = gens if isinstance(gens, GroebnerBasis) else buchberger(gens)
     if f.is_zero():
         return True
     if not basis.generators:

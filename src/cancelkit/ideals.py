@@ -5,10 +5,10 @@ elimination, containment/equality, radical membership, Krull dimension
 via independent sets modulo the initial ideal, minimal generator counts,
 kernels of algebra maps, and the linkage-based unmixedness test.
 
-Saturation by one element f and radical membership of f share one
-construction, the Rabinowitsch ideal (I, 1 - z*f) in R[z]: eliminating z
-from its basis gives I : f^infinity, and f is in the radical of I iff
-the basis is (1).  Saturation by a larger ideal is colons until stable.
+Saturation and radical membership share one construction, the
+Rabinowitsch ideal (I, 1 - z_1*f_1 - ... - z_k*f_k) in R[z_1..z_k] for
+J = (f_1..f_k): eliminating the z from its basis gives I : J^infinity,
+and J lies in the radical of I iff that saturation is (1).
 
 Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
@@ -16,7 +16,7 @@ a polynomial ring over a field (catenary and equidimensional).
 
 from .errors import (ArityMismatch, BadRegularSequence, NotHomogeneous,
                      RingMismatch, ZeroColon)
-from .gb import GroebnerBasis, buchberger, is_member, normal_form
+from .gb import GroebnerBasis, buchberger, normal_form
 from .orders import Block, Grevlex, Lex
 from .ring import Polynomial, Ring, embed
 
@@ -155,28 +155,33 @@ class Ideal:
         return Ideal(self.ring, [col[0] for col in cols])
 
     def saturate(self, other):
-        """I : J^infinity.  By one element f (a Polynomial or a principal
-        J) it is one elimination basis, (I, 1 - z*f) cap R; by a larger J
-        it is the stable value of colons by J."""
+        """I : J^infinity for J = (f_1..f_k), a Polynomial or an Ideal:
+        one elimination basis, (I, 1 - sum of z_i*f_i) cap R in
+        R[z_1..z_k], the z first under Block(k, Grevlex(), order), each
+        of weight 1."""
         if isinstance(other, Polynomial):
             other = Ideal(self.ring, [other])
         self._check(other)
         if other.is_zero():
             raise ZeroColon("saturation by the zero ideal")
-        if len(other.generators) == 1:
-            gens = _inverting(self.generators, other.generators[0])
-            kept = _eliminated(buchberger(gens), self.ring, 1)
-            # when R[z] orders the variables of R as R does, kept is
-            # already the reduced basis of the saturation
-            same = gens[-1].ring.order.rest_order == self.ring.order
-            return Ideal(self.ring, kept,
-                         GroebnerBasis(self.ring, kept) if same else None)
-        current = self
-        while True:
-            nxt = current.colon(other)
-            if current.contains(nxt):
-                return current
-            current = nxt
+        ring = self.ring
+        k = len(other.generators)
+        order = ring.order if isinstance(ring.order, (Lex, Grevlex)) \
+            else Grevlex()
+        ext = Ring(ring.field,
+                   tuple(f"@z{i + 1}" for i in range(k)) + ring.names,
+                   Block(k, Grevlex(), order),
+                   None if ring.weights is None else (1,) * k + ring.weights)
+        var_map = list(range(k, ext.n))
+        gens = [embed(g, ext, var_map) for g in self.generators]
+        inverting = ext.one()
+        for i, f in enumerate(other.generators):
+            inverting = inverting - ext.var(i) * embed(f, ext, var_map)
+        kept = _eliminated(buchberger(gens + [inverting]), ring, k)
+        # when R[z] orders the variables of R as R does, kept is
+        # already the reduced basis of the saturation
+        same = order == ring.order
+        return Ideal(ring, kept, GroebnerBasis(ring, kept) if same else None)
 
     def eliminate(self, variables):
         """I cap k[remaining variables], as an ideal of the smaller ring."""
@@ -341,29 +346,13 @@ def kernel_of_map(source_ring, images):
     return full
 
 
-def _inverting(gens, f):
-    """The Rabinowitsch generators (gens, 1 - z*f) in R[z], z first under
-    Block(1, Grevlex(), order): their basis eliminates z to I : f^infinity,
-    and they generate the unit ideal iff f is in the radical of I."""
-    ring = f.ring
-    order = ring.order if isinstance(ring.order, (Lex, Grevlex)) else Grevlex()
-    ext = Ring(ring.field, ("@z",) + ring.names, Block(1, Grevlex(), order),
-               None if ring.weights is None else (1,) + ring.weights)
-    z = ext.var(0)
-    var_map = list(range(1, ext.n))
-    out = [embed(g, ext, var_map) for g in gens]
-    out.append(ext.one() - z * embed(f, ext, var_map))
-    return out
-
-
 def radical_contains(ideal, f):
-    """True iff f lies in the radical of the ideal (Rabinowitsch trick)."""
-    if ideal.ring != f.ring:
-        raise RingMismatch("polynomial not in the ideal's ring")
-    if f.is_zero():
-        return True
-    gens = _inverting(ideal.generators, f)
-    return is_member(gens[-1].ring.one(), gens)
+    """True iff f, a polynomial or an ideal, lies in the radical of the
+    ideal: iff the saturation of the ideal by f is (1)."""
+    if isinstance(f, Polynomial):
+        f = Ideal(ideal.ring, [f])
+    ideal._check(f)
+    return f.is_zero() or ideal.saturate(f).is_unit()
 
 
 def is_unmixed(ideal, a):

@@ -203,7 +203,7 @@ def _fiber_pieces(ideal, t_ring, max_t_degree):
                 p = p * gens[i]
             prods.append(p)
         mid = [ring.var(j) * p for j in range(ring.n) for p in prods]
-        basis = buchberger(mid, reduced=False)
+        basis = buchberger(mid)
         # products of distinct weighted degrees cannot combine into a
         # relation, so solve one small system per degree class
         groups = {}

@@ -4,7 +4,8 @@ from cancelkit.errors import (HypothesisFailed, PreconditionUnmet,
                               RequiresDimensionOne)
 from cancelkit.fields import PrimeField
 from cancelkit.ideals import Ideal
-from cancelkit.cancellation import (cancel_check, check_hypotheses,
+from cancelkit.cancellation import (CancellationHypotheses, cancel_check,
+                                    check_hypotheses,
                                     construct_witness, corollary213_check,
                                     link_ideal, power_containment_scan)
 from cancelkit.ring import Ring
@@ -140,6 +141,21 @@ def test_corollary_rejects_bad_n():
     H = _curve_hypotheses((3, 4, 5))
     with pytest.raises(Exception):
         corollary213_check(H, 0)
+
+
+def test_corollary_rejects_radical_mismatch():
+    R = Ring(PrimeField(32003), ["x", "y", "z"])
+    x, y, z = R.gens()
+    I = Ideal(R, [x, y])
+    checks = dict.fromkeys(["regular_sequence", "generic_generation",
+                            "colon_agreement", "unmixed", "ext_vanishes"],
+                           True)
+    # J = (x, y*z) has the extra prime (x, z); J = (x, z) is not in I
+    for a_extra in (x + y * z, z):
+        H = CancellationHypotheses(I, [x, y * z], a_extra, checks)
+        assert H.certified
+        with pytest.raises(HypothesisFailed, match="radical"):
+            corollary213_check(H, 1)
 
 
 def test_power_scan_requires_verified_reduction():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cancelkit.errors import ZeroColon
+from cancelkit.errors import RingMismatch, ZeroColon
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.fixtures import space_surface_ideal, surface_curve_ideal
 from cancelkit.ideals import Ideal, is_unmixed, kernel_of_map, radical_contains
@@ -92,8 +92,8 @@ def test_colon_and_saturation():
         N = Ideal(R, [f * f * g, f * (z - R.one())])
         assert N.saturate(f) == Ideal(R, [g, z - R.one()])
         assert N.saturate(x) == N
-        # by a 2-generated ideal (the colon loop): (x) cap (x^2, y) loses
-        # its (x, y)-primary component
+        # by a 2-generated ideal: (x) cap (x^2, y) loses its
+        # (x, y)-primary component
         M = Ideal(R, [x * x, x * y])
         assert M.saturate(Ideal(R, [x, y])) == Ideal(R, [x])
         assert Ideal(R, [x * z, y * z]).saturate(Ideal(R, [x, y])) == \
@@ -103,6 +103,41 @@ def test_colon_and_saturation():
         for zero in (R.zero(), Ideal(R, []), Ideal(R, [R.zero()])):
             with pytest.raises(ZeroColon):
                 J.saturate(zero)
+
+
+def _saturate_by_colons(I, J):
+    """I : J^infinity as the stable value of colons by J: the reference
+    the one-basis saturation must agree with."""
+    current = I
+    while True:
+        nxt = current.colon(J)
+        if current.contains(nxt):
+            return current
+        current = nxt
+
+
+def test_saturation_by_an_ideal_matches_colons():
+    for field in (PrimeField(32003), RationalField()):
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        one, two = R.one(), R.constant(field.normalize(2))
+        cases = [
+            (Ideal(R, [x * x * y, x * y * y * z, y ** 3]), Ideal(R, [x, y])),
+            (Ideal(R, [x * x * y, x * y * y, x * y * z, z ** 4]),
+             Ideal(R, [x, y, z])),
+            # non-homogeneous I and J
+            (Ideal(R, [(x - one) ** 2 * y, (x - one) * (z + two),
+                       y * y * (z + two)]),
+             Ideal(R, [x - one, z + two])),
+            # a curve with an embedded point at (1, 1, -2), a zero of J
+            (Ideal(R, [x * y - one, z + two]).intersect(
+                Ideal(R, [x - one, y - one, z + two]) ** 2),
+             Ideal(R, [x - one, z + two, y * y - one])),
+        ]
+        for I, J in cases:
+            S = I.saturate(J)
+            assert S == _saturate_by_colons(I, J)
+            assert not S.is_unit() and S != I
 
 
 def test_colon_untouched_when_coprime(R):
@@ -152,6 +187,14 @@ def test_radical_membership(R):
     assert radical_contains(I, y)
     assert not radical_contains(I, x)
     assert not radical_contains(I, z)
+    # an ideal is in the radical iff each of its generators is
+    assert radical_contains(I, Ideal(R, [x * y, y * y + x * y * z]))
+    assert not radical_contains(I, Ideal(R, [y, x * z]))
+    assert radical_contains(I, Ideal(R, []))
+    U = Ring(R.field, ["u"])
+    for zero in (U.zero(), Ideal(U, [])):
+        with pytest.raises(RingMismatch):
+            radical_contains(I, zero)
 
 
 def test_unmixedness(R):
@@ -271,8 +314,15 @@ def test_saturation_by_an_element_is_one_basis(monkeypatch):
                                 modules.module_buchberger))
     S = I.saturate(Ideal(R, [x]))
     assert calls == {"buchberger": 1, "module_buchberger": 0}
+    # a 3-generated J is one basis as well, with no colon
+    calls.update(buchberger=0, module_buchberger=0)
+    M = Ideal(R, [x, y, z])
+    I3 = Ideal(R, [x * x * y, x * y * y, x * y * z, z ** 4])
+    S3 = I3.saturate(M)
+    assert calls == {"buchberger": 1, "module_buchberger": 0}
     monkeypatch.undo()
     assert S == Ideal(R, [y, z * z])
+    assert S3 == _saturate_by_colons(I3, M) == Ideal(R, [x * y, z ** 4])
 
 
 @settings(max_examples=20, deadline=None)

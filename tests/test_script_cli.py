@@ -158,7 +158,7 @@ CALL_STYLE_REPORT = (
     's":7}},{"command":"print S","index":14,"result":{"generators":["x^'
     '2","x*y","y^2","z^2"]}},{"command":"print U","index":15,"result":{'
     '"generators":["x*y","x^2","y^2*z"]}},{"command":"print D","index":'
-    '16,"result":{"generators":["x^2","x*y","y^2"]}},{"command":"print '
+    '16,"result":{"generators":["y^2","x*y","x^2"]}},{"command":"print '
     'E","index":17,"result":{"generators":["x^2+32002*y"]}},{"command":'
     '"print F","index":18,"result":{"generators":["10265*x^2+27033*x*y+'
     '17948*y^2","6366*x^2+9644*x*y+27909*y^2"]}},{"command":"contains I'
