@@ -3,6 +3,12 @@
 Elements are plain Python values (int residues in [0, p) for F_p,
 `fractions.Fraction` for Q), so polynomial inner loops stay cheap.  The
 field object supplies the arithmetic and canonicalization.
+
+Over Q, `Fraction` is the form at the API: every polynomial a caller
+builds or gets back has `Fraction` coefficients.  Inside, the Groebner
+engine (`gb`) and polynomial products work on integers -- each
+polynomial cleared of denominators and of its content -- and build
+`Fraction`s only for what they return.
 """
 
 from fractions import Fraction

@@ -49,12 +49,13 @@ def surface_curve_ideal(field=None):
 
 def space_surface_ideal(field=None):
     """Defining prime of k[s^3, t^3, u^3, s^2 t + s t u, s t^2 + t u^2]
-    (worked example "2.6").  Characteristics 2 and 3 are rejected: the
-    example's structure constants degenerate there."""
+    (worked example "2.6").  Characteristic 3 is rejected: the
+    example's structure constants degenerate there (PrimeField already
+    refuses 2)."""
     field = field or PrimeField(DEFAULT_PRIME)
-    if field.kind == "prime_field" and field.p in (2, 3):
+    if field.kind == "prime_field" and field.p == 3:
         raise PreconditionUnmet(
-            "this fixture needs characteristic different from 2 and 3")
+            "this fixture needs characteristic different from 3")
     param = Ring(field, ["s", "t", "u"])
     s, t, u = param.gens()
     source = Ring(field, ["a", "b", "c", "d", "e"])

@@ -7,15 +7,26 @@ Everything here is deterministic: pair selection is by minimal lcm degree
 with ties broken by the lcm's exponent key and then the pair indices, and
 division always uses the first applicable divisor in list order.
 
+Over Q the engine runs on primitive integer polynomials (coprime
+integer coefficients, positive leading one): S-polynomials are integer
+combinations and division is pseudo-division with content removal
+(Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  Fractions are built only at
+the boundary: the monic reduced basis `_interreduce` returns and the
+remainder `normal_form` returns.  Reduced bases are unique, so they are
+the same as with Fraction arithmetic throughout.  Over F_p basis
+elements are kept monic.
+
 PAIR_CAP and DEGREE_CAP are the engine's resource ceilings: hitting one
 raises ResourceExceeded, never silently truncates.
 """
 
 import heapq
+from fractions import Fraction
+from math import gcd
 
 from . import cache as _cache
 from .errors import ResourceExceeded, RingMismatch
-from .ring import EXP_MAX, Polynomial
+from .ring import EXP_MAX, Polynomial, common_denominator
 
 PAIR_CAP = 10**6
 DEGREE_CAP = 60
@@ -53,16 +64,43 @@ def _common_ring(polys):
     return ring
 
 
+def _integral(terms, lm=None):
+    """Q coefficients as integers with no common factor: (ints, num, den)
+    with terms[m] == ints[m] * num / den.  The coefficient at lm, when
+    given, comes out positive."""
+    den, ints = common_denominator(terms)
+    num = gcd(*ints.values())
+    if lm is not None and ints[lm] < 0:
+        num = -num
+    if num != 1:
+        ints = {m: c // num for m, c in ints.items()}
+    return ints, num, den
+
+
+def _primitive(g):
+    """g over Q as its primitive integer form: coprime integer
+    coefficients and a positive leading one (g's working form in the
+    engine)."""
+    return Polynomial(g.ring, _integral(g.terms, g.lm())[0])
+
+
 def _divisor(g, ring):
-    """(lm, dmask, inv_lc, tail, top) of a nonzero g: tail excludes the
+    """(lm, dmask, a, tail, top) of a nonzero g: over F_p a is the
+    inverse of the leading coefficient; over Q g is taken in primitive
+    integer form and a is its leading coefficient.  tail excludes the
     lead; top, the bitwise or of the tail's monomials, bounds each of
     their exponents."""
     lm = g.lm()
+    if ring.field.kind == "prime_field":
+        a = ring.field.inv(g.lc())
+    else:
+        g = _primitive(g)
+        a = g.terms[lm]
     tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
     top = 0
     for m, _ in tail:
         top |= m
-    return (lm, ring.dmask(lm), ring.field.inv(g.lc()), tail, top)
+    return (lm, ring.dmask(lm), a, tail, top)
 
 
 def normal_form(f, G):
@@ -90,15 +128,23 @@ def _divide(f, divisors, ring, full):
     """The division loop.  With full=False it stops at the first
     irreducible term and leaves the tail unreduced: enough for basis
     building and zero-testing, and much cheaper than a full normal form.
+
+    Over Q it is pseudo-division on integers: before a term c*x^m is
+    cancelled by a divisor with integer lead a, the remainder is scaled
+    by a/gcd(a, c), and that factor is folded into one denominator.
+    With full=False the remainder is returned as a scalar multiple in
+    integers (its monomials are those of the true remainder); with
+    full=True it is the exact remainder, in Fractions.
     """
-    field = ring.field
     nkey = ring.nkey
     dmask = ring.dmask
     guards = ring._guards
-    p = field.p if field.kind == "prime_field" else None
-    zero = field.zero
-    sub, mul = field.sub, field.mul
-    work = dict(f.terms)
+    p = ring.field.p if ring.field.kind == "prime_field" else None
+    if p is None:
+        # f == work * num / den throughout
+        work, num, den = _integral(f.terms)
+    else:
+        work = dict(f.terms)
     heap = [(nkey(m), m) for m in work]
     heapq.heapify(heap)
     push = heapq.heappush
@@ -110,7 +156,7 @@ def _divide(f, divisors, ring, full):
             continue
         bg = m | guards
         nmm = ~dmask(m)
-        for lm, dm, inv_lc, tail, top in divisors:
+        for lm, dm, a, tail, top in divisors:
             if dm & nmm == 0 and (bg - lm) & guards == guards:
                 break
         else:
@@ -128,7 +174,7 @@ def _divide(f, divisors, ring, full):
                 "exponent overflow: a division step makes an exponent "
                 f"above {EXP_MAX}")
         if p is not None:
-            factor = c * inv_lc % p
+            factor = c * a % p
             for mt, ct in tail:
                 mm = mt + q
                 old = work.get(mm)
@@ -141,28 +187,60 @@ def _divide(f, divisors, ring, full):
                         work[mm] = val
                     else:
                         del work[mm]
-        else:
-            factor = mul(c, inv_lc)
-            for mt, ct in tail:
-                mm = mt + q
-                old = work.get(mm)
-                val = sub(old if old is not None else zero,
-                          mul(factor, ct))
-                if val == zero:
-                    work.pop(mm, None)
-                else:
+            continue
+        h = gcd(c, a)
+        scale = a // h
+        if scale != 1:
+            work = {k: v * scale for k, v in work.items()}
+            if full:
+                result = {k: v * scale for k, v in result.items()}
+            den *= scale
+        factor = c // h
+        for mt, ct in tail:
+            mm = mt + q
+            old = work.get(mm)
+            if old is None:
+                work[mm] = -factor * ct
+                push(heap, (nkey(mm), mm))
+            else:
+                val = old - factor * ct
+                if val:
                     work[mm] = val
-                    if old is None:
-                        push(heap, (nkey(mm), mm))
+                else:
+                    del work[mm]
+        if scale != 1:
+            content = gcd(*work.values(), *result.values())
+            if content > 1:
+                work = {k: v // content for k, v in work.items()}
+                result = {k: v // content for k, v in result.items()}
+                num *= content
+    if p is None and full:
+        result = {m: Fraction(c * num, den) for m, c in result.items()}
     return Polynomial(ring, result)
 
 
 def _spoly(f, g, lcm, ring):
-    """The S-polynomial of f and g, given lcm(lm f, lm g)."""
+    """The S-polynomial of f and g, given lcm(lm f, lm g).  Over Q f and
+    g are primitive integer forms, and the S-polynomial is their integer
+    combination (lc g/h)*x^(lcm - lm f)*f - (lc f/h)*x^(lcm - lm g)*g
+    with h = gcd(lc f, lc g)."""
     field = ring.field
-    a = f.mul_term(lcm - f.lm(), field.inv(f.lc()))
-    b = g.mul_term(lcm - g.lm(), field.inv(g.lc()))
-    return a - b
+    if field.kind == "prime_field":
+        a = f.mul_term(lcm - f.lm(), field.inv(f.lc()))
+        b = g.mul_term(lcm - g.lm(), field.inv(g.lc()))
+        return a - b
+    h = gcd(f.lc(), g.lc())
+    qf, cf = lcm - f.lm(), g.lc() // h
+    qg, cg = lcm - g.lm(), f.lc() // h
+    terms = {m + qf: c * cf for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        m += qg
+        val = terms.get(m, 0) - c * cg
+        if val:
+            terms[m] = val
+        else:
+            terms.pop(m, None)
+    return Polynomial(ring, terms)._no_overflow()
 
 
 def _gm_update(lms, pairs, heap, ring, pair_deg):
@@ -232,6 +310,9 @@ def _basis(gens, ring):
     # degree when the ring is weighted, so homogeneous inputs are
     # processed degree by degree
     pair_deg = ring.mono_wdeg if ring.weights is not None else ring.mono_deg
+    # G holds monic elements over F_p and primitive integer forms over Q
+    working = (Polynomial.monic if ring.field.kind == "prime_field"
+               else _primitive)
     G, lms, div = [], [], []
     pairs, heap = {}, []
 
@@ -242,7 +323,7 @@ def _basis(gens, ring):
         _gm_update(lms, pairs, heap, ring, pair_deg)
 
     for g in sorted(gens, key=lambda f: ring.key(f.lm())):
-        add(g.monic())
+        add(working(g))
 
     processed = 0
     while heap:
@@ -260,7 +341,7 @@ def _basis(gens, ring):
             raise ResourceExceeded(
                 f"degree ceiling {DEGREE_CAP} exceeded "
                 f"(element of degree {r.degree()})")
-        add(r.monic())
+        add(working(r))
 
     return _interreduce(G, ring)
 
@@ -268,7 +349,8 @@ def _basis(gens, ring):
 def _interreduce(G, ring):
     """The unique reduced basis of a Groebner basis G: drop the elements
     whose leading monomial another's divides, tail-reduce the rest, and
-    sort by leading monomial."""
+    sort by leading monomial.  The elements come out monic, over Q in
+    Fractions: the engine's integer forms end here."""
     divides = ring.mono_divides
     minimal, lms = [], []
     for g in sorted(G, key=lambda f: ring.key(f.lm())):

@@ -14,6 +14,7 @@ Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
 """
 
+from . import cache as _cache
 from .errors import (ArityMismatch, BadRegularSequence, NotHomogeneous,
                      RingMismatch, ZeroColon)
 from .gb import GroebnerBasis, buchberger, normal_form
@@ -103,10 +104,19 @@ class Ideal:
 
     def __mul__(self, other):
         self._check(other)
-        # dedup equal products so that iterated multiplication grows like
-        # combinations with repetition, not exponentially
-        products = (f * g for f in self.generators for g in other.generators)
-        return Ideal(self.ring, list(dict.fromkeys(products)))
+
+        def product():
+            # dedup equal products so that iterated multiplication grows
+            # like combinations with repetition, not exponentially
+            products = (f * g for f in self.generators
+                        for g in other.generators)
+            return Ideal(self.ring, list(dict.fromkeys(products)))
+
+        store = _cache.active_store.get()
+        if store is None:
+            return product()
+        return store.recall(("mul", self.ring, self.generators,
+                             other.generators), product)
 
     def __pow__(self, k):
         if k < 0:

@@ -6,6 +6,9 @@ addition and divisibility is a guard-bit test, which keeps Buchberger's
 inner loops fast in pure Python.  Exponents are capped at 2^15 - 1.
 """
 
+import math
+from fractions import Fraction
+
 from .errors import ArityMismatch, ResourceExceeded, RingMismatch
 from .orders import Grevlex, Lex, Block  # noqa: F401  (re-exported for callers)
 
@@ -280,11 +283,28 @@ class Polynomial:
     def __mul__(self, other):
         self._check(other)
         field = self.ring.field
-        zero = field.zero
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
+        if field.kind == "rationals":
+            # integer numerators over the product of the two common
+            # denominators: one Fraction per term of the product
+            d1, big = common_denominator(big)
+            d2, small = common_denominator(small)
+            ints = {}
+            for m2, c2 in small.items():
+                for m1, c1 in big.items():
+                    m = m1 + m2
+                    s = ints.get(m, 0) + c1 * c2
+                    if s:
+                        ints[m] = s
+                    else:
+                        ints.pop(m, None)
+            d = d1 * d2
+            terms = {m: Fraction(c, d) for m, c in ints.items()}
+            return Polynomial(self.ring, terms)._no_overflow()
+        zero = field.zero
         terms = {}
         for m2, c2 in small.items():
             for m1, c1 in big.items():
@@ -351,6 +371,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{render(self)}>"
+
+
+def common_denominator(terms):
+    """(d, ints) for Q coefficients: d the lcm of their denominators and
+    ints[m] == terms[m] * d, an integer."""
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return d, {m: c.numerator * (d // c.denominator)
+               for m, c in terms.items()}
 
 
 def render(f):

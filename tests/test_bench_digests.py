@@ -73,11 +73,15 @@ def test_job_matches_reference(tmp_path, workload, name):
 
 
 def test_cached_job_matches_reference_cold_and_warm(tmp_path):
-    job, ref = _job("rerun-q", "curve4-9-10")
-    path = tmp_path / "curve.ck"
-    path.write_text(job.text)
-    cache = tmp_path / "cache"
-    cold = _run(path, "--cache-dir", str(cache))
-    assert any(cache.iterdir())
-    warm = _run(path, "--cache-dir", str(cache))
-    assert cold == warm == (ref["exit"], ref["stdout_sha256"])
+    # curve4-9-10 has coefficients +-1 only; ci6 and sparse3-1-3 have
+    # non-unit leading coefficients, so their Q division takes the
+    # pseudo-division scaling step
+    for name in ("curve4-9-10", "ci6", "sparse3-1-3"):
+        job, ref = _job("rerun-q", name)
+        path = tmp_path / f"{name}.ck"
+        path.write_text(job.text)
+        cache = tmp_path / f"cache-{name}"
+        cold = _run(path, "--cache-dir", str(cache))
+        assert any(cache.iterdir()), name
+        warm = _run(path, "--cache-dir", str(cache))
+        assert cold == warm == (ref["exit"], ref["stdout_sha256"]), name

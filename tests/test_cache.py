@@ -3,10 +3,14 @@ job computed is kept for the next one, however the job ended."""
 
 import contextlib
 import io
+from fractions import Fraction
 
-from cancelkit import cancellation, gb
+from cancelkit import cache, cancellation, gb
 from cancelkit.cache import active_store
 from cancelkit.cli import main
+from cancelkit.fields import RationalField
+from cancelkit.ideals import Ideal
+from cancelkit.ring import Polynomial, Ring
 
 CURVE = """\
 ring R = zp(32003)[x:3,y:4,z:5] grevlex;
@@ -68,3 +72,71 @@ def test_no_store_outlives_its_job(tmp_path, monkeypatch):
         # a store left over from an earlier job would answer from memory
         assert _run(tmp_path, CURVE) == first
         assert len(interreduced) == computed
+
+
+# non-unit leads and fractional coefficients, so the engine's integer
+# working forms differ from the Fractions it hands back
+Q_JOB = """\
+ring R = q[x,y,z] grevlex;
+poly f = 3*x*y - 5*z;
+poly g = 2/3*y*z - 7*x;
+ideal I = (f, g, x^2 + 1/5*y^2 - z);
+ideal J = (f, 2*x*z - 3*y*z);
+gb I;
+gb J;
+ideal K = power(J, 2);
+contains(I, K);
+member(J, 2*x*z - 3*y*z);
+hypotheses(J, [f, 2*x*z - 3*y*z], f);
+"""
+
+
+def _coefficients(obj, seen=None):
+    """Every coefficient of every polynomial reachable from obj."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (Ring, str, int, Fraction)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Polynomial):
+        yield from obj.terms.values()
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _coefficients(value, seen)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from _coefficients(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _coefficients(vars(obj), seen)
+
+
+def test_only_fractions_leave_the_engine_over_q(tmp_path, monkeypatch):
+    R = Ring(RationalField(), ["x", "y", "z"])
+    f, g = R.poly("3*x*y - 5*z"), R.poly("2/3*y*z - 7*x")
+    G = gb.buchberger([f, g, R.poly("x^2 + 1/5*y^2 - z")])
+    remainder = gb.normal_form(R.poly("2*x + y*z"), [R.poly("y*z")])
+    assert remainder == R.poly("2*x")
+    product = Ideal(R, [f, g]) * Ideal(R, [f, R.poly("2*x*z")])
+    probe = R.poly("x*y*z + 1/2*y^3 + 4*z^2")
+    for obj in (G, gb.normal_form(probe, G), remainder, product):
+        coefficients = list(_coefficients(obj))
+        assert coefficients
+        assert all(type(c) is Fraction for c in coefficients)
+
+    # what the store keeps, whether computed (cold) or read from the
+    # disk cache (warm), and the reports of both runs
+    kept = []
+    recall = cache.Store.recall
+
+    def recording(self, key, compute):
+        kept.append(recall(self, key, compute))
+        return kept[-1]
+
+    monkeypatch.setattr(cache.Store, "recall", recording)
+    flags = ("--cache-dir", str(tmp_path / "cache"))
+    cold = _run(tmp_path, Q_JOB, *flags)
+    assert cold[0] == 0 and kept
+    warm = _run(tmp_path, Q_JOB, *flags)
+    assert warm == cold
+    coefficients = list(_coefficients(kept))
+    assert coefficients
+    assert all(type(c) is Fraction for c in coefficients)

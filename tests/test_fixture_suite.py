@@ -9,8 +9,10 @@ import random
 import pytest
 
 from cancelkit.cancellation import cancel_check, corollary213_check
+from cancelkit.errors import PreconditionUnmet
 from cancelkit.fields import PrimeField, RationalField
-from cancelkit.fixtures import certified_fixtures, quadric_split_type
+from cancelkit.fixtures import (certified_fixtures, quadric_split_type,
+                                space_surface_ideal)
 from cancelkit.ideals import Ideal
 from cancelkit.ring import Ring
 from cancelkit.script import parse_polynomial
@@ -103,3 +105,9 @@ def test_quadric_split_type():
     # 2 can be built
     with pytest.raises(ValueError):
         PrimeField(2)
+
+
+def test_space_surface_ideal_refuses_characteristic_3():
+    # characteristic 2 cannot reach the fixture: PrimeField refuses it
+    with pytest.raises(PreconditionUnmet, match="different from 3"):
+        space_surface_ideal(PrimeField(3))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -20,10 +21,10 @@ def R():
 
 
 def _to_sympy(f, syms):
-    expr = 0
+    expr = sympy.Integer(0)
     for m, c in f.terms.items():
         exps = f.ring.decode(m)
-        term = sympy.Integer(int(c))
+        term = sympy.Rational(int(c.numerator), int(c.denominator))
         for s, e in zip(syms, exps):
             term *= s ** e
         expr += term
@@ -34,8 +35,18 @@ def _from_sympy(expr, R, syms):
     poly = sympy.Poly(expr, *syms)
     terms = {}
     for exps, c in poly.terms():
-        terms[R.encode(tuple(exps))] = R.field.normalize(int(c))
+        c = sympy.Rational(c)
+        terms[R.encode(tuple(exps))] = R.field.normalize(
+            Fraction(int(c.p), int(c.q)))
     return Polynomial(R, {m: c for m, c in terms.items() if c != 0})
+
+
+def _sympy_groebner(gens, syms):
+    field = gens[0].ring.field
+    domain = ({"modulus": field.p} if field.kind == "prime_field"
+              else {"domain": "QQ"})
+    return sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
+                          order="grevlex", **domain)
 
 
 def test_twisted_cubic_basis(R):
@@ -48,21 +59,68 @@ def test_twisted_cubic_basis(R):
     assert not is_member(x, G)
 
 
-def test_matches_sympy_groebner(R):
+def test_matches_sympy_groebner():
     syms = sympy.symbols("x y z")
-    x, y, z = R.gens()
-    cases = [
-        [x * y - z, y * z - x],
-        [x ** 2 + y ** 2 + z ** 2, x * y + z, y * z - x],
-        [x ** 3 - y, y ** 3 - z],
-    ]
-    for gens in cases:
-        G = buchberger(gens)
-        sg = sympy.groebner([_to_sympy(g, syms) for g in gens],
-                            *syms, order="grevlex", modulus=32003)
-        ours = {str(g) for g in G}
-        theirs = {str(_from_sympy(e, R, syms).monic()) for e in sg.exprs}
-        assert ours == theirs
+    for field in (PrimeField(32003), RationalField()):
+        R = Ring(field, ["x", "y", "z"])
+        x, y, z = R.gens()
+        cases = [
+            [x * y - z, y * z - x],
+            [x ** 2 + y ** 2 + z ** 2, x * y + z, y * z - x],
+            [x ** 3 - y, y ** 3 - z],
+            # non-unit leads and fractional coefficients: over Q these
+            # take the pseudo-division scaling step and content removal
+            [(x * y).scale(3) - z.scale(5),
+             (y * z).scale(Fraction(2, 3)) - x.scale(7),
+             x ** 2 + (y ** 2).scale(Fraction(1, 5)) - z],
+            [(x ** 2 * y).scale(6) - (y * z).scale(Fraction(4, 9)),
+             (x * z ** 2).scale(-10) + y.scale(15), (y ** 2).scale(4) - x],
+        ]
+        for gens in cases:
+            G = buchberger(gens)
+            sg = _sympy_groebner(gens, syms)
+            ours = {str(g) for g in G}
+            theirs = {str(_from_sympy(e, R, syms).monic()) for e in sg.exprs}
+            assert ours == theirs, (field, gens)
+
+
+_QR = Ring(RationalField(), ["x", "y", "z"])
+_QMONOS = [_QR.monomial(e) for e in
+           [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0),
+            (1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 2, 0), (0, 0, 2)]]
+
+
+@st.composite
+def _q_polys(draw, nterms=4):
+    """Small polynomials over Q in x, y, z with fractional coefficients."""
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    f = _QR.zero()
+    for _ in range(draw(st.integers(1, nterms))):
+        f = f + draw(st.sampled_from(_QMONOS)).scale(draw(coeff))
+    return f
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_q_polys(), min_size=1, max_size=2), _q_polys(6))
+def test_normal_form_over_q_matches_sympy(gens, f):
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+    syms = sympy.symbols("x y z")
+    G = buchberger(gens)
+    sg = _sympy_groebner(gens, syms)
+    assert {str(g) for g in G} == {
+        str(_from_sympy(e, _QR, syms).monic()) for e in sg.exprs}
+    _, remainder = sg.reduce(_to_sympy(f, syms))
+    assert normal_form(f, G) == _from_sympy(remainder, _QR, syms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_q_polys(6), _q_polys(6))
+def test_product_over_q_matches_sympy(f, g):
+    syms = sympy.symbols("x y z")
+    expected = sympy.expand(_to_sympy(f, syms) * _to_sympy(g, syms))
+    assert f * g == _from_sympy(expected, _QR, syms)
 
 
 def test_reduced_basis_is_idempotent(R):
