@@ -32,7 +32,7 @@ from .rees import (ReesPresentation, SyzygeticReport, graded_piece,
                    rees_presentation)
 from .resolutions import (CohomologySummary, FreeModuleMap, FreeResolution,
                           cohomology_summary, colon_identity_check,
-                          free_resolution, syzygies)
+                          free_resolution)
 from .ring import Polynomial, Ring
 from .script import RunFlags, parse_polynomial, parse_script, run
 

@@ -274,19 +274,19 @@ class Ideal:
         return len(self.minimal_generators())
 
     def minimal_generators(self):
-        """A minimal homogeneous generating set, greedily extracted from
-        the reduced Groebner basis in increasing degree (each element is
-        kept iff it is not in the ideal of those already kept; processing
-        by degree makes the greedy choice minimal)."""
-        for g in self.generators:
+        """A minimal homogeneous generating set: the reduced Groebner
+        basis trimmed by graded Nakayama (modules.minimal_columns), in
+        increasing degree and, within a degree, in basis order.
+        Homogeneity is a property of the ideal, so it is tested on the
+        reduced basis, not on the generators as written."""
+        basis = self.groebner().generators
+        for g in basis:
             if not g.is_homogeneous():
-                raise NotHomogeneous(f"generator {g} is not homogeneous")
-        kept = []
-        for g in sorted(self.groebner().generators,
-                        key=lambda f: (f.wdegree(), self.ring.key(f.lm()))):
-            if not kept or not Ideal(self.ring, kept).contains_poly(g):
-                kept.append(g)
-        return kept
+                raise NotHomogeneous(
+                    f"the ideal is not homogeneous: its basis holds {g}")
+        from .modules import minimal_columns
+        kept, _ = minimal_columns([[g] for g in basis], [0])
+        return [col[0] for col in kept]
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"

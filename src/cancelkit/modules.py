@@ -9,9 +9,16 @@ the (v_j, e_j) and (n_i, 0) in R^(r+c) and keep the elements supported
 entirely in the tail block.  Syzygies (N = 0), the colon I : J, the
 colon by a polynomial and the intersection I cap J are all this one
 kernel construction.
+
+minimal_columns trims a generating set of a graded submodule to a
+minimal one by graded Nakayama: one pass in increasing degree, with
+linear algebra modulo the columns kept in lower degrees.
 """
 
+from itertools import groupby
+
 from .gb import buchberger, normal_form
+from .linalg import echelonize
 from .ring import FIELD_BITS, Polynomial
 
 
@@ -81,3 +88,37 @@ def syzygy_columns(columns, relations=()):
         if all(f.is_zero() for f in polys[:r]):
             syz.append(polys[r:])
     return syz
+
+
+def minimal_columns(cols, shifts):
+    """A minimal generating set of the graded submodule of R^r spanned
+    by cols, basis vector i of R^r having degree shifts[i] (Eisenbud,
+    Commutative Algebra, 19.1).  In increasing degree, the columns of one
+    degree are kept when their normal forms modulo the columns kept in
+    lower degrees are linearly independent over the field: the pivot
+    columns of one echelon form, so earlier columns are preferred.
+
+    Returns (kept columns, their degrees).  For inhomogeneous columns
+    (degree = the largest over the entries) the kept ones still generate.
+    """
+    def degree(col):
+        return max(f.wdegree() + s for f, s in zip(col, shifts)
+                   if not f.is_zero())
+
+    live = sorted(((degree(c), c) for c in cols
+                   if not all(f.is_zero() for f in c)), key=lambda p: p[0])
+    kept, degrees, basis, based = [], [], [], 0
+    for d, group in groupby(live, key=lambda p: p[0]):
+        if based < len(kept):
+            based = len(kept)
+            basis = module_buchberger([vector(c) for c in kept])
+        group = [c for _, c in group]
+        forms = [normal_form(vector(c), basis) for c in group]
+        # one row per monomial, one column per candidate
+        field = group[0][0].ring.field
+        rows = [[v.terms.get(m, field.zero) for v in forms]
+                for m in set().union(*(v.terms for v in forms))]
+        for j in echelonize(rows, field):
+            kept.append(group[j])
+            degrees.append(d)
+    return kept, degrees

@@ -20,7 +20,7 @@ from .fields import RationalField
 from .gb import buchberger, normal_form
 from .ideals import Ideal, kernel_of_map
 from .linalg import echelonize
-from .modules import syzygy_columns
+from .modules import minimal_columns, syzygy_columns
 from .ring import Polynomial, Ring, embed
 
 
@@ -99,15 +99,17 @@ def rees_presentation(ideal):
 
     def linear_forms():
         # Presentation of the symmetric algebra: one linear form
-        # sum c_i T_i per syzygy (c_1..c_m) of the generators; built only
-        # where read (the certificate path needs it only for Q).
+        # sum c_i T_i per syzygy (c_1..c_m) in a minimal set of syzygies
+        # of the generators (T_i of degree deg a_i); built only where
+        # read (the certificate path needs it only for Q).
+        cols, _ = minimal_columns(syzygy_columns([[a] for a in gens]),
+                                  [a.wdegree() for a in gens])
         linear = []
-        for col in _trim_columns(syzygy_columns([[a] for a in gens]), ring):
+        for col in cols:
             f = s_ring.zero()
             for i, c in enumerate(col):
                 f = f + embed(c, s_ring, var_map) * s_ring.var(ring.n + i)
-            if not f.is_zero():
-                linear.append(f)
+            linear.append(f)
         return linear
 
     # Inverting any nonzerodivisor a in I turns I into the unit ideal, so
@@ -341,25 +343,6 @@ def _valuation_kernel(ideal, w, t_ring):
         K = kernel_of_map(src, [forms[i] for i in attain])
         kernel_gens += [embed(g, t_ring, attain) for g in K.generators]
     return Ideal(t_ring, kernel_gens)
-
-
-def _trim_columns(cols, ring):
-    """Drop syzygy columns lying in the module of the ones kept so far
-    (in increasing degree); Groebner syzygy generators are usually far
-    from minimal and redundancy is expensive downstream."""
-    from .modules import module_buchberger, module_member, vector
-
-    def col_degree(col):
-        return max((f.wdegree() for f in col if not f.is_zero()), default=0)
-
-    kept = []
-    basis = None
-    for col in sorted(cols, key=col_degree):
-        if basis is not None and module_member(vector(col), basis):
-            continue
-        kept.append(col)
-        basis = module_buchberger([vector(c) for c in kept])
-    return kept
 
 
 def graded_piece(Q, d, base_count=0):

@@ -1,7 +1,11 @@
 """Free resolutions and the homological checks built on them.
 
-free_resolution iterates syzygies of the presentation of R/I and then
-prunes unit entries, so its length is the projective dimension.  Depth
+free_resolution builds the minimal graded resolution of R/I for a
+homogeneous I: each step takes the syzygies of the previous map and
+keeps a minimal generating set of them (modules.minimal_columns), so
+no map has a unit entry and the length is the projective dimension.
+Inhomogeneous input is refused: without a grading, trimming syzygies
+does not bound the length by the projective dimension.  Depth
 comes out of Auslander-Buchsbaum (depth = n - pd), Cohen-Macaulayness is
 depth == dim, and the local-cohomology hypothesis H^{d-1}_m(R/I) = 0 is
 decided through its graded-local-duality surrogate Ext^{g+1}(R/I, R) = 0,
@@ -10,7 +14,8 @@ computed as vanishing homology of the dualized resolution.
 
 from .errors import HypothesisFailed, RingMismatch
 from .ideals import Ideal
-from .modules import module_buchberger, module_member, syzygy_columns, vector
+from .modules import (minimal_columns, module_buchberger, module_member,
+                      syzygy_columns, vector)
 
 
 class FreeModuleMap:
@@ -63,16 +68,6 @@ class FreeModuleMap:
         return f"FreeModuleMap({self.rows}x{self.cols})"
 
 
-def syzygies(M):
-    """A map whose columns generate ker(M); M o syzygies(M) = 0."""
-    cols = syzygy_columns(M.columns())
-    if not cols:
-        return FreeModuleMap(M.ring, [[] for _ in range(M.cols)])
-    entries = [[cols[j][i] for j in range(len(cols))]
-               for i in range(M.cols)]
-    return FreeModuleMap(M.ring, entries)
-
-
 class FreeResolution:
     """maps[i]: F_{i+1} -> F_i with F_0 = R; resolves R/I."""
 
@@ -92,110 +87,17 @@ class FreeResolution:
 
 
 def free_resolution(ideal):
-    """Minimal free resolution of R/I (I proper)."""
+    """Minimal graded free resolution of R/I, for I proper and
+    homogeneous (NotHomogeneous otherwise)."""
     if ideal.is_unit():
         raise HypothesisFailed("cannot resolve R/I for I = (1)")
-    ring = ideal.ring
-    if ideal.is_zero():
-        return FreeResolution(ring, [])
-    gens = list(ideal.groebner().generators)
-    maps = [FreeModuleMap(ring, [gens])]
-    while True:
-        S = syzygies(maps[-1])
-        if S.cols == 0:
-            break
-        maps.append(S)
-        # prune unit entries now: iterated syzygies of a non-minimal
-        # complex need not terminate, minimal ones stop at pd <= n
-        _prune_units(maps)
-        if maps[-1].cols == 0:
-            break
-        if len(maps) > ring.n + 1:
-            raise AssertionError("resolution exceeded the syzygy bound")
-    while maps and maps[-1].cols == 0:
-        maps.pop()
-    return FreeResolution(ring, maps)
-
-
-def _prune_units(maps):
-    """Cancel constant (degree-0) entries to minimalize the complex."""
-    changed = True
-    while changed:
-        changed = False
-        for k in range(1, len(maps)):
-            M = maps[k]
-            spot = _find_unit(M)
-            if spot is None:
-                continue
-            r, c = spot
-            _cancel_unit(maps, k, r, c)
-            changed = True
-            break
-
-
-def _find_unit(M):
-    for i in range(M.rows):
-        for j in range(M.cols):
-            f = M.entries[i][j]
-            if not f.is_zero() and f.degree() == 0:
-                return (i, j)
-    return None
-
-
-def _cancel_unit(maps, k, r, c):
-    M = maps[k]
-    ring = M.ring
-    field = ring.field
-    u_inv = field.inv(M.entries[r][c].lc())
-
-    # column ops on M: clear row r outside the pivot; mirror as row ops on
-    # the next map (source basis change)
-    for j in range(M.cols):
-        if j == c:
-            continue
-        v = M.entries[r][j]
-        if v.is_zero():
-            continue
-        lam = v.scale(u_inv)
-        for i in range(M.rows):
-            M.entries[i][j] = M.entries[i][j] - lam * M.entries[i][c]
-        if k + 1 < len(maps):
-            nxt = maps[k + 1]
-            for jj in range(nxt.cols):
-                nxt.entries[c][jj] = (nxt.entries[c][jj]
-                                      + lam * nxt.entries[j][jj])
-
-    # row ops on M: clear column c outside the pivot; mirror as column ops
-    # on the previous map (target basis change)
-    prev = maps[k - 1]
-    for i in range(M.rows):
-        if i == r:
-            continue
-        w = M.entries[i][c]
-        if w.is_zero():
-            continue
-        mu = w.scale(u_inv)
-        for j in range(M.cols):
-            M.entries[i][j] = M.entries[i][j] - mu * M.entries[r][j]
-        for ii in range(prev.rows):
-            prev.entries[ii][r] = (prev.entries[ii][r]
-                                   + mu * prev.entries[ii][i])
-
-    # drop row r / column c of M, column r of prev, row c of next
-    new_entries = [[M.entries[i][j] for j in range(M.cols) if j != c]
-                   for i in range(M.rows) if i != r]
-    maps[k] = FreeModuleMap(ring, new_entries if new_entries else [[]])
-    if not new_entries:
-        maps[k] = FreeModuleMap(ring, [[] for _ in range(M.rows - 1)])
-    prev_entries = [[prev.entries[i][j] for j in range(prev.cols) if j != r]
-                    for i in range(prev.rows)]
-    maps[k - 1] = FreeModuleMap(ring, prev_entries)
-    if k + 1 < len(maps):
-        nxt = maps[k + 1]
-        nxt_entries = [[nxt.entries[i][j] for j in range(nxt.cols)]
-                       for i in range(nxt.rows) if i != c]
-        maps[k + 1] = FreeModuleMap(ring, nxt_entries
-                                    if nxt_entries else [[]])
+    gens = ideal.minimal_generators()
+    columns, degrees = [[g] for g in gens], [g.wdegree() for g in gens]
+    maps = []
+    while columns:
+        maps.append(FreeModuleMap(ideal.ring, zip(*columns)))
+        columns, degrees = minimal_columns(syzygy_columns(columns), degrees)
+    return FreeResolution(ideal.ring, maps)
 
 
 class CohomologySummary:

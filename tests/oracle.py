@@ -145,6 +145,32 @@ def homogeneous_member(f, gens):
     return base_rank == aug_rank
 
 
+def _span_rows(gens, d, F):
+    """Coefficient rows of every product of a generator with a monomial
+    of degree d - deg(generator), over the monomials of degree d."""
+    if not gens:
+        return []
+    nvars = gens[0].ring.n
+    basis = monomials_of_degree(nvars, d)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for g in gens:
+        gd = poly_to_dict(g)
+        if not gd:
+            continue
+        deg = sum(next(iter(gd)))
+        shift = d - deg
+        if shift < 0:
+            continue
+        for mult in monomials_of_degree(nvars, shift):
+            row = [F.zero] * len(basis)
+            for e, c in gd.items():
+                tot = tuple(a + b for a, b in zip(e, mult))
+                row[index[tot]] = F.normalize(c)
+            rows.append(row)
+    return rows
+
+
 def ideals_equal_upto_degree(gens_a, gens_b, max_degree):
     """Equality oracle for homogeneous ideals, compared degree by degree
     through max_degree via span ranks."""
@@ -152,34 +178,31 @@ def ideals_equal_upto_degree(gens_a, gens_b, max_degree):
     if not sample:
         return True
     F = _field_adapter(sample[0])
-    nvars = sample[0].ring.n
     for d in range(max_degree + 1):
-        basis = monomials_of_degree(nvars, d)
-        index = {m: i for i, m in enumerate(basis)}
-
-        def span_rows(gens):
-            rows = []
-            for g in gens:
-                gd = poly_to_dict(g)
-                if not gd:
-                    continue
-                deg = sum(next(iter(gd)))
-                shift = d - deg
-                if shift < 0:
-                    continue
-                for mult in monomials_of_degree(nvars, shift):
-                    row = [F.zero] * len(basis)
-                    for e, c in gd.items():
-                        tot = tuple(a + b for a, b in zip(e, mult))
-                        row[index[tot]] = F.normalize(c)
-                    rows.append(row)
-            return rows
-
-        rows_a = span_rows(gens_a)
-        rows_b = span_rows(gens_b)
+        rows_a = _span_rows(gens_a, d, F)
+        rows_b = _span_rows(gens_b, d, F)
         ra = rref_rank([r[:] for r in rows_a], F)
         rb = rref_rank([r[:] for r in rows_b], F)
         rboth = rref_rank([r[:] for r in rows_a] + [r[:] for r in rows_b], F)
         if not (ra == rb == rboth):
             return False
     return True
+
+
+def minimal_generator_count(gens):
+    """Number of minimal generators of the homogeneous ideal (gens),
+    standard grading: the sum over d of dim I_d - dim (m*I)_d, where
+    (m*I)_d is spanned by the generators of degree below d times
+    monomials.  Only the degrees of generators can contribute."""
+    gens = [g for g in gens if poly_to_dict(g)]
+    if not gens:
+        return 0
+    F = _field_adapter(gens[0])
+    degree = {g: sum(next(iter(poly_to_dict(g)))) for g in gens}
+    count = 0
+    for d in set(degree.values()):
+        low = _span_rows([g for g in gens if degree[g] < d], d, F)
+        new = _span_rows([g for g in gens if degree[g] == d], d, F)
+        count += (rref_rank([r[:] for r in low + new], F)
+                  - rref_rank([r[:] for r in low], F))
+    return count

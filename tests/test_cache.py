@@ -75,7 +75,8 @@ def test_no_store_outlives_its_job(tmp_path, monkeypatch):
 
 
 # non-unit leads and fractional coefficients, so the engine's integer
-# working forms differ from the Fractions it hands back
+# working forms differ from the Fractions it hands back; the hypotheses
+# (a resolution among them) need a homogeneous ideal
 Q_JOB = """\
 ring R = q[x,y,z] grevlex;
 poly f = 3*x*y - 5*z;
@@ -87,7 +88,9 @@ gb J;
 ideal K = power(J, 2);
 contains(I, K);
 member(J, 2*x*z - 3*y*z);
-hypotheses(J, [f, 2*x*z - 3*y*z], f);
+poly h = 3*x*y - 5/2*z^2;
+ideal H = (h, 2/3*x*z - 7*y^2);
+hypotheses(H, [h, 2/3*x*z - 7*y^2], h);
 """
 
 

@@ -1,17 +1,20 @@
 """Randomized agreement between the Groebner engine and the independent
 linear-algebra oracle: membership and ideal equality over 100 seeded
 random homogeneous ideals in up to 3 variables, generators of degree
-at most 3.
+at most 3; minimal generator counts and minimal resolutions over 40
+more, in 2 or 3 variables over F_p and over Q.
 """
 
 import random
+from fractions import Fraction
 
-from cancelkit.fields import PrimeField
+from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
+from cancelkit.resolutions import free_resolution
 from cancelkit.ring import Ring
 
 from oracle import homogeneous_member, ideals_equal_upto_degree, \
-    monomials_of_degree
+    minimal_generator_count, monomials_of_degree
 
 FIELD = PrimeField(32003)
 NAMES = ["x", "y", "z"]
@@ -23,10 +26,16 @@ def _random_homogeneous(ring, rng, degree):
         pairs = []
         for exps in monomials_of_degree(ring.n, degree):
             if rng.random() < 0.6:
-                pairs.append((exps, rng.randrange(FIELD.p)))
+                pairs.append((exps, _coefficient(ring.field, rng)))
         f = ring.from_terms(pairs)
         if not f.is_zero():
             return f
+
+
+def _coefficient(field, rng):
+    if field.kind == "prime_field":
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
 def _random_instance(seed):
@@ -103,3 +112,29 @@ def test_equality_matches_oracle_on_100_random_ideals():
             Ideal(ring, same).contains(I)
         checked += 1
     assert checked == 100
+
+
+def test_minimal_resolutions_match_oracle_on_40_random_ideals():
+    for seed in range(40):
+        rng = random.Random(f"resolve-{seed}")
+        field = (FIELD, RationalField())[seed % 2]
+        ring = Ring(field, NAMES[:rng.randint(2, 3)])
+        gens = [_random_homogeneous(ring, rng, rng.randint(1, 3))
+                for _ in range(rng.randint(2, 4))]
+        # half the time, one redundant generator on top
+        if rng.random() < 0.5:
+            gens.append(rng.choice(gens) * _random_homogeneous(ring, rng, 1))
+        I = Ideal(ring, gens)
+        res = free_resolution(I)
+        betti = res.betti_numbers()
+        count = minimal_generator_count(gens)
+        assert I.min_gens() == betti[1] == count, (seed, betti, count)
+        # minimal: no entry has a constant term (packed monomial 0)
+        for m in res.maps:
+            assert all(0 not in f.terms for row in m.entries for f in row), \
+                (seed, betti)
+        for a, b in zip(res.maps, res.maps[1:]):
+            assert a.compose(b).is_zero(), (seed, betti)
+        # R/I has rank 0 for I != 0
+        assert sum((-1) ** i * b for i, b in enumerate(betti)) == 0, \
+            (seed, betti)

@@ -7,7 +7,8 @@ from cancelkit.modules import (components, module_buchberger, module_member,
 from cancelkit.resolutions import (FreeModuleMap, cohomology_summary,
                                    colon_identity_check, free_resolution)
 from cancelkit.ring import Ring
-from cancelkit.fixtures import monomial_curve
+from cancelkit.fixtures import (monomial_curve, space_surface_ideal,
+                                surface_curve_ideal)
 
 
 @pytest.fixture
@@ -103,6 +104,22 @@ def test_resolution_rejects_degenerate(R):
     assert free_resolution(Ideal(R, [R.zero()])).length == 0
     with pytest.raises(HypothesisFailed):
         free_resolution(Ideal(R, [R.one()]))
+
+
+def test_worked_example_25_resolution():
+    # README: the 2.5 prime is not Cohen-Macaulay
+    P = surface_curve_ideal()
+    assert free_resolution(P).betti_numbers() == (1, 5, 6, 2)
+    s = cohomology_summary(P)
+    assert s.depth == 1 and s.d == 2
+    assert not s.is_CM
+
+
+def test_worked_example_26_resolution():
+    res = free_resolution(space_surface_ideal())
+    assert res.betti_numbers() == (1, 8, 11, 4)
+    for a, b in zip(res.maps, res.maps[1:]):
+        assert a.compose(b).is_zero()
 
 
 def test_depth_and_cm():

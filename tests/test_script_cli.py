@@ -389,6 +389,34 @@ def test_cli_kernel_image_names_a_ring_variable(tmp_path):
         assert "Traceback" not in out.stderr, image
 
 
+# a height-2 complete intersection, so Cohen-Macaulay; it is not
+# homogeneous, so no minimal graded resolution reads its depth off
+INHOMOGENEOUS = """\
+ring R = zp(32003)[x,y,z] grevlex;
+ideal I = (x*y*z + 3*y2*z + 1, 2*x*y - x*z);
+"""
+
+
+def test_cli_refuses_inhomogeneous_resolutions(tmp_path, capsys):
+    script = tmp_path / "inhomogeneous.ck"
+    for command in ("cohomology I;", "resolution I;",
+                    "hypotheses(I, I, 2*x*y - x*z);"):
+        script.write_text(INHOMOGENEOUS + command + "\n")
+        assert main(["run", str(script)]) == 1, command
+        out = capsys.readouterr()
+        assert "not homogeneous" in out.err, command
+        assert out.out == "", command
+
+
+def test_mingens_tests_the_ideal_not_its_generators(tmp_path, capsys):
+    # x + y2 is not homogeneous, but (x, x + y2) = (x, y2) is
+    script = tmp_path / "mingens.ck"
+    script.write_text("ring R = zp(32003)[x,y] grevlex;\n"
+                      "ideal I = (x, x + y2);\nmingens I;\n")
+    assert main(["run", str(script)]) == 0
+    assert '"min_gens":2' in capsys.readouterr().out
+
+
 HYPOTHESIS_FAILURES = (
     """\
 ring R = zp(32003)[x,y,z] grevlex;
