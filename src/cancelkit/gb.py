@@ -264,6 +264,9 @@ def _gm_update(lms, pairs, heap, ring, pair_deg):
             del pairs[i, j]
 
     components = ring._components
+    # an element of a rank-1 module ring R[e_0] is e_0 times one of R, so
+    # the coprime-leads test holds there without the shared e_0
+    single = components if components & (components - 1) == 0 else 0
     by_lcm = {}
     for i in range(t):
         if not (lms[i] ^ lm_t) & components:
@@ -274,7 +277,7 @@ def _gm_update(lms, pairs, heap, ring, pair_deg):
             continue
         minimal.append(L)
         members = by_lcm[L]
-        if any(L == lms[i] + lm_t for i in members):
+        if any(L == lms[i] + lm_t - single for i in members):
             continue
         i = min(members)
         pairs[i, t] = L

@@ -5,10 +5,12 @@ elimination, containment/equality, radical membership, Krull dimension
 via independent sets modulo the initial ideal, minimal generator counts,
 kernels of algebra maps, and the linkage-based unmixedness test.
 
-Saturation and radical membership share one construction, the
-Rabinowitsch ideal (I, 1 - z_1*f_1 - ... - z_k*f_k) in R[z_1..z_k] for
-J = (f_1..f_k): eliminating the z from its basis gives I : J^infinity,
-and J lies in the radical of I iff that saturation is (1).
+Saturation, elimination and toric kernels are one elimination: new
+variables in front of the target ring under a block order, then the
+basis elements free of them, which are the target's reduced basis when
+the order ends in the target's.  Saturation by J = (f_1..f_k) eliminates
+the z from (I, 1 - z_1*f_1 - ... - z_k*f_k) in R[z_1..z_k], and J lies
+in the radical of I iff that saturation is (1).
 
 Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
@@ -166,70 +168,43 @@ class Ideal:
 
     def saturate(self, other):
         """I : J^infinity for J = (f_1..f_k), a Polynomial or an Ideal:
-        one elimination basis, (I, 1 - sum of z_i*f_i) cap R in
-        R[z_1..z_k], the z first under Block(k, Grevlex(), order), each
-        of weight 1."""
+        (I, 1 - sum of z_i*f_i) cap R, one elimination in R[z_1..z_k]."""
         if isinstance(other, Polynomial):
             other = Ideal(self.ring, [other])
         self._check(other)
         if other.is_zero():
             raise ZeroColon("saturation by the zero ideal")
-        ring = self.ring
         k = len(other.generators)
-        order = ring.order if isinstance(ring.order, (Lex, Grevlex)) \
-            else Grevlex()
-        ext = Ring(ring.field,
-                   tuple(f"@z{i + 1}" for i in range(k)) + ring.names,
-                   Block(k, Grevlex(), order),
-                   None if ring.weights is None else (1,) * k + ring.weights)
+        ext = _elimination_ring(self.ring, [f"@z{i + 1}" for i in range(k)],
+                                None)
         var_map = list(range(k, ext.n))
-        gens = [embed(g, ext, var_map) for g in self.generators]
         inverting = ext.one()
         for i, f in enumerate(other.generators):
             inverting = inverting - ext.var(i) * embed(f, ext, var_map)
-        kept = _eliminated(buchberger(gens + [inverting]), ring, k)
-        # when R[z] orders the variables of R as R does, kept is
-        # already the reduced basis of the saturation
-        same = order == ring.order
-        return Ideal(ring, kept, GroebnerBasis(ring, kept) if same else None)
+        return _eliminate([embed(g, ext, var_map) for g in self.generators]
+                          + [inverting], self.ring)
 
     def eliminate(self, variables):
-        """I cap k[remaining variables], as an ideal of the smaller ring."""
-        positions = []
+        """I cap k[remaining variables], as an ideal of the smaller ring,
+        ordered as R when R's order is lex or grevlex, else by grevlex."""
+        ring = self.ring
         for v in variables:
-            if isinstance(v, str):
-                if v not in self.ring._index:
-                    raise ArityMismatch(f"unknown variable {v}")
-                positions.append(self.ring._index[v])
-            else:
-                positions.append(int(v))
-        drop = set(positions)
-        keep = [i for i in range(self.ring.n) if i not in drop]
+            if v not in ring._index:
+                raise ArityMismatch(f"unknown variable {v}")
+        drop = [ring._index[v] for v in variables]
+        keep = [i for i in range(ring.n) if i not in drop]
         if not keep:
             raise ArityMismatch("cannot eliminate every variable")
-        base_order = self.ring.order
-        if not isinstance(base_order, (Lex, Grevlex)):
-            base_order = Grevlex()
-        target = Ring(self.ring.field,
-                      [self.ring.names[i] for i in keep],
-                      base_order,
-                      None if self.ring.weights is None
-                      else [self.ring.weights[i] for i in keep])
+        w = ring.weights
+        target = Ring(ring.field, [ring.names[i] for i in keep],
+                      _tail(ring), w and [w[i] for i in keep])
         if self.is_zero():
             return Ideal(target, [])
-        # reorder: eliminated variables first, under a block order
-        perm = positions + keep  # new position -> old position
-        old_to_new = {old: new for new, old in enumerate(perm)}
-        ext = Ring(self.ring.field,
-                   [self.ring.names[i] for i in perm],
-                   Block(len(positions), Grevlex(), base_order)
-                   if positions else base_order,
-                   None if self.ring.weights is None
-                   else [self.ring.weights[i] for i in perm])
-        var_map = [old_to_new[i] for i in range(self.ring.n)]
-        gens = [embed(g, ext, var_map) for g in self.generators]
-        return Ideal(target, _eliminated(buchberger(gens), target,
-                                         len(positions)))
+        ext = _elimination_ring(target, [ring.names[i] for i in drop],
+                                w and [w[i] for i in drop])
+        var_map = [ext._index[name] for name in ring.names]
+        return _eliminate([embed(g, ext, var_map) for g in self.generators],
+                          target)
 
     # -- structure --
 
@@ -292,29 +267,51 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def _eliminated(gb, target, k):
-    """The basis elements free of the first k variables, moved into
-    `target` (the remaining variables, in order).  embed sends distinct
-    monomials free of those variables to distinct monomials, so an
-    element is free of them iff it keeps its term count."""
-    var_map = [None] * k + list(range(target.n))
+def _tail(ring):
+    """The order an elimination into `ring` ends in: lex or grevlex."""
+    return ring.order if isinstance(ring.order, (Lex, Grevlex)) else Grevlex()
+
+
+def _elimination_ring(target, names, weights):
+    """target[names] for eliminating the new variables `names`, of the
+    given weights (None: all 1): they come first, under
+    Block(k, Grevlex(), _tail(target)).  With no names, target itself."""
+    if not names:
+        return target
+    k = len(names)
+    all_weights = None if weights is None and target.weights is None \
+        else tuple(weights or (1,) * k) + (target.weights or (1,) * target.n)
+    return Ring(target.field, tuple(names) + target.names,
+                Block(k, Grevlex(), _tail(target)), all_weights)
+
+
+def _eliminate(gens, target):
+    """(gens) cap target for gens in an _elimination_ring of target: the
+    elements of their reduced basis free of the new variables, moved
+    into target.  embed sends distinct monomials free of those variables
+    to distinct monomials, so an element is free of them iff it keeps
+    its term count.  When the block order ends in target's order, these
+    elements are target's reduced basis of the elimination ideal (Cox,
+    Little & O'Shea, ch. 3 sec. 1), and the returned ideal holds it."""
+    basis = buchberger(gens)
+    var_map = [None] * (basis.ring.n - target.n) + list(range(target.n))
     kept = []
-    for g in gb:
+    for g in basis:
         h = embed(g, target, var_map)
         if len(h.terms) == len(g.terms):
             kept.append(h)
-    return kept
+    held = _tail(target) == target.order
+    return Ideal(target, kept, GroebnerBasis(target, kept) if held else None)
 
 
 def kernel_of_map(source_ring, images):
     """Kernel of the algebra map source_ring -> (ring of the images),
-    sending the i-th variable to images[i].
-
-    Computed as eliminate(target variables) of the graph ideal
-    (x_i - image_i).  When the source ring carries no weights and every
+    sending the i-th variable to images[i]: the graph ideal
+    (x_i - image_i) cap source_ring, one elimination of the image
+    ring's variables.  When the source ring carries no weights and every
     image is homogeneous, the returned ideal lives in a weighted copy of
     the source ring (weight of x_i = degree of images[i]), so the kernel
-    is weighted-homogeneous and minimal-generator counts make sense.
+    is weighted-homogeneous and is presented by minimal generators.
     """
     if len(images) != source_ring.n:
         raise ArityMismatch(
@@ -327,32 +324,18 @@ def kernel_of_map(source_ring, images):
             raise ZeroColon("kernel of a map with a zero image is not supported")
     if set(target.names) & set(source_ring.names):
         raise ArityMismatch("source and target variable names must be disjoint")
-    t_weights = target.weights or tuple(1 for _ in range(target.n))
-    if source_ring.weights is not None:
-        s_weights = source_ring.weights
-    elif all(g.is_homogeneous() for g in images):
-        s_weights = tuple(max(g.wdegree(), 1) for g in images)
-    else:
-        s_weights = tuple(1 for _ in range(source_ring.n))
-    ext = Ring(source_ring.field,
-               target.names + source_ring.names,
-               Block(target.n, Grevlex(), Grevlex()),
-               t_weights + s_weights)
-    gens = []
-    for i, g in enumerate(images):
-        xi = ext.var(target.n + i)
-        gi = embed(g, ext, list(range(target.n)))
-        gens.append(xi - gi)
     result_ring = source_ring
-    if source_ring.weights is None and any(w != 1 for w in s_weights):
-        result_ring = Ring(source_ring.field, source_ring.names,
-                           source_ring.order, s_weights)
-    kept = _eliminated(buchberger(gens), result_ring, target.n)
-    full = Ideal(result_ring, kept)
-    # present the kernel by a minimal generating set (the elimination
-    # Groebner basis is usually redundant as a generating set)
-    if all(g.is_homogeneous() for g in kept):
-        return Ideal(result_ring, full.minimal_generators())
+    if source_ring.weights is None and all(g.is_homogeneous() for g in images):
+        weights = tuple(max(g.wdegree(), 1) for g in images)
+        if any(w != 1 for w in weights):
+            result_ring = Ring(source_ring.field, source_ring.names,
+                               source_ring.order, weights)
+    ext = _elimination_ring(result_ring, target.names, target.weights)
+    full = _eliminate([ext.var(target.n + i) - embed(g, ext, range(target.n))
+                       for i, g in enumerate(images)], result_ring)
+    if all(g.is_homogeneous() for g in full.generators):
+        held = full._gb  # taken before minimal_generators computes one
+        return Ideal(result_ring, full.minimal_generators(), held)
     return full
 
 

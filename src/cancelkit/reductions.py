@@ -79,7 +79,8 @@ def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10, spread=None):
     spread, recomputed unless passed in).  Deterministic in
     (seed, attempt index).  When l is less than the number of
     generators, these must share one weighted degree (NotSubideal
-    otherwise)."""
+    otherwise, and before the spread is computed when there are more
+    generators than variables)."""
     for g in I.generators:
         if not g.is_homogeneous():
             raise NotSubideal("minimal-reduction search needs a "
@@ -89,16 +90,17 @@ def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10, spread=None):
     if field.kind == "prime_field" and field.p < 1000:
         warnings.warn("small coefficient field: generator count only "
                       "heuristically certifies minimality", stacklevel=2)
-    if spread is None:
-        spread = rees_presentation(I).analytic_spread
     gens = list(I.generators)
     m = len(gens)
-    if spread >= m:
+    # a constant-coefficient combination of generators of different
+    # degrees is not homogeneous, and no sample would be a reduction;
+    # the spread is at most n = dim R, so when m > n it is not needed
+    degrees = sorted({g.wdegree() for g in gens})
+    if spread is None and (len(degrees) == 1 or m <= ring.n):
+        spread = rees_presentation(I).analytic_spread
+    if spread is not None and spread >= m:
         report = reduction_number(I, I, n_cap)
         return MinimalReductionSearch(seed, 0, spread, I, report, None)
-    # a constant-coefficient combination of generators of different
-    # degrees is not homogeneous, and no sample would be a reduction
-    degrees = sorted({g.wdegree() for g in gens})
     if len(degrees) > 1:
         raise NotSubideal(
             "minimal-reduction search needs an ideal generated in one "

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from cancelkit.errors import RingMismatch, ZeroColon
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.fixtures import space_surface_ideal, surface_curve_ideal
 from cancelkit.ideals import Ideal, is_unmixed, kernel_of_map, radical_contains
+from cancelkit.orders import Block, Grevlex, Lex
 from cancelkit.ring import Ring
 
 import oracle
@@ -154,6 +158,47 @@ def test_elimination(R):
     assert E.ring.names == ("x", "y")
     ex, ey = E.ring.gens()
     assert E == Ideal(E.ring, [ey - ex ** 4])
+
+
+def _random_poly(ring, rng):
+    """Three terms of degree at most 2, small nonzero coefficients."""
+    monomials = [e for e in itertools.product(range(3), repeat=ring.n)
+                 if sum(e) <= 2]
+    return ring.from_terms((rng.choice(monomials), rng.randint(1, 9))
+                           for _ in range(3))
+
+
+def test_eliminations_hold_the_target_basis_only_in_its_order():
+    """saturate, eliminate and kernel_of_map hand back the reduced basis
+    their elimination holds when the block order ends in the target's
+    order (lex, grevlex, weighted grevlex), and none under a block
+    target, whose order the elimination does not end in."""
+    rng = random.Random("held-basis")
+    sources = [(Lex(), None), (Grevlex(), None), (Grevlex(), (1, 2, 3)),
+               (Block(1, Grevlex(), Grevlex()), None)]
+    for field in (PrimeField(32003), RationalField()):
+        S = Ring(field, ["s", "t"])
+        for order, weights in sources:
+            R = Ring(field, ["x", "y", "z"], order, weights)
+            for _ in range(3):
+                I = Ideal(R, [_random_poly(R, rng) for _ in range(2)])
+                f, g = _random_poly(R, rng), _random_poly(R, rng)
+                images = [S.monomial((a, rng.randint(1, 3) - a))
+                          for a in (rng.randint(0, 1) for _ in "xyz")]
+                if rng.random() < 0.5:  # inhomogeneous: no weighted copy
+                    images = [h + S.constant(rng.randint(1, 9))
+                              for h in images]
+                results = {"saturate": I.saturate(f),
+                           "saturate by an ideal": I.saturate(
+                               Ideal(R, [f, g])),
+                           "eliminate": I.eliminate(["x"]),
+                           "kernel_of_map": kernel_of_map(R, images)}
+                for name, J in results.items():
+                    if isinstance(J.ring.order, Block):
+                        assert J._gb is None, name
+                    else:
+                        fresh = Ideal(J.ring, J.generators).groebner()
+                        assert J._gb.generators == fresh.generators, name
 
 
 def test_dimension_and_height(R):

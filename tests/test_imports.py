@@ -73,3 +73,29 @@ def test_no_unreferenced_functions():
             if name not in referenced:
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def _call_sites(node, name, scope):
+    """The dotted scope (module, classes, functions) of every call of
+    `name` under node, as a plain name or as an attribute."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", None) == name \
+                    or getattr(func, "attr", None) == name:
+                yield scope
+        yield from _call_sites(child, name, inner)
+
+
+def test_block_orders_are_built_in_two_places():
+    """A block order is constructed only for an elimination
+    (ideals._elimination_ring) and for a free module (Ring.module_ring),
+    so the choice of block order is made in one place each."""
+    src = pathlib.Path(cancelkit.__file__).parent
+    sites = {site for path in sorted(src.glob("*.py"))
+             for site in _call_sites(ast.parse(path.read_text()), "Block",
+                                     path.stem)}
+    assert sites == {"ideals._elimination_ring", "ring.Ring.module_ring"}

@@ -124,3 +124,25 @@ def test_minimal_reduction_refuses_mixed_degrees(R):
     search = find_minimal_reduction(Ideal(W, [x ** 4, x * x * y, y * y]))
     assert len(search.result.generators) == 2
     assert search.report.is_reduction is True
+
+
+def test_minreduction_refuses_mixed_degrees_before_the_spread(
+        tmp_path, monkeypatch, capsys):
+    # three generators in degrees 2 and 3 in two variables: the spread is
+    # at most 2 < 3, so the refusal needs no Rees presentation
+    from cancelkit import reductions
+    from cancelkit.cli import main
+    calls = []
+
+    def no_presentation(I):
+        calls.append(I)
+        raise AssertionError("rees_presentation was called")
+
+    monkeypatch.setattr(reductions, "rees_presentation", no_presentation)
+    script = tmp_path / "mr.ck"
+    script.write_text("ring R = zp(32003)[x,y] grevlex;\n"
+                      "ideal I = (x2, x*y, y3);\n"
+                      "ideal J = minreduction(I);\n")
+    assert main(["run", str(script)]) == 2
+    assert calls == []
+    assert "weighted degrees 2, 3" in capsys.readouterr().err
