@@ -287,6 +287,8 @@ def run_example(tag, seed=0, attempts=50, n_cap=10, allow_long=False,
 
 def _run_surface_curve(seed, attempts, n_cap, field):
     P = surface_curve_ideal(field)
+    search = find_minimal_reduction(P, seed=seed, attempts=attempts,
+                                    n_cap=n_cap)
     mu = P.min_gens()
     summary = cohomology_summary(P)
     pres = rees_presentation(P)
@@ -299,9 +301,6 @@ def _run_surface_curve(seed, attempts, n_cap, field):
         gram_rank, splits = quadric_split_type(fiber_gens[0])
         fiber_info["gram_rank"] = gram_rank
         fiber_info["splits_into_two_distinct_linear_forms"] = splits
-    search = find_minimal_reduction(P, seed=seed, attempts=attempts,
-                                    n_cap=n_cap,
-                                    spread=pres.analytic_spread)
     n = power_containment_scan(P, search.result, 4, search.report)
     return {
         "example": "2.5",
@@ -326,12 +325,11 @@ def _run_surface_curve(seed, attempts, n_cap, field):
 
 def _run_space_surface(seed, attempts, n_cap, field):
     P = space_surface_ideal(field)
+    search = find_minimal_reduction(P, seed=seed, attempts=attempts,
+                                    n_cap=n_cap)
     mu = P.min_gens()
     pres = rees_presentation(P)
     fiber = pres.fiber_ideal
-    search = find_minimal_reduction(P, seed=seed, attempts=attempts,
-                                    n_cap=n_cap,
-                                    spread=pres.analytic_spread)
     n = power_containment_scan(P, search.result, 4, search.report)
     return {
         "example": "2.6",
@@ -351,16 +349,14 @@ def _run_space_surface(seed, attempts, n_cap, field):
 
 def _run_circulant_minors(seed, attempts, n_cap, field):
     I = circulant_minors_ideal(field)
-    pres = rees_presentation(I)
     search = find_minimal_reduction(I, seed=seed, attempts=attempts,
-                                    n_cap=n_cap,
-                                    spread=pres.analytic_spread)
+                                    n_cap=n_cap)
     J = search.result
     n = power_containment_scan(I, J, 4, search.report)
     return {
         "example": "2.7",
         "height": I.height,
-        "analytic_spread": pres.analytic_spread,
+        "analytic_spread": search.spread,
         "square_in_reduction": J.contains(I * I),
         "power_in_reduction": n,
         "reduction": {

@@ -85,7 +85,7 @@ def _primitive(g):
 
 
 def _divisor(g, ring):
-    """(lm, dmask, a, tail, top) of a nonzero g: over F_p a is the
+    """(lm, a, tail, top) of a nonzero g: over F_p a is the
     inverse of the leading coefficient; over Q g is taken in primitive
     integer form and a is its leading coefficient.  tail excludes the
     lead; top, the bitwise or of the tail's monomials, bounds each of
@@ -100,7 +100,7 @@ def _divisor(g, ring):
     top = 0
     for m, _ in tail:
         top |= m
-    return (lm, ring.dmask(lm), a, tail, top)
+    return (lm, a, tail, top)
 
 
 def normal_form(f, G):
@@ -136,8 +136,7 @@ def _divide(f, divisors, ring, full):
     integers (its monomials are those of the true remainder); with
     full=True it is the exact remainder, in Fractions.
     """
-    nkey = ring.nkey
-    dmask = ring.dmask
+    key = ring.key
     guards = ring._guards
     p = ring.field.p if ring.field.kind == "prime_field" else None
     if p is None:
@@ -145,7 +144,8 @@ def _divide(f, divisors, ring, full):
         work, num, den = _integral(f.terms)
     else:
         work = dict(f.terms)
-    heap = [(nkey(m), m) for m in work]
+    # a min-heap on the negated key pops the largest monomial first
+    heap = [(-key(m), m) for m in work]
     heapq.heapify(heap)
     push = heapq.heappush
     result = {}
@@ -155,9 +155,8 @@ def _divide(f, divisors, ring, full):
         if c is None:
             continue
         bg = m | guards
-        nmm = ~dmask(m)
-        for lm, dm, a, tail, top in divisors:
-            if dm & nmm == 0 and (bg - lm) & guards == guards:
+        for lm, a, tail, top in divisors:
+            if (bg - lm) & guards == guards:
                 break
         else:
             result[m] = c
@@ -180,7 +179,7 @@ def _divide(f, divisors, ring, full):
                 old = work.get(mm)
                 if old is None:
                     work[mm] = (-factor * ct) % p
-                    push(heap, (nkey(mm), mm))
+                    push(heap, (-key(mm), mm))
                 else:
                     val = (old - factor * ct) % p
                     if val:
@@ -201,7 +200,7 @@ def _divide(f, divisors, ring, full):
             old = work.get(mm)
             if old is None:
                 work[mm] = -factor * ct
-                push(heap, (nkey(mm), mm))
+                push(heap, (-key(mm), mm))
             else:
                 val = old - factor * ct
                 if val:

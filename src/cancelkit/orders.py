@@ -2,6 +2,7 @@
 
 An order is turned into a key function on exponent tuples; keys are flat
 tuples of ints with the property that key(m1) > key(m2) iff m1 > m2.
+Ring packs such a tuple into one int (Ring.key).
 """
 
 from .errors import ArityMismatch

@@ -74,13 +74,12 @@ def analytic_deviation(I):
     return rees_presentation(I).analytic_deviation
 
 
-def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10, spread=None):
+def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10):
     """Randomized search for an l-generated reduction of I (l = analytic
-    spread, recomputed unless passed in).  Deterministic in
-    (seed, attempt index).  When l is less than the number of
-    generators, these must share one weighted degree (NotSubideal
-    otherwise, and before the spread is computed when there are more
-    generators than variables)."""
+    spread).  Deterministic in (seed, attempt index).  When l is less
+    than the number of generators, these must share one weighted degree
+    (NotSubideal otherwise, and before the spread is computed when there
+    are more generators than variables)."""
     for g in I.generators:
         if not g.is_homogeneous():
             raise NotSubideal("minimal-reduction search needs a "
@@ -96,7 +95,8 @@ def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10, spread=None):
     # degrees is not homogeneous, and no sample would be a reduction;
     # the spread is at most n = dim R, so when m > n it is not needed
     degrees = sorted({g.wdegree() for g in gens})
-    if spread is None and (len(degrees) == 1 or m <= ring.n):
+    spread = None
+    if len(degrees) == 1 or m <= ring.n:
         spread = rees_presentation(I).analytic_spread
     if spread is not None and spread >= m:
         report = reduction_number(I, I, n_cap)

@@ -158,7 +158,8 @@ def _fiber_by_certificates(ideal, t_ring):
     fiber ideal equals that intersection.  Equigenerated ideals skip the
     sandwich: m*I^d lives in degrees above d*deg, so F is isomorphic to
     the subalgebra k[a_1..a_m] and the fiber ideal is the full
-    algebraic-relations kernel.
+    algebraic-relations kernel, handed back with its reduced basis in a
+    ring that orders k[T] as t_ring does (uniform weights, grevlex).
     """
     gens = ideal.generators
     ring = ideal.ring
@@ -167,9 +168,7 @@ def _fiber_by_certificates(ideal, t_ring):
         if len(degs) == 1:
             d = degs.pop()
             src = Ring(ring.field, t_ring.names, weights=(d,) * len(gens))
-            K = kernel_of_map(src, list(gens))
-            return Ideal(t_ring, [embed(g, t_ring, range(len(gens)))
-                                  for g in K.generators])
+            return kernel_of_map(src, list(gens))
         upper = None
         for w in _equalizing_weights(ideal):
             Kw = _valuation_kernel(ideal, w, t_ring)

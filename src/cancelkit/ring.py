@@ -41,9 +41,11 @@ class Ring:
         for s in self._shifts:
             self._guards |= 1 << (s + FIELD_BITS - 1)
         self._key_raw = self.order.key_fn(self.n, self.weights)
+        # no key component exceeds EXP_MAX * sum(weights) in size, so a
+        # field this wide with a sign offset holds every one exactly
+        self._key_bits = (EXP_MAX * sum(weights or (1,) * self.n)
+                          ).bit_length() + 1
         self._key_memo = {}
-        self._nkey_memo = {}
-        self._dmask_memo = {}
         self._index = {name: i for i, name in enumerate(names)}
         # set on module rings only (see module_ring): the coordinate ring,
         # and one bit per component variable
@@ -88,46 +90,17 @@ class Ring:
         return sum(e * w for e, w in zip(exps, self.weights))
 
     def key(self, m):
+        """The order key of m packed into one int: one field of _key_bits
+        bits per component of the order's key tuple, offset so each is
+        nonnegative.  Integer comparison is the monomial order."""
         k = self._key_memo.get(m)
         if k is None:
-            k = tuple(self._key_raw(self.decode(m)))
+            bits = self._key_bits
+            off = 1 << (bits - 1)
+            k = 0
+            for v in self._key_raw(self.decode(m)):
+                k = (k << bits) | (off + v)
             self._key_memo[m] = k
-        return k
-
-    # nkey packs the negated key components into one int (40 bits per
-    # component, offset so each is nonnegative): integer comparison is
-    # then order-isomorphic to tuple comparison, and min-heaps pop the
-    # largest monomial first.
-    _NKEY_OFFSET = 1 << 39
-    _NKEY_BITS = 40
-
-    def nkey(self, m):
-        """Single-int negated order key (heaps pop largest monomial first)."""
-        k = self._nkey_memo.get(m)
-        if k is None:
-            off = self._NKEY_OFFSET
-            k = 0
-            for v in self.key(m):
-                k = (k << self._NKEY_BITS) | (off - v)
-            self._nkey_memo[m] = k
-        return k
-
-    def dmask(self, m):
-        """Divisibility prefilter mask: 4 bits per variable, set when the
-        exponent reaches 1, 2, 4, 8.  a | b requires
-        dmask(a) & ~dmask(b) == 0."""
-        k = self._dmask_memo.get(m)
-        if k is None:
-            k = 0
-            bit = 1
-            mask = (1 << FIELD_BITS) - 1
-            for s in self._shifts:
-                e = (m >> s) & mask
-                for t in (1, 2, 4, 8):
-                    if e >= t:
-                        k |= bit
-                    bit <<= 1
-            self._dmask_memo[m] = k
         return k
 
     # -- polynomial constructors --
@@ -219,12 +192,13 @@ class Ring:
 class Polynomial:
     """Immutable sparse polynomial: dict of packed monomial -> coefficient."""
 
-    __slots__ = ("ring", "terms", "_sorted")
+    __slots__ = ("ring", "terms", "_sorted", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._sorted = None
+        self._hash = None
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -363,8 +337,11 @@ class Polynomial:
 
     def __hash__(self):
         # the ring is left out: equal polynomials share it anyway, and
-        # hashing it costs more than the terms of a small polynomial
-        return hash(tuple(sorted(self.terms.items())))
+        # hashing it costs more than the terms of a small polynomial;
+        # the terms never change, so the hash is computed once
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(self.terms.items())))
+        return self._hash
 
     def __str__(self):
         return render(self)

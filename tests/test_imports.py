@@ -2,6 +2,8 @@ import ast
 import pathlib
 
 import cancelkit
+from cancelkit.fields import PrimeField
+from cancelkit.ring import Ring
 
 
 def _unused_imports(path):
@@ -99,3 +101,17 @@ def test_block_orders_are_built_in_two_places():
              for site in _call_sites(ast.parse(path.read_text()), "Block",
                                      path.stem)}
     assert sites == {"ideals._elimination_ring", "ring.Ring.module_ring"}
+
+
+def test_monomials_compare_in_one_place():
+    """An order's key function is built only by Ring.__init__ (and by a
+    block order from its two parts), and a ring keeps one per-monomial
+    memo, its packed key: every sort, heap and leading-monomial choice
+    reads that one key."""
+    src = pathlib.Path(cancelkit.__file__).parent
+    sites = {site for path in sorted(src.glob("*.py"))
+             for site in _call_sites(ast.parse(path.read_text()), "key_fn",
+                                     path.stem)}
+    assert sites == {"ring.Ring.__init__", "orders.Block.key_fn"}
+    ring = Ring(PrimeField(32003), ["x", "y"])
+    assert [a for a in vars(ring) if a.endswith("_memo")] == ["_key_memo"]

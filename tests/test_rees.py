@@ -1,5 +1,6 @@
 import pytest
 
+from cancelkit import gb
 from cancelkit.errors import BadRegularSequence, NotGraded
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal, kernel_of_map
@@ -42,6 +43,26 @@ def test_veronese_fiber(R):
     rep = is_syzygetic(I)
     assert not rep.is_syzygetic
     assert len(rep.offenders) == 1
+
+
+def test_equigenerated_fiber_keeps_the_kernel_basis(R, monkeypatch):
+    # the fiber of an ideal generated in one degree is the kernel of
+    # T_i -> a_i, returned with the reduced basis its elimination holds:
+    # reading the spread runs no Buchberger in a ring of the T alone
+    rings = []
+    basis = gb._basis
+
+    def recording(gens, ring):
+        rings.append(ring.names)
+        return basis(gens, ring)
+
+    monkeypatch.setattr(gb, "_basis", recording)
+    x, y = R.gens()
+    pres = rees_presentation(Ideal(R, [x * x, x * y, y * y]))
+    assert pres.analytic_spread == 2
+    assert rings
+    assert not [names for names in rings
+                if all(n.startswith("T") for n in names)]
 
 
 def test_linear_type_curve():

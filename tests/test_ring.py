@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ import cancelkit
 from cancelkit.errors import ResourceExceeded, ScriptSyntaxError
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.orders import Block, Grevlex, Lex
-from cancelkit.ring import Polynomial, Ring, embed
+from cancelkit.ring import EXP_MAX, Polynomial, Ring, embed
 
 
 @pytest.fixture
@@ -103,6 +104,64 @@ def test_grevlex_tie_break():
     c = R.encode((1, 0, 1))  # xz
     assert R.key(a) > R.key(b)   # xy > y^2
     assert R.key(b) > R.key(c)   # y^2 > xz (smaller last exponent wins)
+
+
+def _reference_cmp(order, weights, a, b):
+    """-1, 0 or 1 as exponent tuple a is below, equal to or above b,
+    straight from the definitions of the orders."""
+    if a == b:
+        return 0
+    if isinstance(order, Lex):
+        return 1 if next(x - y for x, y in zip(a, b) if x != y) > 0 else -1
+    if isinstance(order, Grevlex):
+        w = weights or (1,) * len(a)
+        da = sum(x * wi for x, wi in zip(a, w))
+        db = sum(y * wi for y, wi in zip(b, w))
+        if da != db:
+            return 1 if da > db else -1
+        # the last differing exponent decides: the smaller one wins
+        return 1 if next(x - y for x, y in zip(reversed(a), reversed(b))
+                         if x != y) < 0 else -1
+    k = order.elim_count
+    head = _reference_cmp(order.elim_order,
+                          weights and weights[:k], a[:k], b[:k])
+    return head or _reference_cmp(order.rest_order,
+                                  weights and weights[k:], a[k:], b[k:])
+
+
+def _key_test_rings():
+    F = PrimeField(32003)
+    names = ["x", "y", "z", "w"]
+    heavy = (1 << 40, 3, 1 << 20, 1)
+    rings = [Ring(F, names, Lex()), Ring(F, names, Grevlex()),
+             Ring(F, names, Grevlex(), heavy),
+             Ring(F, names, Grevlex(), tuple(reversed(heavy)))]
+    for k in (1, 2):
+        for rest in (Lex(), Grevlex()):
+            rings.append(Ring(F, names, Block(k, Grevlex(), rest)))
+            rings.append(Ring(F, names, Block(k, Grevlex(), rest), heavy))
+    return rings + [R.module_ring(3) for R in rings]
+
+
+def test_packed_key_is_the_order():
+    """Ring.key packs the order exactly: comparing two keys as ints
+    agrees with the order's definition on the decoded exponents, for
+    weights up to 2^40 in every position and exponents up to EXP_MAX."""
+    rng = random.Random(20)
+    picks = (0, 1, 2, EXP_MAX - 1, EXP_MAX)
+    for R in _key_test_rings():
+        def draw():
+            return tuple(rng.choice(picks) if rng.random() < 0.5
+                         else rng.randint(0, EXP_MAX) for _ in range(R.n))
+        for _ in range(300):
+            a = draw()
+            # a permutation of a ties its (unweighted) degree
+            b = draw() if rng.random() < 0.5 else tuple(
+                rng.sample(a, R.n))
+            expected = _reference_cmp(R.order, R.weights, a, b)
+            ka, kb = R.key(R.encode(a)), R.key(R.encode(b))
+            assert type(ka) is int and type(kb) is int
+            assert (ka > kb) - (ka < kb) == expected, (R, a, b)
 
 
 def test_block_order_eliminates():

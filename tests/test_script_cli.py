@@ -344,6 +344,23 @@ member(I, x3 - y22464);
     assert out.stdout == ""
 
 
+def test_cli_heavy_weight_keeps_the_order(tmp_path):
+    # weight 2^40 on x gives the same order as 2^20 on every monomial
+    # the ring holds; the intersection runs in Block-ordered rings, whose
+    # packed keys must hold the large weighted degree exactly
+    script = tmp_path / "heavy.ck"
+    script.write_text("""\
+ring R = zp(32003)[x:1099511627776,y,z] grevlex;
+ideal I = (4*y*z2 + 3*y2, 5*x2*y2*z3 + 2*x2*y*z2 + 5*x, 4*x2*z2);
+ideal J = (y*z3 + 5*y3, 5*x2*y*z3 + 5*x*y3*z3 + z);
+ideal K = intersect(I, J);
+contains(J, K);
+""")
+    out = _cli(["run", str(script), "--json"], timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert '"contains":true' in out.stdout
+
+
 def test_cli_syntax_error_exit_code(tmp_path):
     script = tmp_path / "bad.ck"
     script.write_text("ring R = zp(32003)[x,y] grevlex;\nideal = ;\n")
@@ -482,6 +499,14 @@ def test_cli_example_27_refused():
     out = _cli(["example", "2.7"])
     assert out.returncode == 2
     assert "allow-long" in (out.stderr + out.stdout)
+
+
+def test_cli_example_26_refused_before_the_rees_step():
+    # the generators of the 2.6 prime have two degrees, so the reduction
+    # search refuses them before any Rees presentation is computed
+    out = _cli(["example", "2.6"], timeout=60)
+    assert out.returncode == 2
+    assert "one degree" in out.stderr
 
 
 def test_cli_witness_subcommand(tmp_path):
