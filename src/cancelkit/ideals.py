@@ -62,9 +62,6 @@ class Ideal:
                 self._gb = buchberger(list(self.generators))
         return self._gb
 
-    def normal_form(self, f):
-        return normal_form(f, self.groebner())
-
     def contains_poly(self, f):
         if f.is_zero():
             return True

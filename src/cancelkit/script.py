@@ -12,13 +12,17 @@ an identifier made of a known variable name followed by digits is
 exponent shorthand (``t3`` = ``t^3``); inside ``kernel(...)`` unknown
 names implicitly declare target variables.
 
+The parser reads the whole script once, building each expression as a
+tree (see ``_Parser.parse_expr``); the interpreter only evaluates
+trees, and ``evaluate`` is the one evaluator of polynomial expressions.
 Commands are written call-style (``member(P, x*y - z2);``) or
 space-style (``member P x2;``, each argument one token or a bracketed
-list).  Both styles give the same argument nodes, and every command and
-ideal operation converts them in one place (``Interpreter.convert_args``)
-by the kinds it declares with ``_takes``: an ideal is a name or an
-inline tuple ``(f, g)``; a polynomial list is ``[f, g]`` or an ideal
-name standing for its generators.  A wrong argument count is a
+list).  Both styles give the same call node, and every command and
+ideal operation converts its arguments in one place
+(``Interpreter.convert_args``) by the kinds it declares with
+``_takes``: an ideal is a name, an inline tuple ``(f, g)`` or an ideal
+operation call, so operations nest; a polynomial list is ``[f, g]`` or
+an ideal standing for its generators.  A wrong argument count is a
 ``ScriptSyntaxError``, like any other malformed statement.
 """
 
@@ -151,10 +155,8 @@ class _Parser:
             self.error(f"expected a statement, found {tok.value!r}")
         if tok.value == "ring":
             return self.parse_ring_decl()
-        if tok.value == "poly":
-            return self.parse_poly_decl()
-        if tok.value == "ideal":
-            return self.parse_ideal_decl()
+        if tok.value in ("poly", "ideal"):
+            return self.parse_binding()
         return self.parse_command()
 
     def parse_ring_decl(self):
@@ -197,96 +199,103 @@ class _Parser:
             weights = None
         return ("ring", name, field_spec, names, weights, order, first.line)
 
-    def parse_poly_decl(self):
-        self.expect("name")
+    def parse_binding(self):
+        kind = self.next().value
         name = self.expect("name").value
         self.expect("=")
-        expr = self.parse_expr_tokens(stop={";"})
+        expr = self.parse_expr()
         self.expect(";")
-        return ("poly", name, expr)
-
-    def parse_ideal_decl(self):
-        self.expect("name")
-        name = self.expect("name").value
-        self.expect("=")
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            exprs = self.parse_expr_list(stop=")")
-            self.expect(")")
-            self.expect(";")
-            return ("ideal", name, ("gens", exprs))
-        if tok.kind == "name" and self.peek(1).kind == "(":
-            op = self.next().value
-            self.expect("(")
-            args = self.parse_expr_list(stop=")", lists=True)
-            self.expect(")")
-            self.expect(";")
-            return ("ideal", name, ("op", op, args, tok.line, tok.col))
-        self.error("expected '(' or an operation call after '='")
+        return (kind, name, expr)
 
     def parse_command(self):
-        tok = self.next()
-        cmd = tok.value
-        args = []
-        if self.peek().kind == "(":
-            self.next()
-            args = self.parse_expr_list(stop=")", lists=True)
-            self.expect(")")
+        """A command is a call node: call style `cmd(a, b);` or space
+        style `cmd a b;`, each argument one token or a bracketed list."""
+        tok = self.peek()
+        if self.peek(1).kind == "(":
+            call = self.parse_base()
         else:
+            self.next()
+            args, spans = [], []
             while self.peek().kind != ";":
+                start = self.pos
                 nxt = self.peek()
                 if nxt.kind == "[":
-                    args.append(self.parse_bracket_list())
+                    args.append(self.parse_base())
                 elif nxt.kind in ("name", "int", "number"):
-                    args.append(("expr", [self.next()]))
+                    args.append((nxt.kind, self.next()))
                 else:
                     self.error(f"unexpected {nxt.value!r} in command")
+                spans.append(self.tokens[start:self.pos])
+            call = ("call", tok, args, spans)
         self.expect(";")
-        return ("command", cmd, args, tok.line, tok.col)
+        return ("command", call)
 
-    def parse_bracket_list(self):
-        self.expect("[")
-        exprs = self.parse_expr_list(stop="]")
-        self.expect("]")
-        return ("list", exprs)
+    # expressions: trees of tuples, each node keeping its token
+    #   leaves    ("int" | "number" | "name", tok)
+    #   operators ("neg", tok, operand), (op, tok, lhs, rhs) for op in
+    #             + - * /, ("^", tok, base, exponent_tok)
+    #   groups    ("tuple", tok, items) for (f, g, ...), ("list", tok,
+    #             items) for [f, g, ...], ("call", tok, args, spans) for
+    #             name(args), spans holding the tokens of each argument
 
-    def parse_expr_list(self, stop, lists=False):
-        """Comma-separated expressions up to `stop`; with `lists`, an
-        item may also be a bracketed list (the arguments of a call)."""
-        exprs = []
-        if self.peek().kind == stop:
-            return exprs
-        while True:
-            if lists and self.peek().kind == "[":
-                exprs.append(self.parse_bracket_list())
-            else:
-                exprs.append(self.parse_expr_tokens(stop={",", stop}))
-            if self.peek().kind != ",":
-                return exprs
+    def parse_expr(self):
+        tok = self.peek()
+        if tok.kind == "-":
             self.next()
+            node = ("neg", tok, self.parse_term())
+        else:
+            node = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.next()
+            node = (op.kind, op, node, self.parse_term())
+        return node
 
-    def parse_expr_tokens(self, stop):
-        """Collect the raw tokens of one expression, respecting nested
-        parentheses; evaluation happens later against an environment."""
-        collected = []
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.error("unterminated expression")
-            if depth == 0 and tok.kind in stop:
-                break
-            if tok.kind == "(":
-                depth += 1
-            elif tok.kind == ")":
-                if depth == 0:
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.peek().kind in ("*", "/"):
+            op = self.next()
+            node = (op.kind, op, node, self.parse_factor())
+        return node
+
+    def parse_factor(self):
+        node = self.parse_base()
+        if self.peek().kind == "^":
+            op = self.next()
+            exponent = self.next()
+            if exponent.kind != "int":
+                self.error("exponent must be an integer", exponent)
+            node = ("^", op, node, exponent)
+        return node
+
+    def parse_base(self):
+        tok = self.next()
+        if tok.kind in ("int", "number"):
+            return (tok.kind, tok)
+        if tok.kind == "name":
+            if self.peek().kind != "(":
+                return ("name", tok)
+            self.next()
+            return ("call", tok) + self.parse_expr_list(")")
+        if tok.kind == "(":
+            return ("tuple", tok, self.parse_expr_list(")")[0])
+        if tok.kind == "[":
+            return ("list", tok, self.parse_expr_list("]")[0])
+        self.error(f"unexpected {tok.value!r} in expression", tok)
+
+    def parse_expr_list(self, close):
+        """The comma-separated expressions up to and including `close`,
+        and the tokens each one spans."""
+        items, spans = [], []
+        if self.peek().kind != close:
+            while True:
+                start = self.pos
+                items.append(self.parse_expr())
+                spans.append(self.tokens[start:self.pos])
+                if self.peek().kind != ",":
                     break
-                depth -= 1
-            collected.append(self.next())
-        if not collected:
-            self.error("empty expression")
-        return ("expr", collected)
+                self.next()
+        self.expect(close)
+        return items, spans
 
 
 def parse_script(text):
@@ -295,160 +304,103 @@ def parse_script(text):
 
 # -- expression evaluation ---------------------------------------------------
 
-class _ExprEval:
-    """Recursive-descent evaluation of an expression token list in a
-    ring, with bindings."""
-
-    def __init__(self, ring, lookup):
-        self.ring = ring
-        self.lookup = lookup
-        self.tokens = None
-        self.pos = 0
-
-    def run(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        value = self.expr()
-        if self.pos != len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ScriptSyntaxError(
-                f"unexpected {tok.value!r} in expression", tok.line, tok.col)
-        return value
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise ScriptSyntaxError("unexpected end of expression",
-                                    last.line, last.col)
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        tok = self.peek()
-        if tok is not None and tok.kind == "-":
-            self.next()
-            value = self.term().scale(self.ring.field.neg(
-                self.ring.field.one))
-        else:
-            value = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("+", "-"):
-                return value
-            self.next()
-            rhs = self.term()
-            value = value + rhs if tok.kind == "+" else value - rhs
-
-    def term(self):
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("*", "/"):
-                return value
-            op = self.next()
-            rhs = self.factor()
-            if op.kind == "*":
-                value = value * rhs
-            else:
-                if rhs.degree() != 0 or rhs.is_zero():
-                    raise ScriptSyntaxError(
-                        "division only by nonzero constants",
-                        op.line, op.col)
-                value = value.scale(self.ring.field.inv(rhs.lc()))
-
-    def factor(self):
-        value = self.base()
-        tok = self.peek()
-        if tok is not None and tok.kind == "^":
-            self.next()
-            e = self.next()
-            if e.kind != "int":
-                raise ScriptSyntaxError("exponent must be an integer",
-                                        e.line, e.col)
-            value = value ** int(e.value)
-        return value
-
-    def base(self):
-        tok = self.next()
-        if tok.kind == "int":
-            return self.ring.constant(
-                self.ring.field.normalize(int(tok.value)))
-        if tok.kind == "(":
-            value = self.expr()
-            close = self.next()
-            if close.kind != ")":
-                raise ScriptSyntaxError("expected ')'",
-                                        close.line, close.col)
-            return value
-        if tok.kind == "name":
-            if tok.value == "gen" and self.peek() is not None \
-                    and self.peek().kind == "(":
-                return self.gen_accessor(tok)
-            return self.resolve_name(tok)
-        raise ScriptSyntaxError(f"unexpected {tok.value!r} in expression",
-                                tok.line, tok.col)
-
-    def gen_accessor(self, tok):
-        self.next()  # '('
-        name = self.next()
-        comma = self.next()
-        idx = self.next()
-        close = self.next()
-        if name.kind != "name" or comma.kind != "," or \
-                idx.kind != "int" or close.kind != ")":
-            raise ScriptSyntaxError("expected gen(IDEAL, index)",
+def evaluate(node, ring, lookup):
+    """The polynomial in `ring` that an expression tree denotes; a name
+    is a binding found by `lookup`, else a ring variable."""
+    kind, tok = node[0], node[1]
+    if kind == "int":
+        return ring.constant(ring.field.normalize(int(tok.value)))
+    if kind == "name":
+        return _resolve_name(tok, ring, lookup)
+    if kind == "neg":
+        value = evaluate(node[2], ring, lookup)
+        return value.scale(ring.field.neg(ring.field.one))
+    if kind == "^":
+        return evaluate(node[2], ring, lookup) ** int(node[3].value)
+    if kind in ("+", "-", "*", "/"):
+        lhs = evaluate(node[2], ring, lookup)
+        rhs = evaluate(node[3], ring, lookup)
+        if kind == "+":
+            return lhs + rhs
+        if kind == "-":
+            return lhs - rhs
+        if kind == "*":
+            return lhs * rhs
+        if rhs.degree() != 0 or rhs.is_zero():
+            raise ScriptSyntaxError("division only by nonzero constants",
                                     tok.line, tok.col)
-        obj = self.lookup(name.value)
-        if not isinstance(obj, Ideal):
-            raise ScriptSyntaxError(f"{name.value!r} is not an ideal",
-                                    name.line, name.col)
-        i = int(idx.value)
-        if i >= len(obj.generators):
-            raise ScriptSyntaxError(
-                f"{name.value} has only {len(obj.generators)} generators",
-                idx.line, idx.col)
-        if obj.ring != self.ring:
-            raise ScriptSyntaxError(
-                f"{name.value} lives in a different ring",
-                name.line, name.col)
-        return obj.generators[i]
+        return lhs.scale(ring.field.inv(rhs.lc()))
+    if kind == "tuple" and len(node[2]) == 1:
+        return evaluate(node[2][0], ring, lookup)
+    if kind == "call" and tok.value == "gen":
+        return _generator(node, ring, lookup)
+    raise ScriptSyntaxError(f"expected a polynomial, found {tok.value!r}",
+                            tok.line, tok.col)
 
-    def resolve_name(self, tok):
-        text = tok.value
-        obj = self.lookup(text)
-        if isinstance(obj, Polynomial):
-            if obj.ring != self.ring:
-                raise ScriptSyntaxError(
-                    f"{text!r} lives in a different ring",
-                    tok.line, tok.col)
-            return obj
-        if obj is not None and not isinstance(obj, Polynomial):
-            raise ScriptSyntaxError(f"{text!r} is not a polynomial",
-                                    tok.line, tok.col)
-        # exponent shorthand: known variable followed by digits
-        index = self.ring._index
-        base = text.rstrip("0123456789")
-        if base != text and base in index:
-            return self.ring.var(index[base]) ** int(text[len(base):])
-        if text in index:
-            return self.ring.var(index[text])
-        raise ScriptSyntaxError(f"unknown name {text!r}",
+
+def _generator(node, ring, lookup):
+    """gen(IDEAL, i): generator i of a bound ideal."""
+    _, tok, args, _ = node
+    if len(args) != 2 or args[0][0] != "name" or args[1][0] != "int":
+        raise ScriptSyntaxError("expected gen(IDEAL, index)",
                                 tok.line, tok.col)
+    name, idx = args[0][1], args[1][1]
+    obj = lookup(name.value)
+    if not isinstance(obj, Ideal):
+        raise ScriptSyntaxError(f"{name.value!r} is not an ideal",
+                                name.line, name.col)
+    i = int(idx.value)
+    if i >= len(obj.generators):
+        raise ScriptSyntaxError(
+            f"{name.value} has only {len(obj.generators)} generators",
+            idx.line, idx.col)
+    if obj.ring != ring:
+        raise ScriptSyntaxError(f"{name.value} lives in a different ring",
+                                name.line, name.col)
+    return obj.generators[i]
+
+
+def _resolve_name(tok, ring, lookup):
+    text = tok.value
+    obj = lookup(text)
+    if isinstance(obj, Polynomial):
+        if obj.ring != ring:
+            raise ScriptSyntaxError(f"{text!r} lives in a different ring",
+                                    tok.line, tok.col)
+        return obj
+    if obj is not None:
+        raise ScriptSyntaxError(f"{text!r} is not a polynomial",
+                                tok.line, tok.col)
+    # exponent shorthand: known variable followed by digits
+    index = ring._index
+    base = text.rstrip("0123456789")
+    if base != text and base in index:
+        return ring.var(index[base]) ** int(text[len(base):])
+    if text in index:
+        return ring.var(index[text])
+    raise ScriptSyntaxError(f"unknown name {text!r}", tok.line, tok.col)
+
+
+def _names(node):
+    """The name tokens of an expression tree, in source order (a call's
+    own name excluded)."""
+    if node[0] == "name":
+        yield node[1]
+    elif node[0] in ("tuple", "list", "call"):
+        for item in node[2]:
+            yield from _names(item)
+    else:
+        for child in node[2:]:
+            if isinstance(child, tuple):
+                yield from _names(child)
 
 
 def parse_polynomial(ring, text, lookup=None):
     """Parse one polynomial expression in the given ring."""
-    tokens = tokenize(text)[:-1]
-    if not tokens:
-        raise ScriptSyntaxError("empty polynomial", 1, 1)
-    lookup = lookup or (lambda name: None)
-    return _ExprEval(ring, lookup).run(tokens)
+    parser = _Parser(tokenize(text))
+    node = parser.parse_expr()
+    parser.expect("eof")
+    return evaluate(node, ring, lookup or (lambda name: None))
 
 
 # -- interpreter -------------------------------------------------------------
@@ -483,9 +435,8 @@ class Interpreter:
     def lookup(self, name):
         return self.bindings.get(name)
 
-    def eval_expr(self, expr_node):
-        _, tokens = expr_node
-        return _ExprEval(self.ring, self.lookup).run(list(tokens))
+    def eval_expr(self, node):
+        return evaluate(node, self.ring, self.lookup)
 
     def need_ring(self, line=1, col=1):
         if self.ring is None:
@@ -525,42 +476,42 @@ class Interpreter:
         self.bindings[name] = self.eval_expr(expr)
 
     def exec_ideal(self, stmt):
-        _, name, rhs = stmt
+        _, name, expr = stmt
         self.need_ring()
-        if rhs[0] == "gens":
-            gens = [self.eval_expr(e) for e in rhs[1]]
-            self.bindings[name] = Ideal(self.ring, gens)
-            return
-        _, op, args, line, col = rhs
-        self.bindings[name] = self.call("op", op, args, line, col)
+        self.bindings[name] = self._ideal(expr)
 
     def exec_command(self, stmt, index):
-        _, cmd, args, line, col = stmt
-        self.need_ring(line, col)
-        result = self.call("cmd", cmd, args, line, col)
-        echo = [" ".join(t.value for t in arg[1]) if arg[0] == "expr"
-                else "[...]" for arg in args]
+        _, call = stmt
+        _, tok, args, spans = call
+        self.need_ring(tok.line, tok.col)
+        result = self.call("cmd", call)
+        echo = ["[...]" if arg[0] == "list"
+                else " ".join(t.value for t in span)
+                for arg, span in zip(args, spans)]
         self.entries.append({
             "index": index,
-            "command": " ".join([cmd] + echo),
+            "command": " ".join([tok.value] + echo),
             "result": result,
         })
 
-    def call(self, kind, name, args, line, col):
+    def call(self, kind, node):
         """Run the command (kind "cmd") or ideal operation (kind "op")
-        `name` on its converted arguments."""
-        handler = getattr(self, f"{kind}_{name}", None)
+        that a call node names on its converted arguments."""
+        _, tok, args, _ = node
+        handler = getattr(self, f"{kind}_{tok.value}", None)
         if handler is None:
             noun = "command" if kind == "cmd" else "ideal operation"
-            raise ScriptSyntaxError(f"unknown {noun} {name!r}", line, col)
-        return handler(*self.convert_args(args, handler.spec, line, col))
+            raise ScriptSyntaxError(f"unknown {noun} {tok.value!r}",
+                                    tok.line, tok.col)
+        return handler(*self.convert_args(args, handler.spec,
+                                          tok.line, tok.col))
 
     # -- arguments --
 
     def convert_args(self, args, spec, line, col):
         """The arguments converted by `spec`, one letter per argument: I
         ideal, P polynomial, L polynomial list, N integer, W one-token
-        word (a variable name or a tag), E expression tokens.  A final
+        word (a variable name or a tag), E expression tree.  A final
         '?' makes the last argument optional (None when left out); a
         final '*' repeats the last letter for any further arguments.  A
         wrong argument count is a syntax error."""
@@ -574,62 +525,48 @@ class Interpreter:
             raise ScriptSyntaxError(
                 f"wrong number of arguments: expected {expected}, "
                 f"found {len(args)}", line, col)
-        values = [self._CONVERTERS[kinds[min(i, len(kinds) - 1)]](
-            self, arg, line, col) for i, arg in enumerate(args)]
+        values = [self._CONVERTERS[kinds[min(i, len(kinds) - 1)]](self, arg)
+                  for i, arg in enumerate(args)]
         return values + [None] * (len(kinds) - len(values) - repeat)
 
-    def _ideal(self, arg, line, col):
-        """An ideal name or an inline generator tuple (f, g, ...)."""
-        kind, tokens = arg
-        if kind == "expr" and len(tokens) == 1 and tokens[0].kind == "name":
-            tok = tokens[0]
+    def _ideal(self, arg):
+        """An ideal name, an inline generator tuple (f, g, ...) or an
+        ideal operation call."""
+        kind, tok = arg[0], arg[1]
+        if kind == "name":
             obj = self.lookup(tok.value)
             if isinstance(obj, Ideal):
                 return obj
             raise ScriptSyntaxError(f"{tok.value!r} is not an ideal",
                                     tok.line, tok.col)
-        if kind == "expr" and tokens[0].kind == "(":
-            last = tokens[-1]
-            parser = _Parser(tokens + [Token("eof", "", last.line,
-                                             last.col)])
-            parser.next()
-            exprs = parser.parse_expr_list(stop=")")
-            if exprs and parser.next().kind == ")" and \
-                    parser.peek().kind == "eof":
-                return Ideal(self.ring, [self.eval_expr(e) for e in exprs])
+        if kind == "tuple":
+            return Ideal(self.ring, [self.eval_expr(e) for e in arg[2]])
+        if kind == "call":
+            return self.call("op", arg)
         raise ScriptSyntaxError(
-            "expected an ideal name or an inline (generators) tuple",
-            line, col)
+            "expected an ideal name, an inline (generators) tuple or an "
+            "ideal operation", tok.line, tok.col)
 
-    def _poly(self, arg, line, col):
-        if arg[0] != "expr":
-            raise ScriptSyntaxError("expected a polynomial", line, col)
-        return self.eval_expr(arg)
-
-    def _polys(self, arg, line, col):
+    def _polys(self, arg):
         """A bracketed list [f, g, ...], or the generators of an ideal."""
         if arg[0] == "list":
-            return [self.eval_expr(e) for e in arg[1]]
-        return list(self._ideal(arg, line, col).generators)
+            return [self.eval_expr(e) for e in arg[2]]
+        return list(self._ideal(arg).generators)
 
-    def _token(self, arg, kinds, what, line, col):
-        if arg[0] == "expr" and len(arg[1]) == 1 and arg[1][0].kind in kinds:
-            return arg[1][0].value
-        raise ScriptSyntaxError(f"expected {what}", line, col)
+    def _token(self, arg, kinds, what):
+        tok = arg[1]
+        if arg[0] in kinds:
+            return tok.value
+        raise ScriptSyntaxError(f"expected {what}", tok.line, tok.col)
 
-    def _int(self, arg, line, col):
-        return int(self._token(arg, ("int",), "an integer", line, col))
+    def _int(self, arg):
+        return int(self._token(arg, ("int",), "an integer"))
 
-    def _word(self, arg, line, col):
-        return self._token(arg, ("name", "number"), "a name", line, col)
+    def _word(self, arg):
+        return self._token(arg, ("name", "number"), "a name")
 
-    def _tokens(self, arg, line, col):
-        if arg[0] != "expr":
-            raise ScriptSyntaxError("expected an expression", line, col)
-        return arg[1]
-
-    _CONVERTERS = {"I": _ideal, "P": _poly, "L": _polys, "N": _int,
-                   "W": _word, "E": _tokens}
+    _CONVERTERS = {"I": _ideal, "P": eval_expr, "L": _polys, "N": _int,
+                   "W": _word, "E": lambda self, tree: tree}
 
     # -- ideal operations --
 
@@ -657,22 +594,19 @@ class Interpreter:
         # target variables: identifiers that are not ring variables or
         # bindings, with exponent shorthand stripped (x2 names x)
         target_names = []
-        for tokens in images:
-            for tok in tokens:
-                if (tok.kind != "name" or tok.value in self.ring._index
-                        or tok.value in self.bindings):
-                    continue
-                name = tok.value.rstrip("0123456789")
-                if name not in target_names:
-                    target_names.append(name)
+        for tok in (tok for image in images for tok in _names(image)):
+            if tok.value in self.ring._index or tok.value in self.bindings:
+                continue
+            name = tok.value.rstrip("0123456789")
+            if name not in target_names:
+                target_names.append(name)
         if not target_names:
-            first = images[0][0]
+            first = images[0][1]
             raise ScriptSyntaxError("kernel images use no new variables",
                                     first.line, first.col)
         target = Ring(self.ring.field, target_names)
         return kernel_of_map(self.ring, [
-            _ExprEval(target, self.lookup).run(list(tokens))
-            for tokens in images])
+            evaluate(image, target, self.lookup) for image in images])
 
     def _min_reduction(self, I):
         return reductions.find_minimal_reduction(
@@ -804,7 +738,8 @@ class Interpreter:
     def cmd_powerscan(self, I, J, n_max):
         if n_max is None:
             n_max = self.flags.n_cap
-        n = cancellation.power_containment_scan(I, J, n_max=n_max)
+        report = reductions.reduction_number(I, J, n_cap=self.flags.n_cap)
+        n = cancellation.power_containment_scan(I, J, n_max, report)
         return {"n": n, "n_max": n_max}
 
     @_takes("W")

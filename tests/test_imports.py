@@ -115,3 +115,14 @@ def test_monomials_compare_in_one_place():
     assert sites == {"ring.Ring.__init__", "orders.Block.key_fn"}
     ring = Ring(PrimeField(32003), ["x", "y"])
     assert [a for a in vars(ring) if a.endswith("_memo")] == ["_key_memo"]
+
+
+def test_expressions_are_parsed_in_one_place():
+    """A parser is built only for a whole script and for one polynomial:
+    the interpreter evaluates the trees it is handed and never reads
+    tokens again."""
+    src = pathlib.Path(cancelkit.__file__).parent
+    sites = {site for path in sorted(src.glob("*.py"))
+             for site in _call_sites(ast.parse(path.read_text()), "_Parser",
+                                     path.stem)}
+    assert sites == {"script.parse_script", "script.parse_polynomial"}

@@ -1,6 +1,6 @@
 import pytest
 
-from cancelkit import gb
+from cancelkit import gb, rees
 from cancelkit.errors import BadRegularSequence, NotGraded
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal, kernel_of_map
@@ -168,3 +168,34 @@ def test_name_collision_rejected():
     from cancelkit.errors import ArityMismatch
     with pytest.raises(ArityMismatch):
         rees_presentation(Ideal(R, [T1, y]))
+
+
+# mixed-degree homogeneous ideals: the certificate sandwich closes on the
+# first four (their fiber ideal given) and not on the last two
+MIXED_DEGREE_FIBERS = (
+    (["x", "y"], ["x2", "x*y", "y3"], ["T1*T3"]),
+    (["x", "y", "z"], ["x*y", "y*z", "z3", "x3"],
+     ["T1^3*T3+32002*T2^3*T4"]),
+    (["x", "y", "z"], ["x2", "x*y", "y3", "z3"], ["T1*T3"]),
+    (["x", "y"], ["x2", "x*y2 + y3", "y4"], ["T3"]),
+    (["x", "y"], ["x2", "y3"], None),
+    (["x", "y"], ["x2", "x*y2", "y3"], None),
+)
+
+
+@pytest.mark.parametrize("names, gens, fiber", MIXED_DEGREE_FIBERS)
+def test_fiber_is_the_image_of_q(names, gens, fiber):
+    # however the fiber ideal is found, it is the image of the Rees
+    # presentation ideal Q under x -> 0
+    R = Ring(PrimeField(32003), names)
+    I = Ideal(R, [R.poly(g) for g in gens])
+    pres = rees_presentation(I)
+    T = pres.fiber_ideal.ring
+    to_t = [None] * R.n + list(range(len(gens)))
+    image = Ideal(T, [embed(q, T, to_t) for q in pres.Q.generators])
+    assert pres.fiber_ideal == image
+    certified = rees._fiber_by_certificates(I, T)
+    if fiber is None:
+        assert certified is None
+    else:
+        assert [str(g) for g in certified.groebner().generators] == fiber

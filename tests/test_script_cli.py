@@ -86,6 +86,22 @@ reduction(I, J);
     assert r1["commands"][0]["result"]["is_reduction"] is True
 
 
+def test_ideal_operations_nest():
+    # an ideal argument is a name, a tuple or an operation call, so
+    # operations compose without naming each step
+    text = """\
+ring R = zp(32003)[x,y] grevlex;
+ideal I = (x2, y2);
+ideal J = (x*y);
+ideal K = colon(sum(I, J), (x));
+ideal L = K;
+print K;
+equal(L, sum(colon(I, (x)), (y)));
+"""
+    results = [c["result"] for c in run_script(text)["commands"]]
+    assert results == [{"generators": ["y", "x"]}, {"equal": True}]
+
+
 # commands and operations outside the benchmark, in both styles
 
 ALL_FORMS_HEAD = """\
@@ -458,6 +474,36 @@ def test_cli_hypothesis_failure_exit_code(tmp_path):
         script.write_text(text)
         out = _cli(["run", str(script)])
         assert out.returncode == 2, out.stderr
+    # a malformed statement after the failing one is found first
+    script.write_text(HYPOTHESIS_FAILURES[0] + "poly f = x + + y;\n")
+    out = _cli(["run", str(script)])
+    assert out.returncode == 1, out.stderr
+    assert "syntax error at line 6" in out.stderr
+
+
+POWERSCAN_NCAP = (
+    # r(I, J) = 11: inside --ncap 12, J is a reduction and the scan runs
+    ("(x12, y12, x*y11)", "(x12, y12)", "12", 0),
+    # r(I, J) = 1 lies outside --ncap 0: the reduction is inconclusive
+    ("(x2, x*y, y2)", "(x2, y2)", "0", 2),
+)
+
+
+@pytest.mark.parametrize("I, J, ncap, code", POWERSCAN_NCAP)
+def test_powerscan_verifies_the_reduction_within_ncap(tmp_path, capsys, I,
+                                                      J, ncap, code):
+    script = tmp_path / "scan.ck"
+    script.write_text(f"ring R = zp(32003)[x,y] grevlex;\nideal I = {I};\n"
+                      f"ideal J = {J};\nreduction(I, J);\n"
+                      "powerscan(I, J, 12);\n")
+    assert main(["run", str(script), "--ncap", ncap]) == code
+    out = capsys.readouterr()
+    if code:
+        assert "not a verified reduction" in out.err
+    else:
+        reduction, scan = json.loads(out.out)["commands"]
+        assert reduction["result"] == {"is_reduction": True, "r": 11}
+        assert scan["result"] == {"n": 2, "n_max": 12}
 
 HYPOTHESES_THEN_CANCELCHECK = """\
 ring R = zp(32003)[x:3,y:4,z:5] grevlex;
@@ -522,3 +568,39 @@ ideal A = (y2-x*z, x3-y*z);
     last = report["commands"][-1]["result"]
     assert last["steps"], last
     assert all(ok for _name, ok in last["steps"])
+
+
+THEOREM_BINDINGS = """\
+ring R = zp(32003)[x:3,y:4,z:5] grevlex;
+ideal P = kernel(t3,t4,t5);
+ideal A = (y2-x*z, x3-y*z);
+ideal J = (y2-x*z, x3-y*z, x2*y-z2);
+ideal I = (x2, x*y, y2);
+ideal B = (x2, y2);
+"""
+
+SUBCOMMANDS = (
+    (["cancel-check", "P", "A", "x2*y-z2", "J"],
+     "cancelcheck(P, A, x2*y-z2, J);"),
+    (["link", "P", "A"], "link(P, A);"),
+    (["cor213", "P", "A", "x2*y-z2", "2"], "cor213(P, A, x2*y-z2, 2);"),
+    (["power-scan", "I", "B", "4"], "powerscan(I, B, 4);"),
+    # without nmax, power-scan scans up to --ncap
+    (["power-scan", "I", "B", "--ncap", "3"], "powerscan(I, B, 3);"),
+)
+
+
+@pytest.mark.parametrize("argv, command", SUBCOMMANDS)
+def test_cli_subcommand_is_its_script_command(tmp_path, capsys, argv,
+                                              command):
+    # a theorem subcommand reports what its script command reports
+    bindings = tmp_path / "bindings.ck"
+    bindings.write_text(THEOREM_BINDINGS)
+    assert main([argv[0], str(bindings)] + argv[1:]) == 0
+    synthesized = json.loads(capsys.readouterr().out)
+    script = tmp_path / "explicit.ck"
+    script.write_text(THEOREM_BINDINGS + command + "\n")
+    flags = argv[argv.index("--ncap"):] if "--ncap" in argv else []
+    assert main(["run", str(script)] + flags) == 0
+    explicit = json.loads(capsys.readouterr().out)
+    assert synthesized == explicit
