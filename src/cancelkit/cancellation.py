@@ -23,6 +23,7 @@ from .errors import (BadRegularSequence, HypothesisFailed, NotReduction,
                      SearchExhausted, TheoremViolation)
 from .ideals import Ideal, is_unmixed, radical_contains
 from .resolutions import cohomology_summary
+from .ring import combination
 
 
 class CancellationHypotheses:
@@ -258,14 +259,8 @@ def _regular_sequence_in(K, length, seed=0, attempts=100):
         return None
     for attempt in range(attempts):
         rng = random.Random(f"{seed}-rs-{attempt}")
-        combo = []
-        for _ in range(length):
-            f = ring.zero()
-            for g in gens:
-                c = field.random(rng)
-                if c != field.zero:
-                    f = f + g.scale(c)
-            combo.append(f)
+        combo = [combination(ring, [field.random(rng) for _ in gens], gens)
+                 for _ in range(length)]
         if any(f.is_zero() for f in combo):
             continue
         if Ideal(ring, combo).height == length:

@@ -4,14 +4,17 @@ Elements are plain Python values (int residues in [0, p) for F_p,
 `fractions.Fraction` for Q), so polynomial inner loops stay cheap.  The
 field object supplies the arithmetic and canonicalization.
 
-Over Q, `Fraction` is the form at the API: every polynomial a caller
-builds or gets back has `Fraction` coefficients.  Inside, the Groebner
-engine (`gb`) and polynomial products work on integers -- each
-polynomial cleared of denominators and of its content -- and build
-`Fraction`s only for what they return.
+These are the forms at the API: every polynomial a caller builds or gets
+back has canonical residues or `Fraction`s.  Inside, the Groebner engine
+(`gb`) and polynomial products work on plain integers over both fields:
+`to_ints` takes a polynomial's terms to integers and `from_ints` takes
+integers back to the field, and this module is the only one that knows
+how.  Over F_p those integers may be unreduced or negative; they are
+reduced mod p (the field's `characteristic`) when they leave.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ZeroInversion
 
@@ -41,9 +44,26 @@ class PrimeField:
             raise ValueError(f"modulus must satisfy 2 < p < 2^31, got {p}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = 0
         self.one = 1
+
+    def to_ints(self, terms, lead=None):
+        """(ints, num, den) with terms[m] == ints[m] * num / den mod p.
+        Without lead, a copy; with lead, the monic form, reduced mod p
+        with zero terms dropped (terms may hold any integers)."""
+        if lead is None:
+            return dict(terms), 1, 1
+        p = self.p
+        num = terms[lead] % p
+        inv = self.inv(num)
+        return {m: v for m, c in terms.items() if (v := c * inv % p)}, num, 1
+
+    def from_ints(self, ints, num, den):
+        """The residues of ints * num / den, zero terms dropped."""
+        p = self.p
+        scale = num * self.inv(den) % p
+        return {m: v for m, c in ints.items() if (v := c * scale % p)}
 
     def normalize(self, x):
         if isinstance(x, Fraction):
@@ -91,10 +111,31 @@ class RationalField:
     """Q with elements as `Fraction` (already canonical: reduced, den > 0)."""
 
     kind = "rationals"
+    characteristic = 0
 
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
+
+    def to_ints(self, terms, lead=None):
+        """(ints, num, den) with terms[m] == ints[m] * num / den, den the
+        lcm of the denominators.  With lead, also without content and
+        with ints[lead] > 0: the primitive form.  terms may hold ints."""
+        den = lcm(*[c.denominator for c in terms.values()])
+        ints = {m: c.numerator * (den // c.denominator)
+                for m, c in terms.items()}
+        if lead is None:
+            return ints, 1, den
+        num = gcd(*ints.values())
+        if ints[lead] < 0:
+            num = -num
+        if num != 1:
+            ints = {m: c // num for m, c in ints.items()}
+        return ints, num, den
+
+    def from_ints(self, ints, num, den):
+        """The Fractions ints * num / den, zero terms dropped."""
+        return {m: Fraction(c * num, den) for m, c in ints.items() if c}
 
     def normalize(self, x):
         return Fraction(x)

@@ -20,7 +20,7 @@ from .linalg import rank
 from .reductions import find_minimal_reduction
 from .rees import rees_presentation
 from .resolutions import cohomology_summary
-from .ring import Ring
+from .ring import Ring, combination
 
 
 def monomial_curve(exponents, field=None, names=None):
@@ -195,14 +195,8 @@ def _certify(I, seed, attempts=30):
             return H
     for attempt in range(attempts):
         rng = random.Random(f"{seed}-certify-{attempt}")
-        combos = []
-        for _ in range(g + 1):
-            f = ring.zero()
-            for gen in gens:
-                c = field.random(rng)
-                if c != field.zero:
-                    f = f + gen.scale(c)
-            combos.append(f)
+        combos = [combination(ring, [field.random(rng) for _ in gens], gens)
+                  for _ in range(g + 1)]
         if any(f.is_zero() for f in combos):
             continue
         H = check_hypotheses(I, combos[:g], combos[g])

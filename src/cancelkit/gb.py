@@ -7,26 +7,27 @@ Everything here is deterministic: pair selection is by minimal lcm degree
 with ties broken by the lcm's exponent key and then the pair indices, and
 division always uses the first applicable divisor in list order.
 
-Over Q the engine runs on primitive integer polynomials (coprime
-integer coefficients, positive leading one): S-polynomials are integer
+Over both fields the engine runs on integer polynomials in working
+form, which the field makes (`to_ints` with a lead): monic over F_p,
+primitive with a positive lead over Q.  S-polynomials are integer
 combinations and division is pseudo-division with content removal
-(Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  Fractions are built only at
-the boundary: the monic reduced basis `_interreduce` returns and the
+(Knuth, TAOCP vol. 2, 4.6.1, Algorithm R); over F_p every lead is 1, so
+it is plain division, with coefficients reduced mod p as their terms
+are popped.  Field elements are built (`from_ints`) only at the
+boundary: the monic reduced basis `_interreduce` returns and the
 remainder `normal_form` returns.  Reduced bases are unique, so they are
-the same as with Fraction arithmetic throughout.  Over F_p basis
-elements are kept monic.
+the same as with field arithmetic throughout.
 
 PAIR_CAP and DEGREE_CAP are the engine's resource ceilings: hitting one
 raises ResourceExceeded, never silently truncates.
 """
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 from . import cache as _cache
 from .errors import ResourceExceeded, RingMismatch
-from .ring import EXP_MAX, Polynomial, common_denominator
+from .ring import EXP_MAX, Polynomial
 
 PAIR_CAP = 10**6
 DEGREE_CAP = 60
@@ -41,7 +42,7 @@ class GroebnerBasis:
     def divisors(self):
         """The division data of the generators, built on first use."""
         if self._divisors is None:
-            self._divisors = [_divisor(g, self.ring) for g in self.generators]
+            self._divisors = [_divisor(_working(g)) for g in self.generators]
         return self._divisors
 
     def __iter__(self):
@@ -64,43 +65,23 @@ def _common_ring(polys):
     return ring
 
 
-def _integral(terms, lm=None):
-    """Q coefficients as integers with no common factor: (ints, num, den)
-    with terms[m] == ints[m] * num / den.  The coefficient at lm, when
-    given, comes out positive."""
-    den, ints = common_denominator(terms)
-    num = gcd(*ints.values())
-    if lm is not None and ints[lm] < 0:
-        num = -num
-    if num != 1:
-        ints = {m: c // num for m, c in ints.items()}
-    return ints, num, den
+def _working(g):
+    """Nonzero g in the engine's working form: integer coefficients,
+    monic over F_p, primitive with a positive lead over Q."""
+    return Polynomial(g.ring, g.ring.field.to_ints(g.terms, g.lm())[0])
 
 
-def _primitive(g):
-    """g over Q as its primitive integer form: coprime integer
-    coefficients and a positive leading one (g's working form in the
-    engine)."""
-    return Polynomial(g.ring, _integral(g.terms, g.lm())[0])
-
-
-def _divisor(g, ring):
-    """(lm, a, tail, top) of a nonzero g: over F_p a is the
-    inverse of the leading coefficient; over Q g is taken in primitive
-    integer form and a is its leading coefficient.  tail excludes the
-    lead; top, the bitwise or of the tail's monomials, bounds each of
-    their exponents."""
+def _divisor(g):
+    """(lm, a, tail, top) of g in working form: a is its leading
+    coefficient (1 over F_p), tail excludes the lead, and top, the
+    bitwise or of the tail's monomials, bounds each of their
+    exponents."""
     lm = g.lm()
-    if ring.field.kind == "prime_field":
-        a = ring.field.inv(g.lc())
-    else:
-        g = _primitive(g)
-        a = g.terms[lm]
     tail = tuple((m, c) for m, c in g.terms.items() if m != lm)
     top = 0
     for m, _ in tail:
         top |= m
-    return (lm, a, tail, top)
+    return (lm, g.terms[lm], tail, top)
 
 
 def normal_form(f, G):
@@ -118,32 +99,31 @@ def normal_form(f, G):
         divisors = G.divisors()
     else:
         ring = _common_ring([f] + list(G))
-        divisors = [_divisor(g, ring) for g in G if not g.is_zero()]
+        divisors = [_divisor(_working(g)) for g in G if not g.is_zero()]
     if not divisors or f.is_zero():
         return f
     return _divide(f, divisors, ring, full=True)
 
 
 def _divide(f, divisors, ring, full):
-    """The division loop.  With full=False it stops at the first
-    irreducible term and leaves the tail unreduced: enough for basis
-    building and zero-testing, and much cheaper than a full normal form.
+    """The division loop: pseudo-division on integers, over both fields.
+    Before a term c*x^m is cancelled by a divisor with lead a, the
+    remainder is scaled by a/gcd(a, c), and that factor is folded into
+    one denominator; over F_p every lead is 1 and no scaling happens,
+    and a coefficient is reduced mod p when its term is popped.
 
-    Over Q it is pseudo-division on integers: before a term c*x^m is
-    cancelled by a divisor with integer lead a, the remainder is scaled
-    by a/gcd(a, c), and that factor is folded into one denominator.
-    With full=False the remainder is returned as a scalar multiple in
-    integers (its monomials are those of the true remainder); with
-    full=True it is the exact remainder, in Fractions.
+    With full=False it stops at the first irreducible term and returns
+    the partial remainder in working form (its monomials are those of
+    the true remainder's): enough for basis building and zero-testing,
+    and much cheaper than a full normal form.  With full=True it returns
+    the exact remainder in the field.
     """
     key = ring.key
     guards = ring._guards
-    p = ring.field.p if ring.field.kind == "prime_field" else None
-    if p is None:
-        # f == work * num / den throughout
-        work, num, den = _integral(f.terms)
-    else:
-        work = dict(f.terms)
+    field = ring.field
+    p = field.characteristic
+    # f == work * num / den throughout
+    work, num, den = field.to_ints(f.terms)
     # a min-heap on the negated key pops the largest monomial first
     heap = [(-key(m), m) for m in work]
     heapq.heapify(heap)
@@ -154,6 +134,10 @@ def _divide(f, divisors, ring, full):
         c = work.pop(m, None)
         if c is None:
             continue
+        if p:
+            c %= p
+            if not c:
+                continue
         bg = m | guards
         for lm, a, tail, top in divisors:
             if (bg - lm) & guards == guards:
@@ -162,7 +146,7 @@ def _divide(f, divisors, ring, full):
             result[m] = c
             if not full:
                 result.update(work)
-                break
+                return Polynomial(ring, field.to_ints(result, m)[0])
             continue
         q = m - lm
         # exponents below 2^15 add without a carry, so a new term mt + q
@@ -172,29 +156,17 @@ def _divide(f, divisors, ring, full):
             raise ResourceExceeded(
                 "exponent overflow: a division step makes an exponent "
                 f"above {EXP_MAX}")
-        if p is not None:
-            factor = c * a % p
-            for mt, ct in tail:
-                mm = mt + q
-                old = work.get(mm)
-                if old is None:
-                    work[mm] = (-factor * ct) % p
-                    push(heap, (-key(mm), mm))
-                else:
-                    val = (old - factor * ct) % p
-                    if val:
-                        work[mm] = val
-                    else:
-                        del work[mm]
-            continue
-        h = gcd(c, a)
-        scale = a // h
-        if scale != 1:
+        if c % a:
+            h = gcd(c, a)
+            scale = a // h
             work = {k: v * scale for k, v in work.items()}
             if full:
                 result = {k: v * scale for k, v in result.items()}
             den *= scale
-        factor = c // h
+            factor = c // h
+        else:
+            scale = 1
+            factor = c // a
         for mt, ct in tail:
             mm = mt + q
             old = work.get(mm)
@@ -213,21 +185,16 @@ def _divide(f, divisors, ring, full):
                 work = {k: v // content for k, v in work.items()}
                 result = {k: v // content for k, v in result.items()}
                 num *= content
-    if p is None and full:
-        result = {m: Fraction(c * num, den) for m, c in result.items()}
-    return Polynomial(ring, result)
+    if not full:
+        return ring.zero()
+    return Polynomial(ring, field.from_ints(result, num, den))
 
 
 def _spoly(f, g, lcm, ring):
-    """The S-polynomial of f and g, given lcm(lm f, lm g).  Over Q f and
-    g are primitive integer forms, and the S-polynomial is their integer
-    combination (lc g/h)*x^(lcm - lm f)*f - (lc f/h)*x^(lcm - lm g)*g
-    with h = gcd(lc f, lc g)."""
-    field = ring.field
-    if field.kind == "prime_field":
-        a = f.mul_term(lcm - f.lm(), field.inv(f.lc()))
-        b = g.mul_term(lcm - g.lm(), field.inv(g.lc()))
-        return a - b
+    """The S-polynomial of f and g in working form, given lcm(lm f,
+    lm g): the integer combination
+    (lc g/h)*x^(lcm - lm f)*f - (lc f/h)*x^(lcm - lm g)*g with
+    h = gcd(lc f, lc g) (over F_p both leads are 1)."""
     h = gcd(f.lc(), g.lc())
     qf, cf = lcm - f.lm(), g.lc() // h
     qg, cg = lcm - g.lm(), f.lc() // h
@@ -312,20 +279,18 @@ def _basis(gens, ring):
     # degree when the ring is weighted, so homogeneous inputs are
     # processed degree by degree
     pair_deg = ring.mono_wdeg if ring.weights is not None else ring.mono_deg
-    # G holds monic elements over F_p and primitive integer forms over Q
-    working = (Polynomial.monic if ring.field.kind == "prime_field"
-               else _primitive)
+    # G holds working forms
     G, lms, div = [], [], []
     pairs, heap = {}, []
 
     def add(g):
         G.append(g)
         lms.append(g.lm())
-        div.append(_divisor(g, ring))
+        div.append(_divisor(g))
         _gm_update(lms, pairs, heap, ring, pair_deg)
 
     for g in sorted(gens, key=lambda f: ring.key(f.lm())):
-        add(working(g))
+        add(_working(g))
 
     processed = 0
     while heap:
@@ -343,7 +308,7 @@ def _basis(gens, ring):
             raise ResourceExceeded(
                 f"degree ceiling {DEGREE_CAP} exceeded "
                 f"(element of degree {r.degree()})")
-        add(working(r))
+        add(r)
 
     return _interreduce(G, ring)
 
@@ -351,8 +316,8 @@ def _basis(gens, ring):
 def _interreduce(G, ring):
     """The unique reduced basis of a Groebner basis G: drop the elements
     whose leading monomial another's divides, tail-reduce the rest, and
-    sort by leading monomial.  The elements come out monic, over Q in
-    Fractions: the engine's integer forms end here."""
+    sort by leading monomial.  The elements come out monic and in the
+    field: the engine's integer forms end here."""
     divides = ring.mono_divides
     minimal, lms = [], []
     for g in sorted(G, key=lambda f: ring.key(f.lm())):
@@ -360,7 +325,7 @@ def _interreduce(G, ring):
         if not any(divides(h, lm) for h in lms):
             minimal.append(g)
             lms.append(lm)
-    divisors = [_divisor(g, ring) for g in minimal]
+    divisors = [_divisor(g) for g in minimal]
     reduced = []
     for i, g in enumerate(minimal):
         r = _divide(g, divisors[:i] + divisors[i + 1:], ring, full=True)

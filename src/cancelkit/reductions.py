@@ -16,6 +16,7 @@ from .errors import NotSubideal, SearchExhausted
 from .ideals import Ideal
 from .linalg import rank
 from .rees import rees_presentation
+from .ring import combination
 
 
 class ReductionReport:
@@ -109,14 +110,7 @@ def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10):
     for attempt in range(attempts):
         rng = random.Random(f"{seed}-{attempt}")
         matrix = _full_rank_matrix(rng, field, spread, m)
-        combos = []
-        for row in matrix:
-            f = ring.zero()
-            for c, g in zip(row, gens):
-                if c != field.zero:
-                    f = f + g.scale(c)
-            combos.append(f)
-        J = Ideal(ring, combos)
+        J = Ideal(ring, [combination(ring, row, gens) for row in matrix])
         report = reduction_number(I, J, n_cap)
         if report.is_reduction is True:
             return MinimalReductionSearch(seed, attempt + 1, spread, J,

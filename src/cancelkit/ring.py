@@ -6,9 +6,6 @@ addition and divisibility is a guard-bit test, which keeps Buchberger's
 inner loops fast in pure Python.  Exponents are capped at 2^15 - 1.
 """
 
-import math
-from fractions import Fraction
-
 from .errors import ArityMismatch, ResourceExceeded, RingMismatch
 from .orders import Grevlex, Lex, Block  # noqa: F401  (re-exported for callers)
 
@@ -256,38 +253,19 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
+        # integer coefficients over one scale per factor, taken back to
+        # the field once
         field = self.ring.field
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        if field.kind == "rationals":
-            # integer numerators over the product of the two common
-            # denominators: one Fraction per term of the product
-            d1, big = common_denominator(big)
-            d2, small = common_denominator(small)
-            ints = {}
-            for m2, c2 in small.items():
-                for m1, c1 in big.items():
-                    m = m1 + m2
-                    s = ints.get(m, 0) + c1 * c2
-                    if s:
-                        ints[m] = s
-                    else:
-                        ints.pop(m, None)
-            d = d1 * d2
-            terms = {m: Fraction(c, d) for m, c in ints.items()}
-            return Polynomial(self.ring, terms)._no_overflow()
-        zero = field.zero
-        terms = {}
+        big, n1, d1 = field.to_ints(self.terms)
+        small, n2, d2 = field.to_ints(other.terms)
+        if len(big) < len(small):
+            big, small = small, big
+        ints = {}
         for m2, c2 in small.items():
             for m1, c1 in big.items():
                 m = m1 + m2
-                s = field.add(terms.get(m, zero), field.mul(c1, c2))
-                if s == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
+                ints[m] = ints.get(m, 0) + c1 * c2
+        terms = field.from_ints(ints, n1 * n2, d1 * d2)
         return Polynomial(self.ring, terms)._no_overflow()
 
     def __pow__(self, k):
@@ -301,13 +279,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def mul_term(self, m, c):
-        """Multiply by the single term c*x^m (m packed, c normalized)."""
-        field = self.ring.field
-        product = Polynomial(self.ring, {mm + m: field.mul(cc, c)
-                                         for mm, cc in self.terms.items()})
-        return product._no_overflow()
 
     def _no_overflow(self):
         """Products add packed exponents; a sum above EXP_MAX sets its
@@ -350,14 +321,6 @@ class Polynomial:
         return f"<{render(self)}>"
 
 
-def common_denominator(terms):
-    """(d, ints) for Q coefficients: d the lcm of their denominators and
-    ints[m] == terms[m] * d, an integer."""
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return d, {m: c.numerator * (d // c.denominator)
-               for m, c in terms.items()}
-
-
 def render(f):
     """Canonical text form: terms descending, `^` powers, explicit `*`."""
     if f.is_zero():
@@ -391,6 +354,16 @@ def render(f):
         else:
             out += "+" + piece
     return out
+
+
+def combination(ring, coeffs, gens):
+    """The sum of c*g over the coefficients and polynomials paired up,
+    zero coefficients skipped."""
+    f = ring.zero()
+    for c, g in zip(coeffs, gens):
+        if c != ring.field.zero:
+            f = f + g.scale(c)
+    return f
 
 
 def embed(f, target, var_map):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from cancelkit import cache, cancellation, gb
 from cancelkit.cache import active_store
 from cancelkit.cli import main
-from cancelkit.fields import RationalField
+from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
 from cancelkit.ring import Polynomial, Ring
 
@@ -143,3 +143,38 @@ def test_only_fractions_leave_the_engine_over_q(tmp_path, monkeypatch):
     coefficients = list(_coefficients(kept))
     assert coefficients
     assert all(type(c) is Fraction for c in coefficients)
+
+
+def test_only_residues_leave_the_engine_over_fp(tmp_path, monkeypatch):
+    """Over F_p the engine works on unreduced, possibly negative
+    integers; what it hands back holds canonical residues only."""
+    p = 32003
+    R = Ring(PrimeField(p), ["x", "y", "z"])
+    f, g = R.poly("3*x*y - 5*z"), R.poly("2/3*y*z - 7*x")
+    G = gb.buchberger([f, g, R.poly("x^2 + 1/5*y^2 - z")])
+    remainder = gb.normal_form(R.poly("2*x - y*z"), [R.poly("3*y*z - x")])
+    assert remainder == R.poly("5/3*x")
+    product = Ideal(R, [f, g]) * Ideal(R, [f, R.poly("2*x*z")])
+    probe = R.poly("x*y*z + 1/2*y^3 - 4*z^2")
+    for obj in (G, gb.normal_form(probe, G), remainder, product):
+        coefficients = list(_coefficients(obj))
+        assert coefficients
+        assert all(type(c) is int and 0 < c < p for c in coefficients)
+
+    kept = []
+    recall = cache.Store.recall
+
+    def recording(self, key, compute):
+        kept.append(recall(self, key, compute))
+        return kept[-1]
+
+    monkeypatch.setattr(cache.Store, "recall", recording)
+    flags = ("--cache-dir", str(tmp_path / "cache"))
+    job = Q_JOB.replace("q[x,y,z]", f"zp({p})[x,y,z]")
+    cold = _run(tmp_path, job, *flags)
+    assert cold[0] == 0 and kept
+    warm = _run(tmp_path, job, *flags)
+    assert warm == cold
+    coefficients = list(_coefficients(kept))
+    assert coefficients
+    assert all(type(c) is int and 0 < c < p for c in coefficients)

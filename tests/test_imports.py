@@ -103,6 +103,24 @@ def test_block_orders_are_built_in_two_places():
     assert sites == {"ideals._elimination_ring", "ring.Ring.module_ring"}
 
 
+def test_coefficients_are_held_in_one_place():
+    """Only the fields know how coefficients are held: the engine (gb)
+    and polynomial arithmetic (ring) read no field kind and import no
+    fractions, and reach integers through to_ints and from_ints."""
+    src = pathlib.Path(cancelkit.__file__).parent
+    offenders = []
+    for name in ("gb.py", "ring.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "kind":
+                offenders.append(f"{name}:{node.lineno} .kind")
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module == "fractions" \
+                    or isinstance(node, ast.Import) \
+                    and any(a.name == "fractions" for a in node.names):
+                offenders.append(f"{name}:{node.lineno} fractions")
+    assert offenders == []
+
+
 def test_monomials_compare_in_one_place():
     """An order's key function is built only by Ring.__init__ (and by a
     block order from its two parts), and a ring keeps one per-monomial

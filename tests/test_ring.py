@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cancelkit
 from cancelkit.errors import ResourceExceeded, ScriptSyntaxError
 from cancelkit.fields import PrimeField, RationalField
+from cancelkit.gb import buchberger
 from cancelkit.orders import Block, Grevlex, Lex
 from cancelkit.ring import EXP_MAX, Polynomial, Ring, embed
 
@@ -66,13 +67,16 @@ def test_mono_mul_is_exponent_addition(R):
 
 
 def test_exponent_overflow_is_refused(R):
-    x, y, z = R.gens()
+    x = R.gens()[0]
     big = x ** 20000
     with pytest.raises(ResourceExceeded):
         big * big
-    with pytest.raises(ResourceExceeded):
-        (y + big).mul_term(R.encode((20000, 0, 0)), 1)
     assert (x ** 32767).lm() == R.encode((32767, 0, 0))
+    # the S-polynomial shifts y*z^20000 by z^15000
+    for field in (R.field, RationalField()):
+        x, y, z = Ring(field, R.names).gens()
+        with pytest.raises(ResourceExceeded):
+            buchberger([x ** 20001 + y * z ** 20000, x * z ** 15000])
 
 
 def test_polynomial_arithmetic(R):
