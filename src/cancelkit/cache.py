@@ -8,13 +8,19 @@ whole hypothesis checks under their arguments -- so a repeat within the
 job is read back instead of recomputed.  Only results whose computation
 returned are kept; one that raised is computed again on the next call.
 
-`GBCache` is the disk layer, consulted only when the store misses.  One
-file per basis: name = hex sha256 of (field, variables, order, weights,
-generators), body = canonical JSON of the entry schema version, that
-hash, and the reduced basis.  Writes are atomic (tempfile + rename);
-there is no index file and no size bound.  An entry that does not match
-its name and schema, or does not read back as a basis of the ring, is a
-miss and is rewritten.
+`GBCache` is the disk layer, consulted only when the store misses.  Its
+key and its entries are the integer form of `fields.to_ints`.  One file
+per basis: name = hex sha256 of `ring.describe()` and of each
+generator's packed monomials (ascending) with integer coefficients over
+one denominator, the generators' strings sorted; body = canonical JSON
+of the entry schema version, that hash, and the reduced basis, each
+element one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms
+descending) read back by `from_ints(ints, 1, den)`.  Writes are atomic
+(tempfile + rename); there is no index file and no size bound.  An entry
+that does not match its name and schema, or does not read back as a
+basis of the ring (empty, a zero element, a monomial outside the ring's
+packed fields, a coefficient that reads back zero, den < 1), is a miss
+and is rewritten.
 """
 
 import contextvars
@@ -22,34 +28,26 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 
 from .errors import CancelkitError
+from .ring import Polynomial
 
-SCHEMA = 2
+SCHEMA = 3
 
 active_store = contextvars.ContextVar("cancelkit_store", default=None)
 
 
-def serialize_poly(f):
-    """Canonical JSON-able form: terms descending, coeffs as strings."""
-    ring = f.ring
-    return [[list(ring.decode(m)), ring.field.to_str(f.terms[m])]
-            for m in f.sorted_monomials()]
-
-
-def deserialize_poly(ring, data):
-    pairs = []
-    for exps, cs in data:
-        c = Fraction(cs) if "/" in cs or ring.field.kind == "rationals" else int(cs)
-        pairs.append((tuple(exps), c))
-    return ring.from_terms(pairs)
-
-
 def basis_key(ring, gens):
-    payload = json.dumps(
-        [ring.describe(), sorted(json.dumps(serialize_poly(g)) for g in gens)],
-        separators=(",", ":"))
+    """The disk key of gens: stable across processes and runs (no
+    Python `hash()`), and the same for any order of gens or of their
+    terms."""
+    to_ints = ring.field.to_ints
+    polys = []
+    for g in gens:
+        ints, _, den = to_ints(g.terms)
+        polys.append(repr((den, sorted(ints.items()))))
+    polys.sort()
+    payload = "\n".join([ring.describe(), *polys])
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -88,26 +86,53 @@ class Store:
         return self.recall((ring, frozenset(gens)), load)
 
 
+def _flat(g):
+    """g as one int list [den, m_1, c_1, m_2, c_2, ...], terms descending."""
+    ints, _, den = g.ring.field.to_ints(g.terms)
+    flat = [den]
+    for m in g.sorted_monomials():
+        flat += (m, ints[m])
+    return flat
+
+
+def _element(ring, flat):
+    """The nonzero polynomial of ring that _flat wrote as flat; raises
+    when flat is not one."""
+    if not all(type(v) is int for v in flat):
+        raise TypeError("an entry holds a value that is not an integer")
+    den, monomials, coeffs = flat[0], flat[1::2], flat[2::2]
+    if den < 1 or not monomials or len(monomials) != len(coeffs):
+        raise ValueError("an element is zero or malformed")
+    if not ring.fits(monomials):
+        raise ValueError("a monomial does not fit the ring")
+    terms = ring.field.from_ints(dict(zip(monomials, coeffs)), 1, den)
+    if len(terms) != len(monomials):
+        raise ValueError("a term is zero or repeated")
+    return Polynomial(ring, terms)
+
+
 class GBCache:
-    """File-per-entry cache rooted at `path`; counts hits for reporting."""
+    """File-per-entry cache rooted at `path`; counts hits, misses and
+    bytes written for reporting."""
 
     def __init__(self, path):
         self.path = path
         os.makedirs(path, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        self.bytes_written = 0
 
     def get(self, ring, key):
         try:
-            with open(os.path.join(self.path, key)) as fh:
+            with open(os.path.join(self.path, key), "rb") as fh:
                 entry = json.load(fh)
             if entry["schema"] != SCHEMA or entry["key"] != key:
                 raise ValueError("entry of another schema or key")
-            basis = [deserialize_poly(ring, d) for d in entry["basis"]]
-            if not basis or any(g.is_zero() for g in basis):
+            basis = [_element(ring, flat) for flat in entry["basis"]]
+            if not basis:
                 raise ValueError("entry is not a basis")
         except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
-                CancelkitError):
+                RecursionError, CancelkitError):
             self.misses += 1
             return None
         self.hits += 1
@@ -115,11 +140,11 @@ class GBCache:
 
     def put(self, key, basis):
         data = json.dumps({"schema": SCHEMA, "key": key,
-                           "basis": [serialize_poly(g) for g in basis]},
-                          separators=(",", ":"))
+                           "basis": [_flat(g) for g in basis]},
+                          separators=(",", ":")).encode()
         fd, tmp = tempfile.mkstemp(dir=self.path)
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
             os.replace(tmp, os.path.join(self.path, key))
         except OSError:
@@ -128,3 +153,4 @@ class GBCache:
             except OSError:
                 pass
             raise
+        self.bytes_written += len(data)

@@ -137,7 +137,8 @@ def _render_text(report, elapsed, store):
         lines.append(f"    {entry['result']}")
     if store.disk is not None:
         lines.append(f"cache: {store.disk.hits} hits, "
-                     f"{store.disk.misses} misses")
+                     f"{store.disk.misses} misses, "
+                     f"{store.disk.bytes_written} bytes written")
     lines.append(f"memo: {store.hits} hits, {store.misses} misses")
     lines.append(f"elapsed: {elapsed:.2f}s")
     return "\n".join(lines)

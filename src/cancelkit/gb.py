@@ -102,11 +102,13 @@ def normal_form(f, G):
         divisors = [_divisor(_working(g)) for g in G if not g.is_zero()]
     if not divisors or f.is_zero():
         return f
-    return _divide(f, divisors, ring, full=True)
+    return _divide(*ring.field.to_ints(f.terms), divisors, ring, full=True)
 
 
-def _divide(f, divisors, ring, full):
-    """The division loop: pseudo-division on integers, over both fields.
+def _divide(work, num, den, divisors, ring, full):
+    """The division loop: pseudo-division on integers, over both fields,
+    of the polynomial work * num / den, where work is an integer dict
+    that the loop consumes (callers pass a copy of anything they keep).
     Before a term c*x^m is cancelled by a divisor with lead a, the
     remainder is scaled by a/gcd(a, c), and that factor is folded into
     one denominator; over F_p every lead is 1 and no scaling happens,
@@ -122,8 +124,7 @@ def _divide(f, divisors, ring, full):
     guards = ring._guards
     field = ring.field
     p = field.characteristic
-    # f == work * num / den throughout
-    work, num, den = field.to_ints(f.terms)
+    # the dividend == work * num / den throughout
     # a min-heap on the negated key pops the largest monomial first
     heap = [(-key(m), m) for m in work]
     heapq.heapify(heap)
@@ -301,7 +302,9 @@ def _basis(gens, ring):
         processed += 1
         if processed > PAIR_CAP:
             raise ResourceExceeded(f"pair ceiling {PAIR_CAP} exceeded")
-        r = _divide(_spoly(G[i], G[j], lcm, ring), div, ring, full=False)
+        # the S-polynomial is fresh, so the division consumes its terms
+        r = _divide(_spoly(G[i], G[j], lcm, ring).terms, 1, 1, div, ring,
+                    full=False)
         if r.is_zero():
             continue
         if r.degree() > DEGREE_CAP:
@@ -328,7 +331,8 @@ def _interreduce(G, ring):
     divisors = [_divisor(g) for g in minimal]
     reduced = []
     for i, g in enumerate(minimal):
-        r = _divide(g, divisors[:i] + divisors[i + 1:], ring, full=True)
+        r = _divide(dict(g.terms), 1, 1, divisors[:i] + divisors[i + 1:],
+                    ring, full=True)
         if not r.is_zero():
             reduced.append(r.monic())
     return sorted(reduced, key=lambda f: ring.key(f.lm()))

@@ -6,6 +6,9 @@ addition and divisibility is a guard-bit test, which keeps Buchberger's
 inner loops fast in pure Python.  Exponents are capped at 2^15 - 1.
 """
 
+from functools import reduce
+from operator import or_
+
 from .errors import ArityMismatch, ResourceExceeded, RingMismatch
 from .orders import Grevlex, Lex, Block  # noqa: F401  (re-exported for callers)
 
@@ -65,6 +68,14 @@ class Ring:
     def decode(self, m):
         mask = (1 << FIELD_BITS) - 1
         return tuple((m >> s) & mask for s in self._shifts)
+
+    def fits(self, monomials):
+        """True iff every int in the nonempty monomials is a packed
+        monomial of this ring: nonnegative, inside its n fields, and with
+        no guard bit set."""
+        return (min(monomials) >= 0
+                and max(monomials) < 1 << (FIELD_BITS * self.n)
+                and not reduce(or_, monomials) & self._guards)
 
     def mono_divides(self, a, b):
         """True iff monomial a divides monomial b."""

@@ -1,9 +1,18 @@
 """The per-job store: a repeat within one job is read back, and nothing a
-job computed is kept for the next one, however the job ended."""
+job computed is kept for the next one, however the job ended.  The disk
+cache behind it: a key stable across processes, and every entry that is
+not a basis of its own key and ring is a miss."""
 
 import contextlib
 import io
+import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 from cancelkit import cache, cancellation, gb
 from cancelkit.cache import active_store
@@ -178,3 +187,155 @@ def test_only_residues_leave_the_engine_over_fp(tmp_path, monkeypatch):
     coefficients = list(_coefficients(kept))
     assert coefficients
     assert all(type(c) is int and 0 < c < p for c in coefficients)
+
+
+def _key_in_subprocess(seed):
+    code = ("from cancelkit.cache import basis_key\n"
+            "from cancelkit.fields import RationalField\n"
+            "from cancelkit.ring import Ring\n"
+            "R = Ring(RationalField(), ['x', 'y', 'z'])\n"
+            "print(basis_key(R, [R.poly('3*x*y - 5/2*z'),"
+            " R.poly('x^2 + 1/5*y^2 - z')]))\n")
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..",
+                                       "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_basis_key_is_the_same_in_every_process():
+    R = Ring(RationalField(), ["x", "y", "z"])
+    here = cache.basis_key(R, [R.poly("3*x*y - 5/2*z"),
+                               R.poly("x^2 + 1/5*y^2 - z")])
+    assert re.fullmatch(r"[0-9a-f]{64}", here)
+    assert _key_in_subprocess(1) == _key_in_subprocess(2) == here
+
+
+def test_basis_key_ignores_generator_and_term_order():
+    R = Ring(RationalField(), ["x", "y", "z"])
+    f, g = R.poly("3*x*y - 5/2*z + y^2"), R.poly("2/3*y*z - 7*x")
+    backwards = [Polynomial(R, dict(reversed(list(h.terms.items()))))
+                 for h in (g, f)]
+    assert list(backwards[1].terms) != list(f.terms)
+    assert cache.basis_key(R, [f, g]) == cache.basis_key(R, backwards)
+
+
+def test_basis_key_tells_scalings_and_fields_apart():
+    Q = Ring(RationalField(), ["x", "y", "z"])
+    P = Ring(PrimeField(32003), ["x", "y", "z"])
+    f = Q.poly("3*x*y + 5*z")
+    assert cache.basis_key(Q, [f]) != cache.basis_key(Q, [f.scale(2)])
+    assert cache.basis_key(Q, [f]) != cache.basis_key(
+        Q, [f.scale(Fraction(1, 2))])
+    g = P.poly("3*x*y + 5*z")
+    assert g.terms == f.terms
+    assert cache.basis_key(P, [g]) != cache.basis_key(Q, [f])
+
+
+SCHEMA2_JOB = """\
+ring R = q[x,y,z] grevlex;
+ideal I = (3*x*y - 5*z, 2/3*y*z - 7*x, x^2 + 1/5*y^2 - z);
+gb I;
+ideal J = (x*y, 2*x*z - 3*y*z);
+gb J;
+"""
+
+
+def test_an_entry_of_schema_2_is_a_miss_and_is_rewritten(tmp_path):
+    directory = tmp_path / "cache"
+    flags = ("--text", "--cache-dir", str(directory))
+    cold = _run(tmp_path, SCHEMA2_JOB, *flags)
+    assert cold[0] == 0
+    entries = sorted(f for f in directory.iterdir() if f.is_file())
+    assert len(entries) == 2
+    originals = [f.read_bytes() for f in entries]
+    # the same bases in the schema-2 form (decoded exponents and
+    # coefficient strings, terms descending) under the new keys
+    R = Ring(RationalField(), ["x", "y", "z"])
+    disk = cache.GBCache(str(directory))
+    for f in entries:
+        basis = disk.get(R, f.name)
+        assert basis
+        f.write_text(json.dumps(
+            {"schema": 2, "key": f.name,
+             "basis": [[[list(R.decode(m)), str(g.terms[m])]
+                        for m in g.sorted_monomials()] for g in basis]},
+            separators=(",", ":")))
+    warm = _run(tmp_path, SCHEMA2_JOB, *flags)
+    assert warm[0] == 0
+    assert re.search(r"^cache: 0 hits, 2 misses, \d+ bytes written$",
+                     warm[1], re.M)
+
+    def report(out):
+        return [line for line in out.splitlines()
+                if not line.startswith(("cache:", "memo:", "elapsed:"))]
+
+    assert report(warm[1]) == report(cold[1])
+    assert [f.read_bytes() for f in entries] == originals
+
+
+def _bad_entries(entry, ring):
+    """Entries that each break one rule of a good entry, by the rule."""
+    first, rest = entry["basis"][0], entry["basis"][1:]
+    den = first[0]
+    bad = {
+        "another schema": dict(entry, schema=2),
+        "another key": dict(entry, key="0" * 64),
+        "an empty basis": dict(entry, basis=[]),
+    }
+    for name, flat in {
+        "a zero element": [1],
+        "a monomial at 1 << (16 n)": [den, 1 << (16 * ring.n), 1],
+        "a negative monomial": [den, -1, 1],
+        "a guard bit set": [den, ring._guards & -ring._guards, 1],
+        "a zero coefficient": [den, 0, ring.field.characteristic],
+        "a repeated monomial": [den, 0, 1, 0, 1],
+        "a coefficient that is not an int": [den, 0, 1.5],
+        "den 0": [0] + first[1:],
+        "den -1": [-1] + first[1:],
+        "an odd-length body": first + [7],
+    }.items():
+        bad[name] = dict(entry, basis=[flat] + rest)
+    return bad
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)],
+                         ids=["q", "zp"])
+def test_each_bad_entry_is_a_miss(tmp_path, field):
+    R = Ring(field, ["x", "y", "z"])
+    gens = [R.poly("3*x*y - 5*z"), R.poly("2/3*y*z - 7*x")]
+    basis = gb.buchberger(gens).generators
+    disk = cache.GBCache(str(tmp_path))
+    key = cache.basis_key(R, gens)
+    disk.put(key, basis)
+    path = tmp_path / key
+    entry = json.loads(path.read_text())
+    assert disk.get(R, key) == basis
+    assert (disk.hits, disk.misses) == (1, 0)
+    bad = _bad_entries(entry, R)
+    for name, body in bad.items():
+        path.write_text(json.dumps(body))
+        assert disk.get(R, key) is None, name
+    # nested too deep for the JSON parser
+    path.write_text("[" * 100000)
+    assert disk.get(R, key) is None
+    assert (disk.hits, disk.misses) == (1, len(bad) + 1)
+    path.write_text(json.dumps(entry))
+    assert disk.get(R, key) == basis
+
+
+def test_text_report_counts_cache_bytes_written(tmp_path):
+    directory = tmp_path / "cache"
+    flags = ("--cache-dir", str(directory))
+    cold = _run(tmp_path, SCHEMA2_JOB, "--text", *flags)
+    written = sum(f.stat().st_size for f in directory.iterdir())
+    assert written > 0
+    assert re.search(rf"^cache: 0 hits, 2 misses, {written} bytes written$",
+                     cold[1], re.M)
+    warm = _run(tmp_path, SCHEMA2_JOB, "--text", *flags)
+    assert re.search(r"^cache: 2 hits, 0 misses, 0 bytes written$",
+                     warm[1], re.M)
+    # the JSON report carries none of the counts
+    report = _run(tmp_path, SCHEMA2_JOB, *flags)[1]
+    assert "bytes" not in report and "hits" not in report
