@@ -21,7 +21,7 @@ from .cache import active_store
 from .errors import (BadRegularSequence, HypothesisFailed, NotReduction,
                      NotSubideal, PreconditionUnmet, RequiresDimensionOne,
                      SearchExhausted, TheoremViolation)
-from .ideals import Ideal, is_unmixed, radical_contains
+from .ideals import Ideal, radical_contains
 from .resolutions import cohomology_summary
 from .ring import combination
 
@@ -104,10 +104,8 @@ def _hypotheses(I, a, a_extra):
         colon = A.colon(I)
         checks["generic_generation"] = (colon + I).height >= g + 1
         checks["colon_agreement"] = colon == A.colon_poly(a_extra)
-        try:
-            checks["unmixed"] = is_unmixed(I, a)
-        except BadRegularSequence:
-            checks["unmixed"] = False
+        # linkage: I is unmixed iff a : (a : I) = I
+        checks["unmixed"] = A.colon(colon) == I
     else:
         checks["generic_generation"] = False
         checks["colon_agreement"] = False

@@ -210,7 +210,7 @@ def _spoly(f, g, lcm, ring):
     return Polynomial(ring, terms)._no_overflow()
 
 
-def _gm_update(lms, pairs, heap, ring, pair_deg):
+def _gm_update(lms, pairs, heap, ring):
     """Gebauer-Moeller pair update when the newest basis element t joins.
 
     pairs maps each live pair (i, j) to lcm(lm_i, lm_j), computed once
@@ -219,7 +219,10 @@ def _gm_update(lms, pairs, heap, ring, pair_deg):
     pairs (i, t) are grouped by lcm; only lcm-minimal classes are kept,
     one representative each, and a class with a coprime member is
     skipped.  Each new pair is pushed on the heap under its selection
-    key.  In a module ring only pairs within one component are formed.
+    key: the normal strategy, smallest lcm degree first -- weighted
+    degree when the ring is weighted, so homogeneous inputs are
+    processed degree by degree.  In a module ring only pairs within one
+    component are formed.
     """
     t = len(lms) - 1
     lm_t = lms[t]
@@ -248,7 +251,7 @@ def _gm_update(lms, pairs, heap, ring, pair_deg):
             continue
         i = min(members)
         pairs[i, t] = L
-        heapq.heappush(heap, (pair_deg(L), ring.key(L), i, t))
+        heapq.heappush(heap, (ring.mono_wdeg(L), ring.key(L), i, t))
 
 
 def buchberger(gens):
@@ -276,10 +279,6 @@ def buchberger(gens):
 
 def _basis(gens, ring):
     """The Buchberger loop over nonzero gens, then the reduced basis."""
-    # normal selection strategy: smallest lcm degree first -- weighted
-    # degree when the ring is weighted, so homogeneous inputs are
-    # processed degree by degree
-    pair_deg = ring.mono_wdeg if ring.weights is not None else ring.mono_deg
     # G holds working forms
     G, lms, div = [], [], []
     pairs, heap = {}, []
@@ -288,7 +287,7 @@ def _basis(gens, ring):
         G.append(g)
         lms.append(g.lm())
         div.append(_divisor(g))
-        _gm_update(lms, pairs, heap, ring, pair_deg)
+        _gm_update(lms, pairs, heap, ring)
 
     for g in sorted(gens, key=lambda f: ring.key(f.lm())):
         add(_working(g))

@@ -60,12 +60,12 @@ class Block:
 
     kind = "block"
 
-    def __init__(self, elim_count, elim_order=None, rest_order=None):
+    def __init__(self, elim_count, elim_order, rest_order):
         if elim_count < 1:
             raise ValueError("elim_count must be >= 1")
         self.elim_count = elim_count
-        self.elim_order = elim_order or Grevlex()
-        self.rest_order = rest_order or Grevlex()
+        self.elim_order = elim_order
+        self.rest_order = rest_order
 
     def key_fn(self, n, weights=None):
         k = self.elim_count

@@ -141,9 +141,8 @@ def _fiber_by_certificates(ideal, t_ring):
 
     Write F = sum of I^d/mI^d for the fiber cone of I = (a_1..a_m).
 
-    Lower bound: a T-form q of degree d lies in the fiber ideal iff
-    q(a_1..a_m) lies in m*I^d -- exact linear algebra over a Groebner
-    basis of m*I^d in the base ring.
+    Membership: a T-form q of degree d lies in the fiber ideal iff
+    q(a_1..a_m) lies in m*I^d (_in_fiber).
 
     Upper bound: for a positive weight vector w on the base variables,
     v_w is a valuation, so sending the class of g in F_d to the w-initial
@@ -153,13 +152,13 @@ def _fiber_by_certificates(ideal, t_ring):
     fiber ideal is therefore contained in the kernel K_w of
     T_i -> initial(a_i) (or 0 for non-attaining generators), for every w.
 
-    When the ideal generated by the exact low-degree pieces already
-    contains the intersection of several K_w, the sandwich closes and the
-    fiber ideal equals that intersection.  Equigenerated ideals skip the
-    sandwich: m*I^d lives in degrees above d*deg, so F is isomorphic to
-    the subalgebra k[a_1..a_m] and the fiber ideal is the full
-    algebraic-relations kernel, handed back with its reduced basis in a
-    ring that orders k[T] as t_ring does (uniform weights, grevlex).
+    When every generator of the intersection of several K_w passes the
+    membership test, the sandwich closes and the fiber ideal equals that
+    intersection.  Equigenerated ideals skip the sandwich: m*I^d lives
+    in degrees above d*deg, so F is isomorphic to the subalgebra
+    k[a_1..a_m] and the fiber ideal is the full algebraic-relations
+    kernel, handed back with its reduced basis in a ring that orders
+    k[T] as t_ring does (uniform weights, grevlex).
     """
     gens = ideal.generators
     ring = ideal.ring
@@ -173,74 +172,35 @@ def _fiber_by_certificates(ideal, t_ring):
         for w in _equalizing_weights(ideal):
             Kw = _valuation_kernel(ideal, w, t_ring)
             upper = Kw if upper is None else upper.intersect(Kw)
-        if upper is None:
-            return None
-        if not upper.generators:
-            return Ideal(t_ring, [])
-        dmax = max(max(sum(t_ring.decode(mono)) for mono in g.terms)
-                   for g in upper.generators)
-        lower = Ideal(t_ring, _fiber_pieces(ideal, t_ring, dmax))
-        if all(lower.contains_poly(g) for g in upper.generators):
+        if upper is not None and _in_fiber(ideal, upper.generators):
             return upper
     except ResourceExceeded:
         return None
     return None
 
 
-def _fiber_pieces(ideal, t_ring, max_t_degree):
-    """Exact degree-d pieces of the fiber-cone ideal for d <= max_t_degree:
-    kernels of the evaluation maps q -> q(a_1..a_m) mod m*I^d."""
+def _in_fiber(ideal, forms):
+    """True iff every T-form in forms lies in the fiber-cone ideal of
+    I = (a_1..a_m): that ideal is T-graded, and its degree-d piece holds
+    the q with q(a_1..a_m) in m*I^d, m = (x_1..x_n), so each T-degree
+    part is evaluated and reduced modulo a basis of m*I^d."""
     ring = ideal.ring
-    field = ring.field
-    gens = ideal.generators
-    m = len(gens)
-    pieces = []
-    for d in range(1, max_t_degree + 1):
-        alphas = list(itertools.combinations_with_replacement(range(m), d))
-        prods = []
-        for alpha in alphas:
-            p = gens[alpha[0]]
-            for i in alpha[1:]:
-                p = p * gens[i]
-            prods.append(p)
-        mid = [ring.var(j) * p for j in range(ring.n) for p in prods]
-        basis = buchberger(mid)
-        # products of distinct weighted degrees cannot combine into a
-        # relation, so solve one small system per degree class
-        groups = {}
-        for alpha, p in zip(alphas, prods):
-            groups.setdefault(p.wdegree(), []).append((alpha, p))
-        for group in groups.values():
-            idx = {}
-            nfs = []
-            for _alpha, p in group:
-                nf = normal_form(p, basis)
-                for mono in nf.terms:
-                    if mono not in idx:
-                        idx[mono] = len(idx)
-                nfs.append(nf)
-            ncols = len(idx)
-            rows = []
-            for r, nf in enumerate(nfs):
-                row = [field.zero] * (ncols + len(group))
-                for mono, c in nf.terms.items():
-                    row[idx[mono]] = c
-                row[ncols + r] = field.one
-                rows.append(row)
-            echelonize(rows, field)
-            for row in rows:
-                if any(x != field.zero for x in row[:ncols]):
-                    continue
-                terms = {}
-                for r, c in enumerate(row[ncols:]):
-                    if c != field.zero:
-                        exps = [0] * m
-                        for i in group[r][0]:
-                            exps[i] += 1
-                        terms[t_ring.encode(tuple(exps))] = c
-                if terms:
-                    pieces.append(Polynomial(t_ring, terms))
-    return pieces
+    maximal = Ideal(ring, ring.gens())
+    bases = {}
+    for q in forms:
+        parts = {}
+        for mono, c in q.terms.items():
+            exps = q.ring.decode(mono)
+            d = sum(exps)
+            value = math.prod((a ** e for a, e in zip(ideal.generators, exps)),
+                              start=ring.constant(c))
+            parts[d] = parts.get(d, ring.zero()) + value
+        for d, f in parts.items():
+            if d not in bases:
+                bases[d] = buchberger((maximal * ideal ** d).generators)
+            if not normal_form(f, bases[d]).is_zero():
+                return False
+    return True
 
 
 def _equalizing_weights(ideal, combo_budget=20000):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cancelkit import gb, rees
@@ -199,3 +201,29 @@ def test_fiber_is_the_image_of_q(names, gens, fiber):
         assert certified is None
     else:
         assert [str(g) for g in certified.groebner().generators] == fiber
+
+
+@pytest.mark.parametrize("names, gens, fiber", MIXED_DEGREE_FIBERS)
+def test_fiber_membership_is_the_image_of_q(names, gens, fiber):
+    # q(a_1..a_m) in m*I^d degree by degree is membership in the image of
+    # Q under x -> 0: on that image's generators, on the valuation bound
+    # and on the T-monomials of degree <= 2 and their differences
+    R = Ring(PrimeField(32003), names)
+    I = Ideal(R, [R.poly(g) for g in gens])
+    pres = rees_presentation(I)
+    T = pres.fiber_ideal.ring
+    to_t = [None] * R.n + list(range(len(gens)))
+    image = Ideal(T, [embed(q, T, to_t) for q in pres.Q.generators])
+    upper = None
+    for w in rees._equalizing_weights(I):
+        Kw = rees._valuation_kernel(I, w, T)
+        upper = Kw if upper is None else upper.intersect(Kw)
+    monomials = [T.one()] + T.gens()
+    monomials += [T.var(i) * T.var(j)
+                  for i in range(T.n) for j in range(i, T.n)]
+    candidates = (list(image.generators)
+                  + list(upper.generators if upper else [])
+                  + monomials
+                  + [p - q for p, q in itertools.combinations(monomials, 2)])
+    verdicts = [rees._in_fiber(I, [q]) for q in candidates]
+    assert verdicts == [image.contains_poly(q) for q in candidates]

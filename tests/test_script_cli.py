@@ -587,6 +587,7 @@ SUBCOMMANDS = (
     (["power-scan", "I", "B", "4"], "powerscan(I, B, 4);"),
     # without nmax, power-scan scans up to --ncap
     (["power-scan", "I", "B", "--ncap", "3"], "powerscan(I, B, 3);"),
+    (["witness", "P", "A", "x2*y-z2"], "witness(P, A, x2*y-z2);"),
 )
 
 
