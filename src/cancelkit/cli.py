@@ -1,13 +1,12 @@
 """Command-line interface.
 
     cancelkit run <script> [--field SPEC] [--seed N] [--ncap N]
-                  [--attempts N] [--allow-long] [--cache-dir PATH]
-                  [--json|--text]
+                  [--attempts N] [--cache-dir PATH] [--json|--text]
 
-Subcommands cancel-check / witness / link / cor213 / power-scan load a
-script for its ring and bindings and then run the one theorem command
-on named bindings; `cancelkit example 2.5|2.6|2.7` runs a worked
-example directly (2.7 needs --allow-long).
+Every subcommand runs a script.  The theorem subcommands cancel-check /
+witness / link / cor213 / power-scan append the one script command they
+stand for, on named bindings, to the script they load; the worked
+examples are scripts under examples/, run like any other.
 
 Exit codes: 0 success, 1 usage/parse/other error, 2 hypothesis failure,
 3 resource limit exceeded, 4 theorem violation.
@@ -23,12 +22,35 @@ from .errors import (BadRegularSequence, CancelkitError, HypothesisFailed,
                      NotReduction, NotSubideal, PreconditionUnmet,
                      RequiresDimensionOne, ResourceExceeded,
                      ScriptSyntaxError, TheoremViolation)
-from .fields import field_from_spec
 from .script import RunFlags, canonical_json, parse_script, run
 
 _HYPOTHESIS_ERRORS = (HypothesisFailed, PreconditionUnmet, NotSubideal,
                       BadRegularSequence, RequiresDimensionOne,
                       NotReduction)
+
+
+# theorem subcommand -> (help, script command, its arguments in order)
+_THEOREM_SUBCOMMANDS = {
+    "cancel-check": ("verify K*I in J*I implies K in J", "cancelcheck",
+                     ("ideal", "sequence", "extra", "candidate")),
+    "witness": ("replay the proof construction", "witness",
+                ("ideal", "sequence", "extra")),
+    "link": ("compute the link (a:I) + I", "link", ("ideal", "sequence")),
+    "cor213": ("power-membership equivalence check", "cor213",
+               ("ideal", "sequence", "extra", "n")),
+    "power-scan": ("least n with I^n inside a reduction J", "powerscan",
+                   ("ideal", "reduction", "nmax")),
+}
+
+_ARGUMENT_HELP = {
+    "ideal": "name of the ideal I",
+    "sequence": "name of an ideal whose generators are a_1..a_g",
+    "extra": "expression for a_{g+1}",
+    "candidate": "name of the ideal K",
+    "reduction": "name of the reduction J",
+    "n": "the power n",
+    "nmax": "largest power scanned (default: --ncap)",
+}
 
 
 @functools.cache
@@ -40,9 +62,8 @@ def build_parser():
                     "verification")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, script=True):
-        if script:
-            p.add_argument("script", help="script file")
+    def common(p):
+        p.add_argument("script", help="script file")
         p.add_argument("--field", default=None,
                        help="default coefficient field: q or zp:<p> "
                             "(used when the script's ring declaration "
@@ -52,8 +73,6 @@ def build_parser():
                        help="reduction-number loop ceiling")
         p.add_argument("--attempts", type=int, default=50,
                        help="randomized search attempt budget")
-        p.add_argument("--allow-long", action="store_true",
-                       help="permit known long-running computations")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the Groebner-basis cache")
         fmt = p.add_mutually_exclusive_group()
@@ -63,64 +82,23 @@ def build_parser():
                          const="text")
 
     common(sub.add_parser("run", help="execute a script"))
-
-    p = sub.add_parser("cancel-check",
-                       help="verify K*I in J*I implies K in J")
-    common(p)
-    p.add_argument("ideal", help="name of the ideal I")
-    p.add_argument("sequence",
-                   help="name of an ideal whose generators are a_1..a_g")
-    p.add_argument("extra", help="expression for a_{g+1}")
-    p.add_argument("candidate", help="name of the ideal K")
-
-    p = sub.add_parser("witness", help="replay the proof construction")
-    common(p)
-    p.add_argument("ideal")
-    p.add_argument("sequence")
-    p.add_argument("extra")
-
-    p = sub.add_parser("link", help="compute the link (a:I) + I")
-    common(p)
-    p.add_argument("ideal")
-    p.add_argument("sequence")
-
-    p = sub.add_parser("cor213",
-                       help="power-membership equivalence check")
-    common(p)
-    p.add_argument("ideal")
-    p.add_argument("sequence")
-    p.add_argument("extra")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("power-scan",
-                       help="least n with I^n inside a reduction J")
-    common(p)
-    p.add_argument("ideal")
-    p.add_argument("reduction")
-    p.add_argument("nmax", type=int, nargs="?", default=None)
-
-    p = sub.add_parser("example", help="run a worked example")
-    common(p, script=False)
-    p.add_argument("tag", choices=["2.5", "2.6", "2.7"])
+    for name, (help_text, _, params) in _THEOREM_SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        for param in params:
+            p.add_argument(param, type=int if param in ("n", "nmax") else str,
+                           nargs="?" if param == "nmax" else None,
+                           help=_ARGUMENT_HELP[param])
     return parser
 
 
-def _synthesized_command(args):
-    sc = args.subcommand
-    if sc == "cancel-check":
-        return (f"cancelcheck({args.ideal}, {args.sequence}, "
-                f"{args.extra}, {args.candidate});")
-    if sc == "witness":
-        return f"witness({args.ideal}, {args.sequence}, {args.extra});"
-    if sc == "link":
-        return f"link({args.ideal}, {args.sequence});"
-    if sc == "cor213":
-        return (f"cor213({args.ideal}, {args.sequence}, {args.extra}, "
-                f"{args.n});")
-    if sc == "power-scan":
-        nmax = args.nmax if args.nmax is not None else args.ncap
-        return f"powerscan({args.ideal}, {args.reduction}, {nmax});"
-    return None
+def _script_command(args):
+    """The script command a theorem subcommand stands for."""
+    _, command, params = _THEOREM_SUBCOMMANDS[args.subcommand]
+    values = [getattr(args, param) for param in params]
+    if values[-1] is None:  # power-scan without nmax scans up to --ncap
+        values[-1] = args.ncap
+    return f"{command}({', '.join(map(str, values))});"
 
 
 def _render_text(report, elapsed, store):
@@ -147,33 +125,17 @@ def _render_text(report, elapsed, store):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     flags = RunFlags(field=args.field, seed=args.seed, n_cap=args.ncap,
-                     attempts=args.attempts, allow_long=args.allow_long)
+                     attempts=args.attempts)
     # one store per job, dropped when the job ends however it ends
     store = Store(GBCache(args.cache_dir) if args.cache_dir else None)
     token = active_store.set(store)
     start = time.monotonic()
     try:
-        if args.subcommand == "example":
-            from .fixtures import run_example
-            field = field_from_spec(args.field) if args.field else None
-            result = run_example(args.tag, seed=args.seed,
-                                 attempts=args.attempts, n_cap=args.ncap,
-                                 allow_long=args.allow_long, field=field)
-            report = {
-                "schema": 1,
-                "seed": args.seed,
-                "commands": [{"index": 0,
-                              "command": f"example {args.tag}",
-                              "result": result}],
-            }
-        else:
-            with open(args.script, encoding="utf-8") as fh:
-                text = fh.read()
-            extra_cmd = _synthesized_command(args)
-            if extra_cmd:
-                text = text.rstrip() + "\n" + extra_cmd + "\n"
-            script = parse_script(text)
-            report = run(script, flags)
+        with open(args.script, encoding="utf-8") as fh:
+            text = fh.read()
+        if args.subcommand != "run":
+            text = text.rstrip() + "\n" + _script_command(args) + "\n"
+        report = run(parse_script(text), flags)
     except ScriptSyntaxError as exc:
         print(f"syntax error at line {exc.line}, column {exc.col}: "
               f"{exc.message}", file=sys.stderr)

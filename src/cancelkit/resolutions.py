@@ -121,7 +121,9 @@ def ext_vanishes_at(resolution, k):
     if k > pd:
         return True
     if k == 0:
-        return False  # Hom(R/I, R) = 0 only for I != 0; k=0 unused here
+        # Hom(R/I, R) = 0 in a domain iff I != 0, that is iff the
+        # resolution has a map
+        return bool(maps)
     rank_k = maps[k - 1].cols
     # kernel of the dual of maps[k] (or everything when k == pd)
     if k < pd:

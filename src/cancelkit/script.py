@@ -28,7 +28,7 @@ an ideal standing for its generators.  A wrong argument count is a
 
 import json
 
-from . import cancellation, fixtures, reductions, rees, resolutions
+from . import cancellation, reductions, rees, resolutions
 from .errors import ScriptSyntaxError
 from .fields import field_from_spec
 from .ideals import Ideal, kernel_of_map, radical_contains
@@ -116,10 +116,16 @@ class Script:
         self.statements = statements
 
 
+# the deepest nesting of brackets and calls an expression may have; the
+# parser and the evaluator recurse once per level, never per term
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -232,8 +238,9 @@ class _Parser:
 
     # expressions: trees of tuples, each node keeping its token
     #   leaves    ("int" | "number" | "name", tok)
-    #   operators ("neg", tok, operand), (op, tok, lhs, rhs) for op in
-    #             + - * /, ("^", tok, base, exponent_tok)
+    #   operators ("neg", tok, operand), ("^", tok, base, exponent_tok),
+    #             ("chain", tok, first, rest) for a run of + and - (or of
+    #             * and /), rest holding (operator_tok, operand) pairs
     #   groups    ("tuple", tok, items) for (f, g, ...), ("list", tok,
     #             items) for [f, g, ...], ("call", tok, args, spans) for
     #             name(args), spans holding the tokens of each argument
@@ -242,20 +249,23 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.next()
-            node = ("neg", tok, self.parse_term())
+            first = ("neg", tok, self.parse_term())
         else:
-            node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            node = (op.kind, op, node, self.parse_term())
-        return node
+            first = self.parse_term()
+        return self.parse_chain(first, ("+", "-"), self.parse_term)
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
+        return self.parse_chain(self.parse_factor(), ("*", "/"),
+                                self.parse_factor)
+
+    def parse_chain(self, first, ops, operand):
+        rest = []
+        while self.peek().kind in ops:
             op = self.next()
-            node = (op.kind, op, node, self.parse_factor())
-        return node
+            rest.append((op, operand()))
+        # the node's token is its last operator, where errors about the
+        # whole chain point
+        return ("chain", rest[-1][0], first, rest) if rest else first
 
     def parse_factor(self):
         node = self.parse_base()
@@ -275,16 +285,21 @@ class _Parser:
             if self.peek().kind != "(":
                 return ("name", tok)
             self.next()
-            return ("call", tok) + self.parse_expr_list(")")
+            return ("call", tok) + self.parse_expr_list(")", tok)
         if tok.kind == "(":
-            return ("tuple", tok, self.parse_expr_list(")")[0])
+            return ("tuple", tok, self.parse_expr_list(")", tok)[0])
         if tok.kind == "[":
-            return ("list", tok, self.parse_expr_list("]")[0])
+            return ("list", tok, self.parse_expr_list("]", tok)[0])
         self.error(f"unexpected {tok.value!r} in expression", tok)
 
-    def parse_expr_list(self, close):
+    def parse_expr_list(self, close, opening):
         """The comma-separated expressions up to and including `close`,
-        and the tokens each one spans."""
+        and the tokens each one spans; `opening` is the token that
+        opened this level of nesting."""
+        if self.depth == MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING} "
+                       f"levels", opening)
+        self.depth += 1
         items, spans = [], []
         if self.peek().kind != close:
             while True:
@@ -295,6 +310,7 @@ class _Parser:
                     break
                 self.next()
         self.expect(close)
+        self.depth -= 1
         return items, spans
 
 
@@ -317,19 +333,22 @@ def evaluate(node, ring, lookup):
         return value.scale(ring.field.neg(ring.field.one))
     if kind == "^":
         return evaluate(node[2], ring, lookup) ** int(node[3].value)
-    if kind in ("+", "-", "*", "/"):
-        lhs = evaluate(node[2], ring, lookup)
-        rhs = evaluate(node[3], ring, lookup)
-        if kind == "+":
-            return lhs + rhs
-        if kind == "-":
-            return lhs - rhs
-        if kind == "*":
-            return lhs * rhs
-        if rhs.degree() != 0 or rhs.is_zero():
-            raise ScriptSyntaxError("division only by nonzero constants",
-                                    tok.line, tok.col)
-        return lhs.scale(ring.field.inv(rhs.lc()))
+    if kind == "chain":
+        value = evaluate(node[2], ring, lookup)
+        for op, operand in node[3]:
+            rhs = evaluate(operand, ring, lookup)
+            if op.kind == "+":
+                value = value + rhs
+            elif op.kind == "-":
+                value = value - rhs
+            elif op.kind == "*":
+                value = value * rhs
+            elif rhs.degree() != 0 or rhs.is_zero():
+                raise ScriptSyntaxError(
+                    "division only by nonzero constants", op.line, op.col)
+            else:
+                value = value.scale(ring.field.inv(rhs.lc()))
+        return value
     if kind == "tuple" and len(node[2]) == 1:
         return evaluate(node[2][0], ring, lookup)
     if kind == "call" and tok.value == "gen":
@@ -389,10 +408,12 @@ def _names(node):
     elif node[0] in ("tuple", "list", "call"):
         for item in node[2]:
             yield from _names(item)
-    else:
-        for child in node[2:]:
-            if isinstance(child, tuple):
-                yield from _names(child)
+    elif node[0] == "chain":
+        yield from _names(node[2])
+        for _, operand in node[3]:
+            yield from _names(operand)
+    elif node[0] in ("neg", "^"):
+        yield from _names(node[2])
 
 
 def parse_polynomial(ring, text, lookup=None):
@@ -406,13 +427,11 @@ def parse_polynomial(ring, text, lookup=None):
 # -- interpreter -------------------------------------------------------------
 
 class RunFlags:
-    def __init__(self, field=None, seed=0, n_cap=10, attempts=50,
-                 allow_long=False):
+    def __init__(self, field=None, seed=0, n_cap=10, attempts=50):
         self.field = field
         self.seed = seed
         self.n_cap = n_cap
         self.attempts = attempts
-        self.allow_long = allow_long
 
 
 def _takes(spec):
@@ -741,13 +760,6 @@ class Interpreter:
         report = reductions.reduction_number(I, J, n_cap=self.flags.n_cap)
         n = cancellation.power_containment_scan(I, J, n_max, report)
         return {"n": n, "n_max": n_max}
-
-    @_takes("W")
-    def cmd_example(self, tag):
-        return fixtures.run_example(
-            tag, seed=self.flags.seed, attempts=self.flags.attempts,
-            n_cap=self.flags.n_cap, allow_long=self.flags.allow_long,
-            field=self.ring.field if self.ring else None)
 
 
 def run(script, flags=None):

@@ -9,13 +9,8 @@ import random
 import pytest
 
 from cancelkit.cancellation import cancel_check, corollary213_check
-from cancelkit.errors import PreconditionUnmet
-from cancelkit.fields import PrimeField, RationalField
-from cancelkit.fixtures import (certified_fixtures, quadric_split_type,
-                                space_surface_ideal)
+from cancelkit.fixtures import certified_fixtures
 from cancelkit.ideals import Ideal
-from cancelkit.ring import Ring
-from cancelkit.script import parse_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -84,30 +79,3 @@ def test_power_equivalence_both_directions(fixtures):
             direct = H.J.contains(power)
             assert verdict == direct, (fx.name, n)
             power = power * H.I
-
-
-def test_quadric_split_type():
-    expected = {
-        "x*y": (2, True),
-        "x^2+y^2": (2, False),
-        "x^2-4*y^2": (2, True),
-        "x^2-2*y^2": (2, False),
-        "x*y+y*z": (2, True),
-        "x^2": (1, False),
-        "y*z+x^2": (3, False),
-    }
-    for field in (PrimeField(32003), RationalField()):
-        R = Ring(field, ["x", "y", "z"])
-        for text, value in expected.items():
-            assert quadric_split_type(parse_polynomial(R, text)) == value, \
-                (field, text)
-    # the Gram matrix halves the cross terms; no field of characteristic
-    # 2 can be built
-    with pytest.raises(ValueError):
-        PrimeField(2)
-
-
-def test_space_surface_ideal_refuses_characteristic_3():
-    # characteristic 2 cannot reach the fixture: PrimeField refuses it
-    with pytest.raises(PreconditionUnmet, match="different from 3"):
-        space_surface_ideal(PrimeField(3))

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from cancelkit.errors import RingMismatch, ZeroColon
 from cancelkit.fields import PrimeField, RationalField
-from cancelkit.fixtures import space_surface_ideal, surface_curve_ideal
 from cancelkit.ideals import Ideal, is_unmixed, kernel_of_map, radical_contains
 from cancelkit.orders import Block, Grevlex, Lex
 from cancelkit.ring import Ring
 
 import oracle
+from worked_examples import example_ideal
 
 
 @pytest.fixture
@@ -220,9 +220,33 @@ def test_min_gens(R):
 def test_worked_example_generator_counts():
     # README "Worked examples": the 2.5 prime has height 2 and 5 minimal
     # generators, the 2.6 prime has 8
-    P = surface_curve_ideal()
+    P = example_ideal("2.5")
     assert (P.height, P.min_gens()) == (2, 5)
-    assert space_surface_ideal().min_gens() == 8
+    assert example_ideal("2.6").min_gens() == 8
+
+
+def test_worked_example_27_is_the_maximal_minors():
+    # the 2.7 script writes out the 15 maximal minors of a 4x6 matrix of
+    # linear forms; each is recomputed here by the Leibniz formula
+    I = example_ideal("2.7")
+    a, b, c, d, e, f = I.ring.gens()
+    matrix = [[a, b, c, e, f, d],
+              [d, a, b, c, e, f],
+              [e, d, a, b, c, e],
+              [f, e, d, a, b, c]]
+    minors = []
+    for cols in itertools.combinations(range(6), 4):
+        det = I.ring.zero()
+        for perm in itertools.permutations(range(4)):
+            inversions = sum(perm[i] > perm[j]
+                             for i, j in itertools.combinations(range(4), 2))
+            term = I.ring.constant(I.ring.field.normalize(
+                (-1) ** inversions))
+            for row, k in enumerate(perm):
+                term = term * matrix[row][cols[k]]
+            det = det + term
+        minors.append(det)
+    assert list(I.generators) == minors
 
 
 def test_radical_membership(R):

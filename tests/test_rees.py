@@ -13,6 +13,7 @@ from cancelkit.ring import Ring, embed
 from cancelkit.fixtures import monomial_curve
 
 import oracle
+from worked_examples import example_ideal
 
 
 @pytest.fixture
@@ -227,3 +228,14 @@ def test_fiber_membership_is_the_image_of_q(names, gens, fiber):
                   + [p - q for p, q in itertools.combinations(monomials, 2)])
     verdicts = [rees._in_fiber(I, [q]) for q in candidates]
     assert verdicts == [image.contains_poly(q) for q in candidates]
+
+
+def test_worked_example_25_rees():
+    # README "Worked examples": the 2.5 prime, generated in mixed weighted
+    # degrees, has analytic spread 4 and a principal fiber ideal of degree
+    # 2 that splits into two distinct linear forms; the mixed-degree
+    # certificate path closes on it
+    pres = rees_presentation(example_ideal("2.5"))
+    assert pres.analytic_spread == 4
+    assert [str(g) for g in pres.fiber_ideal.groebner().generators] == \
+        ["T1*T5"]

@@ -5,10 +5,12 @@ from cancelkit.ideals import Ideal
 from cancelkit.modules import (components, module_buchberger, module_member,
                                syzygy_columns, vector)
 from cancelkit.resolutions import (FreeModuleMap, cohomology_summary,
-                                   colon_identity_check, free_resolution)
+                                   colon_identity_check, ext_vanishes_at,
+                                   free_resolution)
 from cancelkit.ring import Ring
-from cancelkit.fixtures import (monomial_curve, space_surface_ideal,
-                                surface_curve_ideal)
+from cancelkit.fixtures import monomial_curve
+
+from worked_examples import example_ideal
 
 
 @pytest.fixture
@@ -108,7 +110,7 @@ def test_resolution_rejects_degenerate(R):
 
 def test_worked_example_25_resolution():
     # README: the 2.5 prime is not Cohen-Macaulay
-    P = surface_curve_ideal()
+    P = example_ideal("2.5")
     assert free_resolution(P).betti_numbers() == (1, 5, 6, 2)
     s = cohomology_summary(P)
     assert s.depth == 1 and s.d == 2
@@ -116,7 +118,7 @@ def test_worked_example_25_resolution():
 
 
 def test_worked_example_26_resolution():
-    res = free_resolution(space_surface_ideal())
+    res = free_resolution(example_ideal("2.6"))
     assert res.betti_numbers() == (1, 8, 11, 4)
     for a, b in zip(res.maps, res.maps[1:]):
         assert a.compose(b).is_zero()
@@ -150,6 +152,15 @@ def test_ext_vanishing_noncm_case(R):
     s = cohomology_summary(I)
     assert s.g == 2 and not s.is_CM
     assert not s.ext_vanishes
+
+
+def test_hom_into_the_ring_vanishes_for_nonzero_ideals(R):
+    # Ext^0(R/I, R) = Hom(R/I, R) = 0 for every nonzero I in a domain,
+    # and Hom(R/0, R) = R
+    x, y, z = R.gens()
+    for gens in ([x * y, x * z], [x], [x, y, z]):
+        assert ext_vanishes_at(free_resolution(Ideal(R, gens)), 0), gens
+    assert not ext_vanishes_at(free_resolution(Ideal(R, [R.zero()])), 0)
 
 
 def test_aus_buch_additivity():

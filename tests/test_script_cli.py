@@ -6,10 +6,15 @@ import sys
 
 import pytest
 
-from cancelkit.cli import main
+from cancelkit.cli import build_parser, main
 from cancelkit.errors import ScriptSyntaxError
-from cancelkit.script import RunFlags, canonical_json, parse_script
+from cancelkit.fields import PrimeField
+from cancelkit.ring import Ring
+from cancelkit.script import (MAX_NESTING, RunFlags, canonical_json,
+                              parse_polynomial, parse_script)
 from cancelkit.script import run as run_parsed
+
+from worked_examples import EXAMPLES, example_path
 
 
 def run_script(text, flags=None):
@@ -377,6 +382,34 @@ contains(J, K);
     assert '"contains":true' in out.stdout
 
 
+def test_long_expressions_evaluate_without_recursion():
+    # a sum of 2000 terms (each a product of factors) is one chain node,
+    # evaluated in a loop: it gives the sum built term by term in Python
+    R = Ring(PrimeField(32003), ["x", "y", "z"])
+    x, y, z = R.gens()
+    texts, expected = [], R.zero()
+    for k in range(2000):
+        i, j, c = k % 13, k // 13, 1 + k % 7
+        sign = "-" if k % 3 == 1 else "+"
+        texts.append(f"{sign} {c}*x^{i}*y^{j}*z")
+        term = R.constant(c) * x ** i * y ** j * z
+        expected = expected - term if sign == "-" else expected + term
+    text = " ".join(texts).removeprefix("+ ")
+    assert parse_polynomial(R, text) == expected
+    assert parse_polynomial(R, "*".join(["x"] * 2000)) == x ** 2000
+    # nesting up to the bound still evaluates
+    nested = "(" * MAX_NESTING + "x - y" + ")" * MAX_NESTING
+    assert parse_polynomial(R, nested) == x - y
+
+
+def test_cli_deep_nesting_is_a_syntax_error(tmp_path, capsys):
+    script = tmp_path / "deep.ck"
+    script.write_text("ring R = zp(32003)[x,y] grevlex;\n"
+                      "poly f = " + "(" * 3000 + "x" + ")" * 3000 + ";\n")
+    assert main(["run", str(script)]) == 1
+    assert "syntax error at line 2" in capsys.readouterr().err
+
+
 def test_cli_syntax_error_exit_code(tmp_path):
     script = tmp_path / "bad.ck"
     script.write_text("ring R = zp(32003)[x,y] grevlex;\nideal = ;\n")
@@ -541,18 +574,24 @@ def test_cli_text_mode(tmp_path, capsys):
     assert json.loads(out)["commands"][1]["result"] == {"holds": True}
 
 
-def test_cli_example_27_refused():
-    out = _cli(["example", "2.7"])
-    assert out.returncode == 2
-    assert "allow-long" in (out.stderr + out.stdout)
+def test_cli_example_25_refused_before_the_rees_step():
+    # the 2.5 prime is generated in mixed weighted degrees, so the
+    # reduction search, the script's first command, refuses it at once
+    for field in ([], ["--field", "q"]):
+        out = _cli(["run", str(example_path("2.5"))] + field, timeout=60)
+        assert out.returncode == 2
+        assert "one degree" in out.stderr
+        assert "35, 38, 39, 42, 48" in out.stderr
 
 
 def test_cli_example_26_refused_before_the_rees_step():
     # the generators of the 2.6 prime have two degrees, so the reduction
     # search refuses them before any Rees presentation is computed
-    out = _cli(["example", "2.6"], timeout=60)
-    assert out.returncode == 2
-    assert "one degree" in out.stderr
+    for field in ([], ["--field", "q"]):
+        out = _cli(["run", str(example_path("2.6"))] + field, timeout=60)
+        assert out.returncode == 2
+        assert "one degree" in out.stderr
+        assert "12, 15" in out.stderr
 
 
 def test_cli_witness_subcommand(tmp_path):
@@ -605,3 +644,25 @@ def test_cli_subcommand_is_its_script_command(tmp_path, capsys, argv,
     assert main(["run", str(script)] + flags) == 0
     explicit = json.loads(capsys.readouterr().out)
     assert synthesized == explicit
+
+
+def test_readme_command_line_block_matches_the_parser():
+    # README's "Command line" block names exactly the subcommands the
+    # parser defines, and the run line exactly the options of `run`
+    readme = (EXAMPLES.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    subcommands, run_options, current = [], set(), None
+    for line in block.splitlines():
+        if line.startswith("cancelkit "):
+            current = line.split()[1]
+            subcommands.append(current)
+        if current == "run":
+            run_options.update(re.findall(r"--[a-z][a-z-]*", line))
+    parser = build_parser()
+    choices = next(action.choices for action in parser._actions
+                   if hasattr(action, "choices") and action.choices)
+    assert subcommands == list(choices)
+    assert run_options == {option
+                           for action in choices["run"]._actions
+                           for option in action.option_strings
+                           if option.startswith("--")} - {"--help"}
