@@ -3,19 +3,22 @@ reduced Groebner bases behind it.
 
 A `Store` is made fresh for each job and dropped at its end (`cli.main`
 installs it in `active_store`).  It keeps every result asked for by
-content key -- reduced bases under (ring, frozenset of generators),
-whole hypothesis checks under their arguments -- so a repeat within the
-job is read back instead of recomputed.  Only results whose computation
-returned are kept; one that raised is computed again on the next call.
+content key -- reduced bases under (ring, frozenset of generators,
+None), their degree-D parts (`gb.degree_basis`) under the same key with
+D in place of None, whole hypothesis checks under their arguments -- so
+a repeat within the job is read back instead of recomputed.  Only
+results whose computation returned are kept; one that raised is
+computed again on the next call.
 
 `GBCache` is the disk layer, consulted only when the store misses.  Its
 key and its entries are the integer form of `fields.to_ints`.  One file
 per basis: name = hex sha256 of `ring.describe()` and of each
 generator's packed monomials (ascending) with integer coefficients over
-one denominator, the generators' strings sorted; body = canonical JSON
-of the entry schema version, that hash, and the reduced basis, each
-element one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms
-descending) read back by `from_ints(ints, 1, den)`.  Writes are atomic
+one denominator, the generators' strings sorted, and for a one-degree
+part a line "degree D" after the ring's; body = canonical JSON of the
+entry schema version, that hash, and the reduced basis, each element
+one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms descending)
+read back by `from_ints(ints, 1, den)`.  Writes are atomic
 (tempfile + rename); there is no index file and no size bound.  An entry
 that does not match its name and schema, or does not read back as a
 basis of the ring (empty, a zero element, a monomial outside the ring's
@@ -37,16 +40,19 @@ SCHEMA = 3
 active_store = contextvars.ContextVar("cancelkit_store", default=None)
 
 
-def basis_key(ring, gens):
+def basis_key(ring, gens, degree=None):
     """The disk key of gens: stable across processes and runs (no
     Python `hash()`), and the same for any order of gens or of their
-    terms."""
+    terms.  With a degree, the key of the basis part in that degree,
+    which differs from the full basis's key."""
     to_ints = ring.field.to_ints
     polys = []
     for g in gens:
         ints, _, den = to_ints(g.terms)
         polys.append(repr((den, sorted(ints.items()))))
     polys.sort()
+    if degree is not None:
+        polys.insert(0, f"degree {degree}")
     payload = "\n".join([ring.describe(), *polys])
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -70,20 +76,27 @@ class Store:
             self._results[key] = compute()
         return self._results[key]
 
-    def basis(self, ring, gens, compute):
-        """The reduced basis of the nonzero gens: kept, else read from
-        disk, else compute()'s, which is written to disk.  The disk key is
-        hashed once per miss."""
+    def holds(self, ring, gens):
+        """True iff the full reduced basis of the nonzero gens is kept;
+        reads nothing from disk."""
+        return (ring, frozenset(gens), None) in self._results
+
+    def basis(self, ring, gens, compute, degree=None):
+        """The reduced basis of the nonzero gens, or with a degree its
+        part in that degree: kept, else read from disk, else compute()'s,
+        which is written to disk.  Both keys name the degree, so a part
+        never answers for the full basis.  The disk key is hashed once
+        per miss."""
         def load():
             if self.disk is None:
                 return compute()
-            key = basis_key(ring, gens)
+            key = basis_key(ring, gens, degree)
             basis = self.disk.get(ring, key)
             if basis is None:
                 basis = compute()
                 self.disk.put(key, basis)
             return basis
-        return self.recall((ring, frozenset(gens)), load)
+        return self.recall((ring, frozenset(gens), degree), load)
 
 
 def _flat(g):

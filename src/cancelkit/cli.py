@@ -16,6 +16,7 @@ import argparse
 import functools
 import sys
 import time
+import warnings
 
 from .cache import GBCache, Store, active_store
 from .errors import (BadRegularSequence, CancelkitError, HypothesisFailed,
@@ -135,7 +136,15 @@ def main(argv=None):
             text = fh.read()
         if args.subcommand != "run":
             text = text.rstrip() + "\n" + _script_command(args) + "\n"
-        report = run(parse_script(text), flags)
+        # a job's warnings are one plain line each, in every job of the
+        # process, whatever the interpreter's warning filters
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                report = run(parse_script(text), flags)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except ScriptSyntaxError as exc:
         print(f"syntax error at line {exc.line}, column {exc.col}: "
               f"{exc.message}", file=sys.stderr)

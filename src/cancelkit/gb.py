@@ -18,6 +18,11 @@ boundary: the monic reduced basis `_interreduce` returns and the
 remainder `normal_form` returns.  Reduced bases are unique, so they are
 the same as with field arithmetic throughout.
 
+For forms of one weighted degree D, `degree_basis` gives the degree-D
+part of the reduced basis by row reduction alone (`_echelon`); the
+job's store and the disk cache keep such a part under keys that name D,
+so it never stands in for a full basis.
+
 PAIR_CAP and DEGREE_CAP are the engine's resource ceilings: hitting one
 raises ResourceExceeded, never silently truncates.
 """
@@ -270,11 +275,26 @@ def buchberger(gens):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GroebnerBasis(ring, [])
+    return _stored(ring, gens, lambda: _basis(gens, ring))
+
+
+def degree_basis(gens, degree):
+    """The degree-`degree` part of the reduced basis of the ideal of the
+    nonzero gens, each homogeneous of that weighted degree: their reduced
+    row echelon form (`_echelon`).  It decides membership of forms of
+    that degree, but it is not a basis of the ideal: the store and the
+    disk cache keep it under keys that name the degree, apart from the
+    full basis."""
+    ring = _common_ring(gens)
+    return _stored(ring, gens, lambda: _echelon(gens, ring), degree)
+
+
+def _stored(ring, gens, compute, degree=None):
+    """compute()'s basis of gens, asked of the job's store first."""
     store = _cache.active_store.get()
     if store is None:
-        return GroebnerBasis(ring, _basis(gens, ring))
-    return GroebnerBasis(ring, store.basis(
-        ring, gens, lambda: _basis(gens, ring)))
+        return GroebnerBasis(ring, compute())
+    return GroebnerBasis(ring, store.basis(ring, gens, compute, degree))
 
 
 def _basis(gens, ring):
@@ -313,6 +333,22 @@ def _basis(gens, ring):
         add(r)
 
     return _interreduce(G, ring)
+
+
+def _echelon(gens, ring):
+    """The reduced row echelon form of nonzero gens that share one
+    weighted degree.  There a leading monomial divides a monomial only
+    when the two are equal, so division is row reduction: each generator
+    is reduced by the rows before it up to its first irreducible term,
+    which leads the new row, and `_interreduce` clears the columns of
+    the leads.  No S-pair is formed (Lazard 1983)."""
+    rows, div = [], []
+    for g in gens:
+        r = _divide(_working(g).terms, 1, 1, div, ring, full=False)
+        if not r.is_zero():
+            rows.append(r)
+            div.append(_divisor(r))
+    return _interreduce(rows, ring)
 
 
 def _interreduce(G, ring):

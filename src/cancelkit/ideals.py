@@ -12,6 +12,11 @@ the order ends in the target's.  Saturation by J = (f_1..f_k) eliminates
 the z from (I, 1 - z_1*f_1 - ... - z_k*f_k) in R[z_1..z_k], and J lies
 in the radical of I iff that saturation is (1).
 
+Containment between ideals generated in one weighted degree D, when
+the containing ideal holds no basis, reads only the degree-D part of
+its basis (`gb.degree_basis`, kept under store and disk keys that name
+D): it is never held as the ideal's basis, printed or compared.
+
 Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
 """
@@ -19,7 +24,7 @@ a polynomial ring over a field (catenary and equidimensional).
 from . import cache as _cache
 from .errors import (ArityMismatch, BadRegularSequence, NotHomogeneous,
                      RingMismatch, ZeroColon)
-from .gb import GroebnerBasis, buchberger, normal_form
+from .gb import GroebnerBasis, buchberger, degree_basis, normal_form
 from .orders import Block, Grevlex, Lex
 from .ring import Polynomial, Ring, embed
 
@@ -37,10 +42,13 @@ class DimensionReport:
                 f"witness={self.max_independent_set})")
 
 
+_UNKNOWN = object()
+
+
 class Ideal:
     """Generator list plus a lazily computed, cached reduced Groebner basis."""
 
-    def __init__(self, ring, generators, _gb=None):
+    def __init__(self, ring, generators, _gb=None, _degree=_UNKNOWN):
         self.ring = ring
         gens = []
         for g in generators:
@@ -50,6 +58,8 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb = _gb
+        self._degree = _degree
+        self._part = None  # the degree-D part of the basis, apart from _gb
         self._dim_report = None
 
     # -- basics --
@@ -68,15 +78,36 @@ class Ideal:
         basis = self.groebner()
         return bool(basis.generators) and normal_form(f, basis).is_zero()
 
+    def one_degree(self):
+        """The weighted degree D when every generator is homogeneous of
+        degree D, else None (also with no generators); found once per
+        ideal, and given to a product of two such ideals."""
+        if self._degree is _UNKNOWN:
+            wdeg = self.ring.mono_wdeg
+            degrees = {wdeg(m) for g in self.generators for m in g.terms}
+            self._degree = degrees.pop() if len(degrees) == 1 else None
+        return self._degree
+
     def contains(self, other):
-        if isinstance(other, Ideal):
-            self._check(other)
-            gens = other.generators
-        elif isinstance(other, Polynomial):
-            gens = [other]
-        else:
-            gens = list(other)
-        return all(self.contains_poly(g) for g in gens)
+        """True iff other, an ideal, a polynomial or a list of them, lies
+        in this ideal.  When this ideal holds no full basis (nor does the
+        job's store) and its generators and other's all have one
+        weighted degree D, the degree-D part of the basis decides: the
+        row echelon form of the generators, with no S-pair."""
+        if not isinstance(other, Ideal):
+            other = Ideal(self.ring, [other] if isinstance(other, Polynomial)
+                          else other)
+        self._check(other)
+        if self._part is None and self._gb is None \
+                and self.one_degree() is not None \
+                and other.one_degree() == self._degree:
+            store = _cache.active_store.get()
+            if store is None or not store.holds(self.ring, self.generators):
+                self._part = degree_basis(self.generators, self._degree)
+        if self._part is not None and other.one_degree() == self._degree:
+            return all(normal_form(g, self._part).is_zero()
+                       for g in other.generators)
+        return all(self.contains_poly(g) for g in other.generators)
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -109,7 +140,9 @@ class Ideal:
             # like combinations with repetition, not exponentially
             products = (f * g for f in self.generators
                         for g in other.generators)
-            return Ideal(self.ring, list(dict.fromkeys(products)))
+            d, e = self.one_degree(), other.one_degree()
+            return Ideal(self.ring, list(dict.fromkeys(products)),
+                         _degree=None if d is None or e is None else d + e)
 
         store = _cache.active_store.get()
         if store is None:

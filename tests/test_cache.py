@@ -339,3 +339,54 @@ def test_text_report_counts_cache_bytes_written(tmp_path):
     # the JSON report carries none of the counts
     report = _run(tmp_path, SCHEMA2_JOB, *flags)[1]
     assert "bytes" not in report and "hits" not in report
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)],
+                         ids=["q", "zp"])
+def test_a_degree_part_never_passes_for_the_basis(tmp_path, monkeypatch,
+                                                  field):
+    """The degree-D part a one-degree containment reads is kept under
+    its own store and disk keys: the ideal's full basis, in the same job
+    or read from the same cache directory, is still the full basis."""
+    R = Ring(field, ["x", "y", "z"])
+    gens = [R.poly("x^2 - y*z"), R.poly("y^2 - 2*x*z"), R.poly("3*z^2 - x*y")]
+    full = gb.buchberger(gens).generators
+    assert len(full) > len(gens)  # the basis has elements of degree 3
+    echelons = _count_calls(monkeypatch, gb, "_echelon")
+    loops = _count_calls(monkeypatch, gb, "_basis")
+    directory = tmp_path / "cache"
+    store = cache.Store(cache.GBCache(str(directory)))
+    token = active_store.set(store)
+    try:
+        I = Ideal(R, gens)
+        K = Ideal(R, [gens[0] - gens[1].scale(field.normalize(5)),
+                      gens[2].scale(field.normalize(7))])
+        assert I.contains(K)
+        assert not I.contains(Ideal(R, [R.poly("x*z")]))
+        assert (len(echelons), len(loops)) == (1, 0)
+        assert I._gb is None
+        [part] = os.listdir(directory)
+        assert part == cache.basis_key(R, gens, 2)
+        assert part != cache.basis_key(R, gens)
+        # the full basis of the same generators: a store and disk miss
+        # that computes and writes it
+        assert I.groebner().generators == full
+        assert (len(echelons), len(loops)) == (1, 1)
+        assert (store.disk.hits, store.disk.misses) == (0, 2)
+        assert sorted(os.listdir(directory)) == sorted(
+            [part, cache.basis_key(R, gens)])
+        assert store.disk.get(R, cache.basis_key(R, gens)) == full
+        assert store.disk.get(R, part) != full
+    finally:
+        active_store.reset(token)
+    # a later job whose store holds the full basis (read from disk)
+    # decides containment with it, not with the part
+    store = cache.Store(cache.GBCache(str(directory)))
+    token = active_store.set(store)
+    try:
+        assert Ideal(R, gens).groebner().generators == full
+        assert Ideal(R, gens).contains(K)
+        assert (store.disk.hits, store.disk.misses) == (1, 0)
+        assert (len(echelons), len(loops)) == (1, 1)
+    finally:
+        active_store.reset(token)

@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 from cancelkit.errors import NotSubideal
-from cancelkit.fields import PrimeField
+from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
 from cancelkit.reductions import (analytic_deviation, find_minimal_reduction,
                                   reduction_number)
@@ -146,3 +146,52 @@ def test_minreduction_refuses_mixed_degrees_before_the_spread(
     assert main(["run", str(script)]) == 2
     assert calls == []
     assert "weighted degrees 2, 3" in capsys.readouterr().err
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), RationalField()],
+                         ids=["zp", "q"])
+def test_reduction_number_of_one_degree_ideals_forms_no_spairs(
+        monkeypatch, field):
+    # J <= I and each step J*I^n >= I^(n+1) compare ideals generated in
+    # one degree, which is row reduction; on ideals that hold no basis,
+    # full bases formed 54 (F_p) and 50 (Q) S-polynomials here
+    from cancelkit import gb
+    R = Ring(field, ["x", "y", "z"])
+    M2 = Ideal(R, R.gens()) ** 2
+    J = find_minimal_reduction(M2, seed=0).result
+    I, J = Ideal(R, M2.generators), Ideal(R, J.generators)
+    spolys = _count(monkeypatch, gb, "_spoly")
+    report = reduction_number(I, J)
+    assert (report.is_reduction, report.r) == (True, 1)
+    assert spolys == []
+
+
+def test_warm_reduce_job_builds_nothing(tmp_path, monkeypatch):
+    # a cold run keeps the degree parts it reads on disk, beside the full
+    # bases; the warm run reads every one back and prints the same report
+    from cancelkit import gb
+    from test_bench_digests import _job, _run
+    job, ref = _job("rerun-q", "sparse3-1-3")
+    path = tmp_path / "job.ck"
+    path.write_text(job.text)
+    flags = ("--cache-dir", str(tmp_path / "cache"))
+    echelons = _count(monkeypatch, gb, "_echelon")
+    loops = _count(monkeypatch, gb, "_basis")
+    cold = _run(path, *flags)
+    assert echelons and loops
+    del echelons[:], loops[:]
+    warm = _run(path, *flags)
+    assert (len(echelons), len(loops)) == (0, 0)
+    assert cold == warm == (ref["exit"], ref["stdout_sha256"])

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -572,6 +573,31 @@ def test_cli_text_mode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "hits" not in out and "misses" not in out
     assert json.loads(out)["commands"][1]["result"] == {"holds": True}
+
+
+def test_cli_small_field_warning_is_one_line_per_job(tmp_path, capsys):
+    # the default warning filter shows a warning once per process; the
+    # CLI prints it for every job, as one plain line, whatever the
+    # filters say
+    script = tmp_path / "small.ck"
+    script.write_text("ring R = zp(7)[x,y] grevlex;\n"
+                      "ideal I = (x2, x*y, y2);\n"
+                      "ideal J = minreduction(I);\n"
+                      "reduction(I, J);\n")
+    outputs = []
+    for action in ("default", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(["run", str(script)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: small coefficient field: generator count only "
+            "heuristically certifies minimality"]
+        assert "UserWarning" not in captured.err
+        assert ".py" not in captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["commands"][0]["result"]["is_reduction"]
 
 
 def test_cli_example_25_refused_before_the_rees_step():
