@@ -76,11 +76,6 @@ class Store:
             self._results[key] = compute()
         return self._results[key]
 
-    def holds(self, ring, gens):
-        """True iff the full reduced basis of the nonzero gens is kept;
-        reads nothing from disk."""
-        return (ring, frozenset(gens), None) in self._results
-
     def basis(self, ring, gens, compute, degree=None):
         """The reduced basis of the nonzero gens, or with a degree its
         part in that degree: kept, else read from disk, else compute()'s,

@@ -134,7 +134,7 @@ def cancel_check(H, K):
         f"I={H.I}, J={H.J}, K={K}")
 
 
-def construct_witness(H, seed=0, attempts=200):
+def construct_witness(H, seed=0):
     """Replay the proof's construction in the d = 1 case.
 
     Writes (a) = N cap I with N = saturate((a), I), samples s in N with
@@ -166,7 +166,7 @@ def construct_witness(H, seed=0, attempts=200):
     N = A.saturate(H.I)
     steps.append(("a_equals_N_cap_I", N.intersect(H.I) == A))
 
-    s = _sample_s(H, N, seed, attempts)
+    s = _sample_s(H, N, seed)
     steps.append(("a_colon_s_is_I", True))
     steps.append(("I_colon_s_is_I", True))
 
@@ -184,14 +184,14 @@ def construct_witness(H, seed=0, attempts=200):
     return WitnessTrace(N, s, b, frak_a, q, steps)
 
 
-def _sample_s(H, N, seed, attempts):
+def _sample_s(H, N, seed):
     """Random combination s of N's generators, with constant or linear
-    coefficients, such that (a):s = I and I:s = I."""
+    coefficients, such that (a):s = I and I:s = I; 200 attempts."""
     ring = H.I.ring
     field = ring.field
     A = Ideal(ring, list(H.a))
     gens = list(N.groebner().generators)
-    for attempt in range(attempts):
+    for attempt in range(200):
         rng = random.Random(f"{seed}-s-{attempt}")
         # round-robin richness: first tries bare combinations, later
         # tries allow low-degree polynomial coefficients
@@ -208,7 +208,7 @@ def _sample_s(H, N, seed, attempts):
         if A.colon_poly(s) == H.I and H.I.colon_poly(s) == H.I:
             return s
     raise SearchExhausted(
-        f"no witness element s found in {attempts} attempts")
+        "no witness element s found in 200 attempts")
 
 
 def _random_low_poly(ring, rng):
@@ -247,7 +247,7 @@ def link_ideal(I, a):
     return LinkReport(K, hK, unmixed_K, gci_K)
 
 
-def _regular_sequence_in(K, length, seed=0, attempts=100):
+def _regular_sequence_in(K, length):
     """A length-`length` regular sequence inside K (height criterion),
     found by deterministic random combinations of the generators."""
     ring = K.ring
@@ -255,8 +255,8 @@ def _regular_sequence_in(K, length, seed=0, attempts=100):
     gens = list(K.groebner().generators)
     if len(gens) < length:
         return None
-    for attempt in range(attempts):
-        rng = random.Random(f"{seed}-rs-{attempt}")
+    for attempt in range(100):
+        rng = random.Random(f"0-rs-{attempt}")
         combo = [combination(ring, [field.random(rng) for _ in gens], gens)
                  for _ in range(length)]
         if any(f.is_zero() for f in combo):
@@ -289,15 +289,12 @@ def corollary213_check(H, n):
     return lhs
 
 
-def power_containment_scan(I, J, n_max=6, reduction_report=None):
+def power_containment_scan(I, J, n_max, reduction_report):
     """Smallest n <= n_max with I^n in J, or None.
 
-    J must be a verified reduction of I; pass a precomputed
-    ReductionReport to skip re-verification.
+    J must be a reduction of I, verified by reduction_report, the
+    ReductionReport of reduction_number(I, J).
     """
-    if reduction_report is None:
-        from .reductions import reduction_number
-        reduction_report = reduction_number(I, J)
     if reduction_report.is_reduction is not True:
         raise NotReduction("J is not a verified reduction of I")
     power = I

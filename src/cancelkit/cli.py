@@ -3,10 +3,10 @@
     cancelkit run <script> [--field SPEC] [--seed N] [--ncap N]
                   [--attempts N] [--cache-dir PATH] [--json|--text]
 
-Every subcommand runs a script.  The theorem subcommands cancel-check /
-witness / link / cor213 / power-scan append the one script command they
-stand for, on named bindings, to the script they load; the worked
-examples are scripts under examples/, run like any other.
+`run` is the one subcommand: it reads the script, runs it and prints
+the report.  The theorem checks are script commands (cancelcheck,
+witness, link, cor213, powerscan), and the worked examples are scripts
+under examples/, run like any other.
 
 Exit codes: 0 success, 1 usage/parse/other error, 2 hypothesis failure,
 3 resource limit exceeded, 4 theorem violation.
@@ -30,76 +30,42 @@ _HYPOTHESIS_ERRORS = (HypothesisFailed, PreconditionUnmet, NotSubideal,
                       NotReduction)
 
 
-# theorem subcommand -> (help, script command, its arguments in order)
-_THEOREM_SUBCOMMANDS = {
-    "cancel-check": ("verify K*I in J*I implies K in J", "cancelcheck",
-                     ("ideal", "sequence", "extra", "candidate")),
-    "witness": ("replay the proof construction", "witness",
-                ("ideal", "sequence", "extra")),
-    "link": ("compute the link (a:I) + I", "link", ("ideal", "sequence")),
-    "cor213": ("power-membership equivalence check", "cor213",
-               ("ideal", "sequence", "extra", "n")),
-    "power-scan": ("least n with I^n inside a reduction J", "powerscan",
-                   ("ideal", "reduction", "nmax")),
-}
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, as every other refused input
+    does; exit 2 means a hypothesis failure."""
 
-_ARGUMENT_HELP = {
-    "ideal": "name of the ideal I",
-    "sequence": "name of an ideal whose generators are a_1..a_g",
-    "extra": "expression for a_{g+1}",
-    "candidate": "name of the ideal K",
-    "reduction": "name of the reduction J",
-    "n": "the power n",
-    "nmax": "largest power scanned (default: --ncap)",
-}
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and reused."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cancelkit",
         description="polynomial ideal arithmetic and cancellation-theorem "
                     "verification")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("script", help="script file")
-        p.add_argument("--field", default=None,
-                       help="default coefficient field: q or zp:<p> "
-                            "(used when the script's ring declaration "
-                            "omits the field)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ncap", type=int, default=10,
-                       help="reduction-number loop ceiling")
-        p.add_argument("--attempts", type=int, default=50,
-                       help="randomized search attempt budget")
-        p.add_argument("--cache-dir", default=None,
-                       help="directory for the Groebner-basis cache")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="fmt", action="store_const",
-                         const="json", default="json")
-        fmt.add_argument("--text", dest="fmt", action="store_const",
-                         const="text")
-
-    common(sub.add_parser("run", help="execute a script"))
-    for name, (help_text, _, params) in _THEOREM_SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        for param in params:
-            p.add_argument(param, type=int if param in ("n", "nmax") else str,
-                           nargs="?" if param == "nmax" else None,
-                           help=_ARGUMENT_HELP[param])
+    sub = parser.add_subparsers(required=True)
+    p = sub.add_parser("run", help="execute a script")
+    p.add_argument("script", help="script file")
+    p.add_argument("--field", default=None,
+                   help="default coefficient field: q or zp:<p> "
+                        "(used when the script's ring declaration "
+                        "omits the field)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ncap", type=int, default=10,
+                   help="reduction-number loop ceiling")
+    p.add_argument("--attempts", type=int, default=50,
+                   help="randomized search attempt budget")
+    p.add_argument("--cache-dir", default=None,
+                   help="directory for the Groebner-basis cache")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="fmt", action="store_const",
+                     const="json", default="json")
+    fmt.add_argument("--text", dest="fmt", action="store_const",
+                     const="text")
     return parser
-
-
-def _script_command(args):
-    """The script command a theorem subcommand stands for."""
-    _, command, params = _THEOREM_SUBCOMMANDS[args.subcommand]
-    values = [getattr(args, param) for param in params]
-    if values[-1] is None:  # power-scan without nmax scans up to --ncap
-        values[-1] = args.ncap
-    return f"{command}({', '.join(map(str, values))});"
 
 
 def _render_text(report, elapsed, store):
@@ -134,8 +100,6 @@ def main(argv=None):
     try:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()
-        if args.subcommand != "run":
-            text = text.rstrip() + "\n" + _script_command(args) + "\n"
         # a job's warnings are one plain line each, in every job of the
         # process, whatever the interpreter's warning filters
         with warnings.catch_warnings(record=True) as caught:

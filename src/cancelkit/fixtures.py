@@ -13,13 +13,12 @@ from .ideals import Ideal, kernel_of_map
 from .ring import Ring, combination
 
 
-def monomial_curve(exponents, field=None, names=None):
+def monomial_curve(exponents, field=None):
     """Defining prime of k[t^e1, ..., t^en] in a weighted k[x1..xn]."""
     field = field or PrimeField(DEFAULT_PRIME)
     n = len(exponents)
-    if names is None:
-        names = ["x", "y", "z", "w"][:n] if n <= 4 \
-            else [f"x{i + 1}" for i in range(n)]
+    names = ["x", "y", "z", "w"][:n] if n <= 4 \
+        else [f"x{i + 1}" for i in range(n)]
     param = Ring(field, ["t"])
     t = param.var(0)
     source = Ring(field, list(names))
@@ -53,6 +52,8 @@ class TheoremFixture:
         return f"TheoremFixture({self.name})"
 
 
+MIN_FIXTURES = 25
+
 CURVE_TRIPLES = [
     (3, 4, 5), (3, 5, 7), (4, 5, 6), (4, 5, 7), (4, 6, 7),
     (5, 6, 7), (5, 7, 9), (4, 7, 9), (5, 6, 9), (6, 7, 8),
@@ -60,9 +61,9 @@ CURVE_TRIPLES = [
 ]
 
 
-def _certify(I, seed, attempts=30):
+def _certify(I, seed):
     """Search (a, a_extra) making check_hypotheses fully certified:
-    first over generator subsets, then over seeded random combinations."""
+    first over generator subsets, then over 30 seeded random combinations."""
     g = I.height
     gens = list(I.generators)
     ring = I.ring
@@ -77,7 +78,7 @@ def _certify(I, seed, attempts=30):
         H = check_hypotheses(I, a, extra)
         if H.certified:
             return H
-    for attempt in range(attempts):
+    for attempt in range(30):
         rng = random.Random(f"{seed}-certify-{attempt}")
         combos = [combination(ring, [field.random(rng) for _ in gens], gens)
                   for _ in range(g + 1)]
@@ -89,18 +90,18 @@ def _certify(I, seed, attempts=30):
     return None
 
 
-def certified_fixtures(min_count=25, seed=0):
-    """At least min_count seeded fixtures passing every hypothesis
+def certified_fixtures():
+    """At least MIN_FIXTURES seeded fixtures passing every hypothesis
     check: monomial-curve primes, complete intersections, and links."""
     field = PrimeField(DEFAULT_PRIME)
     fixtures = []
 
     curve_hypotheses = []
     for exps in CURVE_TRIPLES:
-        if len(fixtures) >= min_count:
+        if len(fixtures) >= MIN_FIXTURES:
             break
         P = monomial_curve(exps, field)
-        H = _certify(P, seed=f"{seed}-curve-{exps}")
+        H = _certify(P, seed=f"0-curve-{exps}")
         if H is not None:
             fixtures.append(TheoremFixture(f"curve{exps}", H))
             curve_hypotheses.append((exps, H))
@@ -116,7 +117,7 @@ def certified_fixtures(min_count=25, seed=0):
         (x * x + y * y + y * z, z * z + x * y),
     ]
     for idx, (f1, f2) in enumerate(ci_pairs):
-        if len(fixtures) >= min_count + 5:
+        if len(fixtures) >= MIN_FIXTURES + 5:
             break
         I = Ideal(ring3, [f1, f2])
         if I.height != 2:
@@ -126,18 +127,18 @@ def certified_fixtures(min_count=25, seed=0):
             fixtures.append(TheoremFixture(f"ci{idx}", H))
 
     for exps, H in curve_hypotheses[:8]:
-        if len(fixtures) >= min_count + 10:
+        if len(fixtures) >= MIN_FIXTURES + 10:
             break
         rep = link_ideal(H.I, list(H.a))
         if rep.degenerate or rep.height_K != H.g + 1:
             continue
         K = rep.K
-        HK = _certify(K, seed=f"{seed}-link-{exps}")
+        HK = _certify(K, seed=f"0-link-{exps}")
         if HK is not None:
             fixtures.append(TheoremFixture(f"link{exps}", HK))
 
-    if len(fixtures) < min_count:
+    if len(fixtures) < MIN_FIXTURES:
         raise SearchExhausted(
             f"only {len(fixtures)} certified fixtures found, "
-            f"need {min_count}")
+            f"need {MIN_FIXTURES}")
     return fixtures

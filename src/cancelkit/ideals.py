@@ -90,10 +90,10 @@ class Ideal:
 
     def contains(self, other):
         """True iff other, an ideal, a polynomial or a list of them, lies
-        in this ideal.  When this ideal holds no full basis (nor does the
-        job's store) and its generators and other's all have one
-        weighted degree D, the degree-D part of the basis decides: the
-        row echelon form of the generators, with no S-pair."""
+        in this ideal.  When this ideal holds no full basis and its
+        generators and other's all have one weighted degree D, the
+        degree-D part of the basis decides: the row echelon form of the
+        generators, with no S-pair."""
         if not isinstance(other, Ideal):
             other = Ideal(self.ring, [other] if isinstance(other, Polynomial)
                           else other)
@@ -101,9 +101,7 @@ class Ideal:
         if self._part is None and self._gb is None \
                 and self.one_degree() is not None \
                 and other.one_degree() == self._degree:
-            store = _cache.active_store.get()
-            if store is None or not store.holds(self.ring, self.generators):
-                self._part = degree_basis(self.generators, self._degree)
+            self._part = degree_basis(self.generators, self._degree)
         if self._part is not None and other.one_degree() == self._degree:
             return all(normal_form(g, self._part).is_zero()
                        for g in other.generators)

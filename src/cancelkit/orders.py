@@ -8,8 +8,6 @@ Ring packs such a tuple into one int (Ring.key).
 from .errors import ArityMismatch
 
 class Lex:
-    kind = "lex"
-
     def key_fn(self, n, weights=None):
         return lambda exps: exps
 
@@ -25,8 +23,6 @@ class Lex:
 
 class Grevlex:
     """Graded reverse lexicographic; degree is weighted when weights given."""
-
-    kind = "grevlex"
 
     def key_fn(self, n, weights=None):
         if weights is None:
@@ -57,8 +53,6 @@ class Block:
     monomial involving an eliminated variable beats every monomial that
     does not; Groebner bases under this order compute eliminations.
     """
-
-    kind = "block"
 
     def __init__(self, elim_count, elim_order, rest_order):
         if elim_count < 1:

@@ -203,7 +203,7 @@ def _in_fiber(ideal, forms):
     return True
 
 
-def _equalizing_weights(ideal, combo_budget=20000):
+def _equalizing_weights(ideal):
     """Positive integer weight vectors under which all but one generator
     attains the common minimal weighted value, found by solving the
     equalization system for each choice of candidate minimal monomials."""
@@ -218,7 +218,7 @@ def _equalizing_weights(ideal, combo_budget=20000):
         size = 1
         for i in subset:
             size *= len(supports[i])
-        if size > combo_budget:
+        if size > 20000:
             continue
         hit = None
         for combo in itertools.product(*[supports[i] for i in subset]):
@@ -304,7 +304,7 @@ def _valuation_kernel(ideal, w, t_ring):
     return Ideal(t_ring, kernel_gens)
 
 
-def graded_piece(Q, d, base_count=0):
+def graded_piece(Q, d, base_count):
     """Generators of T-degree exactly d drawn from the reduced GB of the
     T-homogeneous ideal Q."""
     if d < 0:

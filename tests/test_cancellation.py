@@ -160,11 +160,12 @@ def test_corollary_rejects_radical_mismatch():
 
 def test_power_scan_requires_verified_reduction():
     from cancelkit.errors import NotReduction
+    from cancelkit.reductions import reduction_number
     I = monomial_curve((3, 4, 5))
     R = I.ring
     J = Ideal(R, [I.generators[0]])
     with pytest.raises(NotReduction):
-        power_containment_scan(I, J, n_max=3)
+        power_containment_scan(I, J, 3, reduction_number(I, J))
 
 
 def test_power_scan_on_reduction():
@@ -175,4 +176,4 @@ def test_power_scan_on_reduction():
     J = Ideal(R, [x * x, y * y])
     rep = reduction_number(I, J)
     # I^2 = J*I is inside J; I itself is not, so the smallest power is 2
-    assert power_containment_scan(I, J, n_max=4, reduction_report=rep) == 2
+    assert power_containment_scan(I, J, 4, rep) == 2

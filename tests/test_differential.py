@@ -1,0 +1,154 @@
+"""Intersection, colon and saturation against sympy, by routes that share
+no algorithm with cancelkit's module kernels and Rabinowitsch
+elimination:
+
+- I cap J is the lex elimination of t from t*I + (1 - t)*J;
+- I : J is the intersection over the generators f_j of J of
+  (I cap (f_j)) / f_j, each quotient an exact division;
+- I : J^infinity is the colon by J repeated until it is stable.
+
+Each case is a seeded pair of ideals in 2 or 3 variables, generators of
+degree at most 3, homogeneous or not, under lex or grevlex, over Q or
+F_32003.  Results are compared as ideals, by sympy's reduced bases.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from cancelkit.fields import PrimeField, RationalField
+from cancelkit.ideals import Ideal
+from cancelkit.orders import Grevlex, Lex
+from cancelkit.ring import Ring
+
+P = 32003
+T = sympy.Symbol("t")
+FIELDS = {"q": (RationalField, {"domain": "QQ"}),
+          "zp": (lambda: PrimeField(P), {"modulus": P})}
+ORDERS = {"lex": Lex, "grevlex": Grevlex}
+CASES = [(field, order, homogeneous, seed)
+         for field in FIELDS for order in ORDERS
+         for homogeneous in (True, False) for seed in range(6)]
+
+
+class _Case:
+    """A ring and the seeded ideals I and J of one case, each generator
+    held both as a cancelkit polynomial and as a sympy expression."""
+
+    def __init__(self, field, order, homogeneous, seed):
+        rng = random.Random(f"differential-{field}-{order}-{homogeneous}-"
+                            f"{seed}")
+        make_field, self.domain = FIELDS[field]
+        self.field = make_field()
+        names = ["x", "y", "z"][:rng.choice((2, 3))]
+        self.ring = Ring(self.field, names, ORDERS[order]())
+        self.syms = sympy.symbols(names)
+        self.order = order
+        self.I = self._ideal(rng, homogeneous, rng.randint(1, 3))
+        self.J = self._ideal(rng, homogeneous, rng.randint(1, 2))
+
+    def _ideal(self, rng, homogeneous, count):
+        gens, exprs = [], []
+        while len(gens) < count:
+            terms = self._terms(rng, homogeneous)
+            f = self.ring.from_terms(terms)
+            if f.is_zero() or not any(f.terms):  # no zero or unit generator
+                continue
+            gens.append(f)
+            # over F_p sympy takes the residue of each coefficient
+            exprs.append(sum(
+                sympy.Rational(*_ratio(self.field.normalize(c)))
+                * sympy.Mul(*[s ** e for s, e in zip(self.syms, exps)])
+                for exps, c in terms))
+        return Ideal(self.ring, gens), exprs
+
+    def _terms(self, rng, homogeneous):
+        n = self.ring.n
+        degree = rng.randint(1, 3)
+        terms = []
+        for i in range(rng.randint(1, 3)):
+            d = degree if homogeneous or i == 0 else rng.randint(0, degree)
+            exps = [0] * n
+            for _ in range(d):
+                exps[rng.randrange(n)] += 1
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            terms.append((tuple(exps), c))
+        return terms
+
+    def to_sympy(self, ideal):
+        return [sympy.Add(*[
+            sympy.Rational(*_ratio(c))
+            * sympy.Mul(*[s ** e for s, e in zip(self.syms,
+                                                 self.ring.decode(m))])
+            for m, c in f.terms.items()]) for f in ideal.generators]
+
+    def reduced(self, exprs):
+        """The ideal of exprs as its sorted reduced basis, () for 0."""
+        exprs = [e for e in exprs if e != 0]
+        if not exprs:
+            return ()
+        basis = sympy.groebner(exprs, *self.syms, order=self.order,
+                               **self.domain)
+        return tuple(sorted(map(str, basis.exprs)))
+
+    def intersect(self, F, G):
+        basis = sympy.groebner([T * f for f in F] + [(1 - T) * g for g in G],
+                               T, *self.syms, order="lex", **self.domain)
+        return [e for e in basis.exprs if not e.has(T)]
+
+    def colon(self, F, G):
+        result = None
+        for g in G:
+            quotients = []
+            for h in self.intersect(F, [g]):
+                q, r = sympy.div(h, g, *self.syms, **self.domain)
+                assert r == 0, (h, g)
+                quotients.append(q)
+            result = quotients if result is None \
+                else self.intersect(result, quotients)
+        return result
+
+    def saturate(self, F, G):
+        current = self.reduced(F)
+        for _ in range(12):
+            F = self.colon(F, G)
+            following = self.reduced(F)
+            if following == current:
+                return F
+            current = following
+        raise AssertionError("the colons by J did not become stable")
+
+
+def _ratio(c):
+    c = Fraction(c)
+    return c.numerator, c.denominator
+
+
+def _case_id(case):
+    field, order, homogeneous, seed = case
+    return f"{field}-{order}-{'hom' if homogeneous else 'inhom'}-{seed}"
+
+
+@pytest.fixture(params=CASES, ids=_case_id)
+def case(request):
+    return _Case(*request.param)
+
+
+def test_intersection_matches_elimination(case):
+    (I, F), (J, G) = case.I, case.J
+    ours = case.reduced(case.to_sympy(I.intersect(J)))
+    assert ours == case.reduced(case.intersect(F, G))
+
+
+def test_colon_matches_quotients_of_intersections(case):
+    (I, F), (J, G) = case.I, case.J
+    ours = case.reduced(case.to_sympy(I.colon(J)))
+    assert ours == case.reduced(case.colon(F, G))
+
+
+def test_saturation_matches_repeated_colons(case):
+    (I, F), (J, G) = case.I, case.J
+    ours = case.reduced(case.to_sympy(I.saturate(J)))
+    assert ours == case.reduced(case.saturate(F, G))

@@ -15,7 +15,7 @@ from cancelkit.ideals import Ideal
 
 @pytest.fixture(scope="module")
 def fixtures():
-    return certified_fixtures(min_count=25, seed=0)
+    return certified_fixtures()
 
 
 def test_at_least_25_certified(fixtures):

@@ -11,8 +11,8 @@ from cancelkit.cli import build_parser, main
 from cancelkit.errors import ScriptSyntaxError
 from cancelkit.fields import PrimeField
 from cancelkit.ring import Ring
-from cancelkit.script import (MAX_NESTING, RunFlags, canonical_json,
-                              parse_polynomial, parse_script)
+from cancelkit.script import (MAX_NESTING, Interpreter, RunFlags,
+                              canonical_json, parse_polynomial, parse_script)
 from cancelkit.script import run as run_parsed
 
 from worked_examples import EXAMPLES, example_path
@@ -620,14 +620,19 @@ def test_cli_example_26_refused_before_the_rees_step():
         assert "12, 15" in out.stderr
 
 
-def test_cli_witness_subcommand(tmp_path):
-    script = tmp_path / "w.ck"
-    script.write_text("""\
+THEOREM_BINDINGS = """\
 ring R = zp(32003)[x:3,y:4,z:5] grevlex;
 ideal P = kernel(t3,t4,t5);
 ideal A = (y2-x*z, x3-y*z);
-""")
-    out = _cli(["witness", str(script), "P", "A", "x2*y-z2", "--json"])
+ideal I = (x2, x*y, y2);
+ideal B = (x2, y2);
+"""
+
+
+def test_cli_witness_steps_all_hold(tmp_path):
+    script = tmp_path / "w.ck"
+    script.write_text(THEOREM_BINDINGS + "witness(P, A, x2*y-z2);\n")
+    out = _cli(["run", str(script), "--json"])
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     last = report["commands"][-1]["result"]
@@ -635,41 +640,39 @@ ideal A = (y2-x*z, x3-y*z);
     assert all(ok for _name, ok in last["steps"])
 
 
-THEOREM_BINDINGS = """\
-ring R = zp(32003)[x:3,y:4,z:5] grevlex;
-ideal P = kernel(t3,t4,t5);
-ideal A = (y2-x*z, x3-y*z);
-ideal J = (y2-x*z, x3-y*z, x2*y-z2);
-ideal I = (x2, x*y, y2);
-ideal B = (x2, y2);
-"""
-
-SUBCOMMANDS = (
-    (["cancel-check", "P", "A", "x2*y-z2", "J"],
-     "cancelcheck(P, A, x2*y-z2, J);"),
-    (["link", "P", "A"], "link(P, A);"),
-    (["cor213", "P", "A", "x2*y-z2", "2"], "cor213(P, A, x2*y-z2, 2);"),
-    (["power-scan", "I", "B", "4"], "powerscan(I, B, 4);"),
-    # without nmax, power-scan scans up to --ncap
-    (["power-scan", "I", "B", "--ncap", "3"], "powerscan(I, B, 3);"),
-    (["witness", "P", "A", "x2*y-z2"], "witness(P, A, x2*y-z2);"),
-)
+def test_powerscan_nmax_defaults_to_ncap(tmp_path, capsys):
+    script = tmp_path / "scan.ck"
+    script.write_text(THEOREM_BINDINGS + "powerscan(I, B);\n")
+    assert main(["run", str(script), "--ncap", "3"]) == 0
+    result = json.loads(capsys.readouterr().out)["commands"][-1]["result"]
+    assert result == {"n": 2, "n_max": 3}
 
 
-@pytest.mark.parametrize("argv, command", SUBCOMMANDS)
-def test_cli_subcommand_is_its_script_command(tmp_path, capsys, argv,
-                                              command):
-    # a theorem subcommand reports what its script command reports
-    bindings = tmp_path / "bindings.ck"
-    bindings.write_text(THEOREM_BINDINGS)
-    assert main([argv[0], str(bindings)] + argv[1:]) == 0
-    synthesized = json.loads(capsys.readouterr().out)
-    script = tmp_path / "explicit.ck"
-    script.write_text(THEOREM_BINDINGS + command + "\n")
-    flags = argv[argv.index("--ncap"):] if "--ncap" in argv else []
-    assert main(["run", str(script)] + flags) == 0
-    explicit = json.loads(capsys.readouterr().out)
-    assert synthesized == explicit
+@pytest.mark.parametrize("argv", [
+    ["bogus"], ["run"], ["run", "x.ck", "--seed", "abc"],
+    # a removed theorem subcommand is a usage error, not exit 2
+    ["cancel-check", "x.ck", "P", "A", "x2*y-z2", "J"],
+], ids=["unknown-subcommand", "no-script", "seed-not-int",
+        "removed-subcommand"])
+def test_cli_usage_error_exits_1(tmp_path, capsys, argv):
+    script = tmp_path / "x.ck"
+    script.write_text(THEOREM_BINDINGS
+                      + "ideal J = (y2-x*z, x3-y*z, x2*y-z2);\n")
+    argv = [str(script) if a == "x.ck" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cancelkit")
+    assert "error: " in err
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cancelkit")
 
 
 def test_readme_command_line_block_matches_the_parser():
@@ -692,3 +695,14 @@ def test_readme_command_line_block_matches_the_parser():
                            for action in choices["run"]._actions
                            for option in action.option_strings
                            if option.startswith("--")} - {"--help"}
+
+
+def test_readme_script_language_names_every_handler():
+    # README's "Script language" section names every command and ideal
+    # operation of the interpreter, the theorem checks among them
+    readme = (EXAMPLES.parent / "README.md").read_text()
+    section = readme.split("## Script language", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"[a-z0-9]+", section))
+    handlers = {name.split("_", 1)[1] for name in vars(Interpreter)
+                if name.startswith(("cmd_", "op_"))}
+    assert handlers and handlers <= named, sorted(handlers - named)
