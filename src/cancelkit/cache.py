@@ -4,10 +4,13 @@ reduced Groebner bases behind it.
 A `Store` is made fresh for each job and dropped at its end (`cli.main`
 installs it in `active_store`).  It keeps every result asked for by
 content key -- reduced bases under (ring, frozenset of generators,
-None), their degree-D parts (`gb.degree_basis`) under the same key with
-D in place of None, whole hypothesis checks under their arguments -- so
-a repeat within the job is read back instead of recomputed.  Only
-results whose computation returned are kept; one that raised is
+None, None), their degree-D parts (`gb.degree_basis`) with D in the
+third place, module kernel bases (`modules.syzygy_columns`) with the
+bits of the head components in the fourth, whole hypothesis checks
+under their arguments -- so a repeat within the job is read back
+instead of recomputed.  `Store.held` reads a kept full basis without
+computing anything, so that colon and intersection can start from it.
+Only results whose computation returned are kept; one that raised is
 computed again on the next call.
 
 `GBCache` is the disk layer, consulted only when the store misses.  Its
@@ -15,7 +18,8 @@ key and its entries are the integer form of `fields.to_ints`.  One file
 per basis: name = hex sha256 of `ring.describe()` and of each
 generator's packed monomials (ascending) with integer coefficients over
 one denominator, the generators' strings sorted, and for a one-degree
-part a line "degree D" after the ring's; body = canonical JSON of the
+part a line "degree D", for a kernel a line "head H", after the ring's;
+body = canonical JSON of the
 entry schema version, that hash, and the reduced basis, each element
 one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms descending)
 read back by `from_ints(ints, 1, den)`.  Writes are atomic
@@ -23,7 +27,8 @@ read back by `from_ints(ints, 1, den)`.  Writes are atomic
 that does not match its name and schema, or does not read back as a
 basis of the ring (empty, a zero element, a monomial outside the ring's
 packed fields, a coefficient that reads back zero, den < 1), is a miss
-and is rewritten.
+and is rewritten.  Only a kernel may be empty: under a kernel key an
+empty entry is a hit.
 """
 
 import contextvars
@@ -40,11 +45,13 @@ SCHEMA = 3
 active_store = contextvars.ContextVar("cancelkit_store", default=None)
 
 
-def basis_key(ring, gens, degree=None):
+def basis_key(ring, gens, degree=None, head=None):
     """The disk key of gens: stable across processes and runs (no
     Python `hash()`), and the same for any order of gens or of their
-    terms.  With a degree, the key of the basis part in that degree,
-    which differs from the full basis's key."""
+    terms.  With a degree, the key of the basis part in that degree;
+    with a head (the bits of the leading component variables of a
+    module ring), that of the kernel basis past those components; each
+    differs from the full basis's key."""
     to_ints = ring.field.to_ints
     polys = []
     for g in gens:
@@ -53,6 +60,8 @@ def basis_key(ring, gens, degree=None):
     polys.sort()
     if degree is not None:
         polys.insert(0, f"degree {degree}")
+    if head is not None:
+        polys.insert(0, f"head {head}")
     payload = "\n".join([ring.describe(), *polys])
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -76,22 +85,30 @@ class Store:
             self._results[key] = compute()
         return self._results[key]
 
-    def basis(self, ring, gens, compute, degree=None):
+    def basis(self, ring, gens, compute, degree=None, head=None):
         """The reduced basis of the nonzero gens, or with a degree its
-        part in that degree: kept, else read from disk, else compute()'s,
-        which is written to disk.  Both keys name the degree, so a part
-        never answers for the full basis.  The disk key is hashed once
+        part in that degree, or with a head the kernel basis past the
+        head components: kept, else read from disk, else
+        compute()'s, which is written to disk.  Both keys name the degree
+        and the head, so a part or a kernel never answers for the full
+        basis.  Only a kernel may be empty.  The disk key is hashed once
         per miss."""
         def load():
             if self.disk is None:
                 return compute()
-            key = basis_key(ring, gens, degree)
-            basis = self.disk.get(ring, key)
+            key = basis_key(ring, gens, degree, head)
+            basis = self.disk.get(ring, key, empty=head is not None)
             if basis is None:
                 basis = compute()
                 self.disk.put(key, basis)
             return basis
-        return self.recall((ring, frozenset(gens), degree), load)
+        return self.recall((ring, frozenset(gens), degree, head), load)
+
+    def held(self, ring, gens):
+        """The full reduced basis of the nonzero gens if this job already
+        holds it, else None; computes nothing, reads no disk and counts
+        no hit or miss."""
+        return self._results.get((ring, frozenset(gens), None, None))
 
 
 def _flat(g):
@@ -130,14 +147,16 @@ class GBCache:
         self.misses = 0
         self.bytes_written = 0
 
-    def get(self, ring, key):
+    def get(self, ring, key, empty=False):
+        """The basis kept under key, or None on a miss; an empty basis
+        is a hit only with empty=True (a kernel key)."""
         try:
             with open(os.path.join(self.path, key), "rb") as fh:
                 entry = json.load(fh)
             if entry["schema"] != SCHEMA or entry["key"] != key:
                 raise ValueError("entry of another schema or key")
             basis = [_element(ring, flat) for flat in entry["basis"]]
-            if not basis:
+            if not basis and not empty:
                 raise ValueError("entry is not a basis")
         except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
                 RecursionError, CancelkitError):

@@ -259,8 +259,19 @@ def _gm_update(lms, pairs, heap, ring):
         heapq.heappush(heap, (ring.mono_wdeg(L), ring.key(L), i, t))
 
 
-def buchberger(gens):
-    """The reduced Groebner basis of the ideal generated by gens.
+def buchberger(gens, *, known=(), head=None):
+    """The reduced Groebner basis of the ideal generated by gens and
+    known.
+
+    known, if given, is already a Groebner basis of what it generates:
+    the loop adds it first and forms no pair between two of its elements
+    (the Gebauer-Moeller update started from a basis).  With head, the
+    bits of the first r component variables of a module ring, the result
+    is the reduced basis of the kernel, the elements supported in the
+    components from r on.  Under position-over-term order those are the
+    basis elements led there, since only such a lead divides a term
+    there; the others are dropped before interreduction.  The kernel may
+    be empty.
 
     Zero generators are filtered; pair selection uses the normal strategy
     (minimal lcm degree, ties by lcm key then indices).  A popped pair
@@ -268,14 +279,17 @@ def buchberger(gens):
     skipped.  The basis is asked of the job's store first, and computed
     only when neither the store nor its disk cache holds it.
     """
-    gens = list(gens)
-    ring = _common_ring(gens)
+    gens, known = list(gens), list(known)
+    ring = _common_ring(gens + known)
     if ring is None:
         raise ValueError("cannot infer the ring of an empty generator list")
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    known = [g for g in known if not g.is_zero()]
+    if not gens and not known:
         return GroebnerBasis(ring, [])
-    return _stored(ring, gens, lambda: _basis(gens, ring))
+    return _stored(ring, gens + known,
+                   lambda: _basis(gens, ring, known=known, head=head),
+                   head=head)
 
 
 def degree_basis(gens, degree):
@@ -286,31 +300,35 @@ def degree_basis(gens, degree):
     disk cache keep it under keys that name the degree, apart from the
     full basis."""
     ring = _common_ring(gens)
-    return _stored(ring, gens, lambda: _echelon(gens, ring), degree)
+    return _stored(ring, gens, lambda: _echelon(gens, ring), degree=degree)
 
 
-def _stored(ring, gens, compute, degree=None):
+def _stored(ring, gens, compute, degree=None, head=None):
     """compute()'s basis of gens, asked of the job's store first."""
     store = _cache.active_store.get()
     if store is None:
         return GroebnerBasis(ring, compute())
-    return GroebnerBasis(ring, store.basis(ring, gens, compute, degree))
+    return GroebnerBasis(ring, store.basis(ring, gens, compute,
+                                           degree=degree, head=head))
 
 
-def _basis(gens, ring):
-    """The Buchberger loop over nonzero gens, then the reduced basis."""
+def _basis(gens, ring, known=(), head=None):
+    """The Buchberger loop over nonzero gens after the Groebner basis
+    known, then the reduced basis, or with head that of the kernel."""
     # G holds working forms
     G, lms, div = [], [], []
     pairs, heap = {}, []
 
-    def add(g):
+    def add(g, update=True):
         G.append(g)
         lms.append(g.lm())
         div.append(_divisor(g))
-        _gm_update(lms, pairs, heap, ring)
+        if update:
+            _gm_update(lms, pairs, heap, ring)
 
-    for g in sorted(gens, key=lambda f: ring.key(f.lm())):
-        add(_working(g))
+    for update, part in ((False, known), (True, gens)):
+        for g in sorted(part, key=lambda f: ring.key(f.lm())):
+            add(_working(g), update)
 
     processed = 0
     while heap:
@@ -332,6 +350,8 @@ def _basis(gens, ring):
                 f"(element of degree {r.degree()})")
         add(r)
 
+    if head is not None:
+        G = [g for g in G if not g.lm() & head]
     return _interreduce(G, ring)
 
 

@@ -164,13 +164,13 @@ class Ideal:
     def intersect(self, other):
         """I cap J: the h with h*(1, 1) in the submodule I x J of R^2,
         the same module kernel as colon (no auxiliary variable, so
-        homogeneity survives)."""
+        homogeneity survives).  I and J enter by their reduced bases
+        where those are already held (`_relations`)."""
         self._check(other)
         from .modules import syzygy_columns
-        one, zero = self.ring.one(), self.ring.zero()
-        relations = ([[f, zero] for f in self.generators]
-                     + [[zero, g] for g in other.generators])
-        cols = syzygy_columns([[one, one]], relations)
+        one = self.ring.one()
+        cols = syzygy_columns([[one, one]],
+                              *_relations(2, [(self, [0]), (other, [1])]))
         return Ideal(self.ring, [col[0] for col in cols])
 
     def colon_poly(self, f):
@@ -180,7 +180,8 @@ class Ideal:
     def colon(self, other):
         """I : J for J = (f_1..f_k): the kernel of R -> (R/I)^k,
         h -> (h*f_1, ..., h*f_k), in one module basis -- the h with
-        h*(f_1..f_k) in the submodule of R^k generated by the g*e_j, g in I."""
+        h*(f_1..f_k) in the submodule of R^k generated by the g*e_j, g in I
+        (in I's reduced basis where that is already held, `_relations`)."""
         if isinstance(other, Polynomial):
             return self.colon_poly(other)
         self._check(other)
@@ -188,10 +189,8 @@ class Ideal:
             raise ZeroColon("colon by the zero ideal")
         from .modules import syzygy_columns
         k = len(other.generators)
-        zero = [self.ring.zero()] * k
-        relations = [zero[:j] + [g] + zero[j + 1:]
-                     for g in self.generators for j in range(k)]
-        cols = syzygy_columns([list(other.generators)], relations)
+        cols = syzygy_columns([list(other.generators)],
+                              *_relations(k, [(self, range(k))]))
         return Ideal(self.ring, [col[0] for col in cols])
 
     def saturate(self, other):
@@ -293,6 +292,28 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
+
+
+def _relations(k, parts):
+    """The relations g*e_j of R^k for g in an ideal and j in its
+    positions, one (ideal, positions) pair per part, as (relations,
+    known).  When the ideal or the job's store already holds the ideal's
+    reduced basis, its relations come from that basis and are known: a
+    basis times e_j is a module Groebner basis, since pairs form only
+    within one component.  Else they come from its generators.  Nothing
+    is computed here."""
+    store = _cache.active_store.get()
+    zero = [parts[0][0].ring.zero()] * k
+    relations, known = [], []
+    for ideal, positions in parts:
+        basis = ideal._gb
+        if basis is None and store is not None:
+            basis = store.held(ideal.ring, ideal.generators)
+        into = relations if basis is None else known
+        into += [zero[:j] + [g] + zero[j + 1:]
+                 for g in (ideal.generators if basis is None else basis)
+                 for j in positions]
+    return relations, known
 
 
 def _tail(ring):

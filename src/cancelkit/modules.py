@@ -8,7 +8,13 @@ sum h_j*v_j in a submodule N = (n_1..n_s) of R^r, compute one basis of
 the (v_j, e_j) and (n_i, 0) in R^(r+c) and keep the elements supported
 entirely in the tail block.  Syzygies (N = 0), the colon I : J, the
 colon by a polynomial and the intersection I cap J are all this one
-kernel construction.
+kernel construction.  Only the kernel is interreduced: a tail term is
+divisible only by a lead in the tail, so the basis elements led in the
+head block are dropped first (`gb.buchberger` with head), and the store
+and disk keys name the head, so a kernel never answers for a full basis.
+Relations that already form a module Groebner basis -- an ideal's held
+reduced basis times e_j, since pairs form only within one component --
+enter as known, with no pair between two of them.
 
 minimal_columns trims a generating set of a graded submodule to a
 minimal one by graded Nakayama: one pass in increasing degree, with
@@ -48,13 +54,15 @@ def components(v):
     return [Polynomial(base, t) for t in parts]
 
 
-def module_buchberger(vectors):
+def module_buchberger(vectors, *, known=(), head=None):
     """Reduced module Groebner basis of the submodule generated by vectors
-    (a GroebnerBasis; an empty list when every vector is zero)."""
+    and known (a GroebnerBasis; an empty list when every vector is zero).
+    known, a module Groebner basis, and head, the bits of the component
+    variables before the kernel's, are those of `gb.buchberger`."""
     vecs = [v for v in vectors if not v.is_zero()]
-    if not vecs:
+    if not vecs and not known:
         return []
-    return buchberger(vecs)
+    return buchberger(vecs, known=known, head=head)
 
 
 def module_member(v, basis):
@@ -62,13 +70,16 @@ def module_member(v, basis):
     return normal_form(v, basis).is_zero()
 
 
-def syzygy_columns(columns, relations=()):
+def syzygy_columns(columns, relations=(), known=()):
     """Generators of the columns h of R^c with sum h_j*columns[j] in the
-    submodule of R^r generated by `relations`; with no relations, the
-    syzygies of the columns.
+    submodule of R^r generated by `relations` and `known`; with neither,
+    the syzygies of the columns.  known must be a module Groebner basis
+    (the reduced basis of an ideal times e_j is one); it enters the loop
+    without pairs among its elements.
 
-    columns, relations: lists of lists of polynomials, each of length r.
-    Returns a list of columns, each of length c = len(columns).
+    columns, relations, known: lists of lists of polynomials, each of
+    length r.  Returns the reduced basis of the kernel (only it is
+    interreduced), as a list of columns of length c = len(columns).
     """
     if not columns:
         return []
@@ -81,13 +92,12 @@ def syzygy_columns(columns, relations=()):
         tail = [zero] * c
         tail[j] = ring.one()
         big.append(vector(list(col) + tail))
-    big += [vector(list(rel) + [zero] * c) for rel in relations]
-    syz = []
-    for g in module_buchberger(big):
-        polys = components(g)
-        if all(f.is_zero() for f in polys[:r]):
-            syz.append(polys[r:])
-    return syz
+    pad = [zero] * c
+    kernel = module_buchberger(
+        big + [vector(list(rel) + pad) for rel in relations],
+        known=[vector(list(rel) + pad) for rel in known],
+        head=sum(1 << s for s in big[0].ring._shifts[:r]))
+    return [components(g)[r:] for g in kernel]
 
 
 def minimal_columns(cols, shifts):

@@ -325,6 +325,64 @@ def test_each_bad_entry_is_a_miss(tmp_path, field):
     assert disk.get(R, key) == basis
 
 
+# the syzygies of R/(xy, xz, yz) end after two steps: the kernel of the
+# last map is empty
+SYZYGY_JOB = """\
+ring R = zp(32003)[x,y,z] grevlex;
+ideal I = (x*y, x*z, y*z);
+resolution I;
+"""
+
+
+def test_an_empty_kernel_is_a_cache_hit(tmp_path, monkeypatch):
+    directory = tmp_path / "cache"
+    flags = ("--text", "--cache-dir", str(directory))
+    cold = _run(tmp_path, SYZYGY_JOB, *flags)
+    assert cold[0] == 0
+    entries = {f.name: json.loads(f.read_text())["basis"]
+               for f in directory.iterdir()}
+    empty = [key for key, basis in entries.items() if basis == []]
+    assert len(empty) == 1
+    loops = _count_calls(monkeypatch, gb, "_basis")
+    warm = _run(tmp_path, SYZYGY_JOB, *flags)
+    assert loops == []
+    assert re.search(rf"^cache: {len(entries)} hits, 0 misses, 0 bytes "
+                     "written$", warm[1], re.M)
+    # an empty entry is a hit only where the key is a kernel's
+    R = Ring(PrimeField(32003), ["x", "y", "z"])
+    disk = cache.GBCache(str(directory))
+    assert disk.get(R, empty[0], empty=True) == []
+    assert disk.get(R, empty[0]) is None
+
+
+def test_a_kernel_never_passes_for_the_basis(tmp_path):
+    """A module kernel basis is kept under store and disk keys that name
+    its head components: the full basis of the same vectors, in the same
+    job or from the same cache directory, is still the full basis."""
+    from cancelkit.modules import components, module_buchberger, vector
+    R = Ring(PrimeField(32003), ["x", "y"])
+    x, y = R.gens()
+    zero = R.zero()
+    # the syzygies of (x, y) in the tail block of R^(1 + 2)
+    vecs = [vector([x, R.one(), zero]), vector([y, zero, R.one()])]
+    head = 1 << vecs[0].ring._shifts[0]
+    directory = tmp_path / "cache"
+    for _ in range(2):
+        store = cache.Store(cache.GBCache(str(directory)))
+        token = active_store.set(store)
+        try:
+            kernel = module_buchberger(vecs, head=head).generators
+            full = module_buchberger(vecs).generators
+        finally:
+            active_store.reset(token)
+        assert [components(g) for g in kernel] == [[zero, y, -x]]
+        assert len(full) > len(kernel)
+    assert (store.disk.hits, store.disk.misses) == (2, 0)
+    assert sorted(os.listdir(directory)) == sorted(
+        [cache.basis_key(vecs[0].ring, vecs, head=head),
+         cache.basis_key(vecs[0].ring, vecs)])
+
+
 def test_text_report_counts_cache_bytes_written(tmp_path):
     directory = tmp_path / "cache"
     flags = ("--cache-dir", str(directory))

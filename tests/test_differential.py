@@ -7,6 +7,11 @@ elimination:
   (I cap (f_j)) / f_j, each quotient an exact division;
 - I : J^infinity is the colon by J repeated until it is stable.
 
+Intersection and colon run twice: from the generators, and with each
+ideal's reduced basis already held (on the ideal, or only in the job's
+store), which the module kernel takes as relations that need no pairs
+among themselves.
+
 Each case is a seeded pair of ideals in 2 or 3 variables, generators of
 degree at most 3, homogeneous or not, under lex or grevlex, over Q or
 F_32003.  Results are compared as ideals, by sympy's reduced bases.
@@ -18,6 +23,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from cancelkit import ideals
+from cancelkit.cache import Store, active_store
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
 from cancelkit.orders import Grevlex, Lex
@@ -152,3 +159,44 @@ def test_saturation_matches_repeated_colons(case):
     (I, F), (J, G) = case.I, case.J
     ours = case.reduced(case.to_sympy(I.saturate(J)))
     assert ours == case.reduced(case.saturate(F, G))
+
+
+@pytest.fixture(params=["ideal", "store"])
+def held(request, case):
+    """case's I and J with their reduced bases already held: on the
+    ideals, or only in the job's store (fresh ideals of the same
+    generators hold none themselves)."""
+    I, J = case.I[0], case.J[0]
+    if request.param == "ideal":
+        I.groebner()
+        J.groebner()
+        yield I, J
+        return
+    token = active_store.set(Store(None))
+    try:
+        I.groebner()
+        J.groebner()
+        I, J = Ideal(I.ring, I.generators), Ideal(J.ring, J.generators)
+        assert I._gb is None and J._gb is None
+        yield I, J
+    finally:
+        active_store.reset(token)
+
+
+def _known(ideal):
+    """The relations of ideal that the module kernel would take as known."""
+    return ideals._relations(1, [(ideal, [0])])[1]
+
+
+def test_intersection_from_held_bases_matches_elimination(case, held):
+    I, J = held
+    assert _known(I) and _known(J)
+    ours = case.reduced(case.to_sympy(I.intersect(J)))
+    assert ours == case.reduced(case.intersect(case.I[1], case.J[1]))
+
+
+def test_colon_from_a_held_basis_matches_quotients(case, held):
+    I, J = held
+    assert _known(I)
+    ours = case.reduced(case.to_sympy(I.colon(J)))
+    assert ours == case.reduced(case.colon(case.I[1], case.J[1]))

@@ -290,3 +290,14 @@ def test_buchberger_pair_counts(monkeypatch):
     assert pairs(lambda: monomial_curve((3, 4, 5)).groebner()) == 13
     # a module basis: the colon by a 2-generated ideal
     assert pairs(lambda: I.colon(Ideal(R, [x + y, z**2]))) == 36
+    # the linkage colon (a) : P of the curve t -> (t3, t4, t5): once (a)
+    # holds its basis, its relations enter the module loop as a basis,
+    # with no pair between two of them
+    P = monomial_curve((3, 4, 5))
+    x, y, z = P.ring.gens()
+    a = [y**2 - x*z, x**3 - y*z]
+    generated = pairs(lambda: Ideal(P.ring, a).colon(P))
+    A = Ideal(P.ring, a)
+    A.groebner()
+    held = pairs(lambda: A.colon(P))
+    assert (generated, held) == (6, 4)

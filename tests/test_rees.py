@@ -55,9 +55,9 @@ def test_equigenerated_fiber_keeps_the_kernel_basis(R, monkeypatch):
     rings = []
     basis = gb._basis
 
-    def recording(gens, ring):
+    def recording(gens, ring, **kw):
         rings.append(ring.names)
-        return basis(gens, ring)
+        return basis(gens, ring, **kw)
 
     monkeypatch.setattr(gb, "_basis", recording)
     x, y = R.gens()
