@@ -7,9 +7,10 @@ content key -- reduced bases under (ring, frozenset of generators,
 None, None), their degree-D parts (`gb.degree_basis`) with D in the
 third place, module kernel bases (`modules.syzygy_columns`) with the
 bits of the head components in the fourth, whole hypothesis checks
-under their arguments -- so a repeat within the job is read back
-instead of recomputed.  `Store.held` reads a kept full basis without
-computing anything, so that colon and intersection can start from it.
+and reduction reports under their arguments -- so a repeat within the
+job is read back instead of recomputed.  `Store.held` reads a kept
+full basis without computing anything, so that colon and intersection
+can start from it.
 Only results whose computation returned are kept; one that raised is
 computed again on the next call.
 

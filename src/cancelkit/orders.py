@@ -1,15 +1,17 @@
 """Monomial orders: lex, grevlex, and block (elimination) orders.
 
-An order is turned into a key function on exponent tuples; keys are flat
-tuples of ints with the property that key(m1) > key(m2) iff m1 > m2.
-Ring packs such a tuple into one int (Ring.key).
+An order is its matrix (Robbiano 1985): rows(n, weights) gives integer
+rows such that m1 > m2 iff the row products of m1's exponents are
+lexicographically greater than those of m2's.  Ring packs the matrix
+once into a base and one step per variable (Ring.key).
 """
 
 from .errors import ArityMismatch
 
+
 class Lex:
-    def key_fn(self, n, weights=None):
-        return lambda exps: exps
+    def rows(self, n, weights=None):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
 
     def describe(self):
         return "lex"
@@ -24,17 +26,9 @@ class Lex:
 class Grevlex:
     """Graded reverse lexicographic; degree is weighted when weights given."""
 
-    def key_fn(self, n, weights=None):
-        if weights is None:
-            def key(exps):
-                return (sum(exps),) + tuple(-e for e in reversed(exps))
-        else:
-            w = tuple(weights)
-
-            def key(exps):
-                return (sum(e * wi for e, wi in zip(exps, w)),) + tuple(
-                    -e for e in reversed(exps))
-        return key
+    def rows(self, n, weights=None):
+        return [list(weights or (1,) * n)] + [
+            [-int(i == j) for j in range(n)] for i in reversed(range(n))]
 
     def describe(self):
         return "grevlex"
@@ -61,18 +55,14 @@ class Block:
         self.elim_order = elim_order
         self.rest_order = rest_order
 
-    def key_fn(self, n, weights=None):
+    def rows(self, n, weights=None):
         k = self.elim_count
         if not (0 < k < n):
             raise ArityMismatch(f"block order eliminates {k} of {n} variables")
-        w1 = weights[:k] if weights is not None else None
-        w2 = weights[k:] if weights is not None else None
-        key1 = self.elim_order.key_fn(k, w1)
-        key2 = self.rest_order.key_fn(n - k, w2)
-
-        def key(exps):
-            return tuple(key1(exps[:k])) + tuple(key2(exps[k:]))
-        return key
+        head = self.elim_order.rows(k, weights and weights[:k])
+        tail = self.rest_order.rows(n - k, weights and weights[k:])
+        return ([row + [0] * (n - k) for row in head]
+                + [[0] * k + row for row in tail])
 
     def describe(self):
         return (f"block({self.elim_count},"
@@ -85,4 +75,3 @@ class Block:
 
     def __hash__(self):
         return hash(("block", self.elim_count, self.elim_order, self.rest_order))
-

@@ -12,6 +12,7 @@ probability heuristic over F_p, so small p draws a warning).
 import random
 import warnings
 
+from .cache import active_store
 from .errors import NotSubideal, SearchExhausted
 from .ideals import Ideal
 from .linalg import rank
@@ -54,9 +55,18 @@ class MinimalReductionSearch:
 
 
 def reduction_number(I, J, n_cap=10):
-    """Least n <= n_cap with I^(n+1) = J * I^n, or inconclusive."""
+    """Least n <= n_cap with I^(n+1) = J * I^n, or inconclusive; decided
+    once per (I, J, n_cap) within a job that has a store."""
     if n_cap < 0:
         raise ValueError("n_cap must be nonnegative")
+    store = active_store.get()
+    if store is None:
+        return _reduction_number(I, J, n_cap)
+    return store.recall(("reduction", I.ring, I.generators, J.generators,
+                         n_cap), lambda: _reduction_number(I, J, n_cap))
+
+
+def _reduction_number(I, J, n_cap):
     if not I.contains(J):
         raise NotSubideal("J must be contained in I")
     power = Ideal(I.ring, [I.ring.one()])  # I^0

@@ -40,11 +40,17 @@ class Ring:
         self._guards = 0
         for s in self._shifts:
             self._guards |= 1 << (s + FIELD_BITS - 1)
-        self._key_raw = self.order.key_fn(self.n, self.weights)
-        # no key component exceeds EXP_MAX * sum(weights) in size, so a
-        # field this wide with a sign offset holds every one exactly
-        self._key_bits = (EXP_MAX * sum(weights or (1,) * self.n)
-                          ).bit_length() + 1
+        # the order's rows packed into one int, one field per row: no row
+        # product exceeds EXP_MAX * sum(weights) in size, so a field this
+        # wide with a sign offset holds every one exactly; the packed key
+        # is then affine in the exponents, a base plus one step for each
+        rows = self.order.rows(self.n, weights)
+        bits = (EXP_MAX * sum(weights or (1,) * self.n)).bit_length() + 1
+        places = [1 << (bits * j) for j in reversed(range(len(rows)))]
+        self._key_base = sum(places) << (bits - 1)
+        self._key_steps = tuple(
+            (s, sum(row[i] * p for row, p in zip(rows, places)))
+            for i, s in enumerate(self._shifts))
         self._key_memo = {}
         self._index = {name: i for i, name in enumerate(names)}
         # set on module rings only (see module_ring): the coordinate ring,
@@ -98,16 +104,15 @@ class Ring:
         return sum(e * w for e, w in zip(exps, self.weights))
 
     def key(self, m):
-        """The order key of m packed into one int: one field of _key_bits
-        bits per component of the order's key tuple, offset so each is
-        nonnegative.  Integer comparison is the monomial order."""
+        """The order key of m as one int, memoised per ring: the order's
+        matrix times m's exponents, one offset field per row, computed as
+        the base plus each exponent times its step.  Integer comparison
+        is the monomial order."""
         k = self._key_memo.get(m)
         if k is None:
-            bits = self._key_bits
-            off = 1 << (bits - 1)
-            k = 0
-            for v in self._key_raw(self.decode(m)):
-                k = (k << bits) | (off + v)
+            k = self._key_base
+            for s, step in self._key_steps:
+                k += ((m >> s) & 0xFFFF) * step  # one FIELD_BITS field
             self._key_memo[m] = k
         return k
 

@@ -123,15 +123,15 @@ def test_coefficients_are_held_in_one_place():
 
 
 def test_monomials_compare_in_one_place():
-    """An order's key function is built only by Ring.__init__ (and by a
-    block order from its two parts), and a ring keeps one per-monomial
-    memo, its packed key: every sort, heap and leading-monomial choice
-    reads that one key."""
+    """An order's matrix is read only by Ring.__init__ (and by a block
+    order from its two parts), and a ring keeps one per-monomial memo,
+    its packed key: every sort, heap and leading-monomial choice reads
+    that one key."""
     src = pathlib.Path(cancelkit.__file__).parent
     sites = {site for path in sorted(src.glob("*.py"))
-             for site in _call_sites(ast.parse(path.read_text()), "key_fn",
+             for site in _call_sites(ast.parse(path.read_text()), "rows",
                                      path.stem)}
-    assert sites == {"ring.Ring.__init__", "orders.Block.key_fn"}
+    assert sites == {"ring.Ring.__init__", "orders.Block.rows"}
     ring = Ring(PrimeField(32003), ["x", "y"])
     assert [a for a in vars(ring) if a.endswith("_memo")] == ["_key_memo"]
 

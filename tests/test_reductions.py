@@ -195,3 +195,31 @@ def test_warm_reduce_job_builds_nothing(tmp_path, monkeypatch):
     warm = _run(path, *flags)
     assert (len(echelons), len(loops)) == (0, 0)
     assert cold == warm == (ref["exit"], ref["stdout_sha256"])
+
+
+def test_a_reduce_job_decides_each_reduction_once(tmp_path, monkeypatch):
+    # minreduction decides r_J(I) for the J it returns; `reduction(I, J)`
+    # and `powerscan(I, J, 4)` read that report from the job's store
+    from cancelkit import reductions
+    from test_bench_digests import _job, _run
+    job, ref = _job("reduce", "sparse3-0-0")
+    path = tmp_path / "job.ck"
+    path.write_text(job.text)
+    decided = []
+    original = reductions._reduction_number
+
+    def counted(I, J, n_cap):
+        decided.append((I.generators, J.generators, n_cap))
+        return original(I, J, n_cap)
+
+    monkeypatch.setattr(reductions, "_reduction_number", counted)
+    assert _run(path) == (ref["exit"], ref["stdout_sha256"])
+    assert decided and len(set(decided)) == len(decided)
+    # outside a job's store, each call decides afresh
+    R = Ring(PrimeField(32003), ["x", "y", "z"])
+    x, y, z = R.gens()
+    I = Ideal(R, [x * x, y * y, z * z, x * y])
+    J = Ideal(R, [x * x, y * y, z * z])
+    del decided[:]
+    assert reduction_number(I, J).r == reduction_number(I, J).r == 1
+    assert len(decided) == 2

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cancelkit
-from cancelkit.errors import ResourceExceeded, ScriptSyntaxError
+from cancelkit.errors import (ArityMismatch, ResourceExceeded,
+                              ScriptSyntaxError)
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.gb import buchberger
 from cancelkit.orders import Block, Grevlex, Lex
@@ -166,6 +167,29 @@ def test_packed_key_is_the_order():
             ka, kb = R.key(R.encode(a)), R.key(R.encode(b))
             assert type(ka) is int and type(kb) is int
             assert (ka > kb) - (ka < kb) == expected, (R, a, b)
+
+
+def test_packed_key_is_affine():
+    """A packed key is a base plus one step per exponent: key(a + b) =
+    key(a) + key(b) - key(0) whenever a + b is a monomial."""
+    rng = random.Random(22)
+    for R in _key_test_rings():
+        for _ in range(200):
+            a = tuple(rng.randint(0, EXP_MAX) for _ in range(R.n))
+            b = tuple(rng.randint(0, EXP_MAX - e) for e in a)
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert R.key(R.encode(ab)) == (R.key(R.encode(a))
+                                           + R.key(R.encode(b))
+                                           - R.key(0)), (R, a, b)
+
+
+def test_block_order_checks_its_arity():
+    F = PrimeField(32003)
+    for k in (3, 4):
+        with pytest.raises(ArityMismatch, match=f"eliminates {k} of 3"):
+            Ring(F, ["x", "y", "z"], Block(k, Grevlex(), Lex()))
+    with pytest.raises(ValueError, match="elim_count"):
+        Block(0, Grevlex(), Lex())
 
 
 def test_block_order_eliminates():
