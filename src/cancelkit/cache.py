@@ -6,11 +6,12 @@ installs it in `active_store`).  It keeps every result asked for by
 content key -- reduced bases under (ring, frozenset of generators,
 None, None), their degree-D parts (`gb.degree_basis`) with D in the
 third place, module kernel bases (`modules.syzygy_columns`) with the
-bits of the head components in the fourth, whole hypothesis checks
-and reduction reports under their arguments -- so a repeat within the
-job is read back instead of recomputed.  `Store.held` reads a kept
-full basis without computing anything, so that colon and intersection
-can start from it.
+bits of the head components in the fourth, whole hypothesis checks,
+reduction reports under their arguments, and Rees presentations under
+("rees", ring, generators) -- so a repeat within the job is read back
+instead of recomputed.  `Store.held` reads a kept result without
+computing anything: colon and intersection start from a kept full
+basis, and a reduction number reads a kept fiber cone.
 Only results whose computation returned are kept; one that raised is
 computed again on the next call.
 
@@ -105,11 +106,12 @@ class Store:
             return basis
         return self.recall((ring, frozenset(gens), degree, head), load)
 
-    def held(self, ring, gens):
-        """The full reduced basis of the nonzero gens if this job already
-        holds it, else None; computes nothing, reads no disk and counts
-        no hit or miss."""
-        return self._results.get((ring, frozenset(gens), None, None))
+    def held(self, key):
+        """What this job already keeps under key, else None; computes
+        nothing, reads no disk and counts no hit or miss.  The full
+        reduced basis of the nonzero gens is kept under
+        (ring, frozenset(gens), None, None)."""
+        return self._results.get(key)
 
 
 def _flat(g):

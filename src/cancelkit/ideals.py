@@ -308,7 +308,8 @@ def _relations(k, parts):
     for ideal, positions in parts:
         basis = ideal._gb
         if basis is None and store is not None:
-            basis = store.held(ideal.ring, ideal.generators)
+            basis = store.held((ideal.ring, frozenset(ideal.generators),
+                                None, None))
         into = relations if basis is None else known
         into += [zero[:j] + [g] + zero[j + 1:]
                  for g in (ideal.generators if basis is None else basis)

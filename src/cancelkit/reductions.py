@@ -1,12 +1,21 @@
 """Reduction numbers and randomized minimal-reduction search.
 
 J is a reduction of I when J is contained in I and I^{n+1} = J * I^n for
-some n; the least such n is the reduction number r_J(I).  Minimal
-reductions are sampled: draw an l x m full-rank matrix over k (l = the
-analytic spread), form the l generic combinations of I's generators, and
-keep the first sample that is verified a reduction.  Generator count l
-certifies minimality (exact for infinite residue fields; a high-
-probability heuristic over F_p, so small p draws a warning).
+some n; the least such n is the reduction number r_J(I).  When I and J
+are generated in one weighted degree D >= 1 and the job's store already
+keeps I's Rees presentation, r is read from the fiber cone F = k[T]/K,
+whose degree-k part is (I^k)_(kD): it is the top degree of F/JF, found
+from the reduced basis of K plus J's generators written in the T_i
+(Huneke & Swanson 2006, ch. 8).  Otherwise J * I^n and I^(n+1) are
+formed and compared for n = 0, 1, ..., n_cap; the fiber cone is never
+computed only for this.
+
+Minimal reductions are sampled: draw an l x m full-rank matrix over k
+(l = the analytic spread), form the l generic combinations of I's
+generators, and keep the first sample that is verified a reduction.
+Generator count l certifies minimality (exact for infinite residue
+fields; a high-probability heuristic over F_p, so small p draws a
+warning).
 """
 
 import random
@@ -14,9 +23,10 @@ import warnings
 
 from .cache import active_store
 from .errors import NotSubideal, SearchExhausted
+from .gb import buchberger
 from .ideals import Ideal
-from .linalg import rank
-from .rees import rees_presentation
+from .linalg import echelonize, rank
+from .rees import held_presentation, rees_presentation
 from .ring import combination
 
 
@@ -67,6 +77,11 @@ def reduction_number(I, J, n_cap=10):
 
 
 def _reduction_number(I, J, n_cap):
+    D = I.one_degree()
+    if D and J.one_degree() == D:
+        pres = held_presentation(I)
+        if pres is not None:
+            return _fiber_reduction_number(I, J, n_cap, pres.fiber_ideal)
     if not I.contains(J):
         raise NotSubideal("J must be contained in I")
     power = Ideal(I.ring, [I.ring.one()])  # I^0
@@ -78,6 +93,55 @@ def _reduction_number(I, J, n_cap):
             return ReductionReport(I, J, True, n, n_cap)
         power = next_power
     return ReductionReport(I, J, "inconclusive", None, n_cap)
+
+
+def _fiber_reduction_number(I, J, n_cap, fiber):
+    """r_J(I) read from the fiber cone F = k[T]/K of I = (a_1..a_m),
+    generated in one degree D >= 1, and J generated in degree D: J's
+    generators are the linear forms lambda_j = sum c_ji*T_i of F_1 = I_D,
+    and I^(n+1) = J*I^n iff (F/lambda F)_(n+1) = 0.  r is the top degree
+    of the monomials outside the leads of the reduced basis of K + lambda,
+    found degree by degree; inconclusive when it exceeds n_cap, as it
+    does when J is not a reduction (then no power of some T_i is a
+    lead, and there are standard monomials in every degree)."""
+    ring = fiber.ring
+    T = ring.gens()
+    lam = [combination(ring, c, T)
+           for c in _coordinates(J.generators, I.generators)]
+    basis = buchberger(lam, known=fiber.groebner().generators)
+    leads = [g.lm() for g in basis]
+    divides = ring.mono_divides
+    steps = [t.lm() for t in T]
+    # the standard monomials of degree k + 1 are those T_i * s, s standard
+    # of degree k, that no lead divides
+    level = {0}
+    for r in range(n_cap + 1):
+        level = {s + t for s in level for t in steps
+                 if not any(divides(lm, s + t) for lm in leads)}
+        if not level:
+            return ReductionReport(I, J, True, r, n_cap)
+    return ReductionReport(I, J, "inconclusive", None, n_cap)
+
+
+def _coordinates(gens, basis):
+    """For each g in gens, coefficients c with g = sum c_i*basis[i], from
+    one reduced echelon form of the matrix whose columns are basis, then
+    gens, by monomial; NotSubideal when some g is outside their span."""
+    field = basis[0].ring.field
+    columns = (*basis, *gens)
+    rows = [[f.terms.get(mono, field.zero) for f in columns]
+            for mono in {m for f in columns for m in f.terms}]
+    pivots = echelonize(rows, field)
+    m = len(basis)
+    if pivots and pivots[-1] >= m:
+        raise NotSubideal("J must be contained in I")
+    out = []
+    for j in range(m, len(columns)):
+        c = [field.zero] * m
+        for row, p in zip(rows, pivots):
+            c[p] = row[j]
+        out.append(c)
+    return out
 
 
 def analytic_deviation(I):

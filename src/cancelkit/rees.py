@@ -14,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .cache import active_store
 from .errors import (ArityMismatch, BadRegularSequence, NotGraded,
                      ResourceExceeded, ZeroColon)
 from .fields import RationalField
@@ -78,7 +79,23 @@ class SyzygeticReport:
 
 
 def rees_presentation(ideal):
-    """Presentation ideal Q, fiber-cone ideal, and analytic spread."""
+    """Presentation ideal Q, fiber-cone ideal, and analytic spread;
+    built once per (ring, generators) within a job that has a store."""
+    store = active_store.get()
+    if store is None:
+        return _rees_presentation(ideal)
+    return store.recall(("rees", ideal.ring, ideal.generators),
+                        lambda: _rees_presentation(ideal))
+
+
+def held_presentation(ideal):
+    """The Rees presentation of ideal if the job's store already keeps
+    it, else None; computes nothing."""
+    store = active_store.get()
+    return store and store.held(("rees", ideal.ring, ideal.generators))
+
+
+def _rees_presentation(ideal):
     ring = ideal.ring
     gens = ideal.generators
     if not gens:
@@ -158,12 +175,20 @@ def _fiber_by_certificates(ideal, t_ring):
     in degrees above d*deg, so F is isomorphic to the subalgebra
     k[a_1..a_m] and the fiber ideal is the full algebraic-relations
     kernel, handed back with its reduced basis in a ring that orders
-    k[T] as t_ring does (uniform weights, grevlex).
+    k[T] as t_ring does (uniform weights, grevlex).  Nonzero constants
+    c_i (degree 0) generate the unit ideal, whose fiber cone is k[t]
+    with T_i -> c_i*t: the fiber ideal is the linear relations among
+    the c_i.
     """
     gens = ideal.generators
     ring = ideal.ring
     try:
         degs = {g.wdegree() for g in gens}
+        if degs == {0}:
+            c = [g.terms[0] for g in gens]
+            T = t_ring.gens()
+            return Ideal(t_ring, [T[i].scale(c[0]) - T[0].scale(c[i])
+                                  for i in range(1, len(gens))])
         if len(degs) == 1:
             d = degs.pop()
             src = Ring(ring.field, t_ring.names, weights=(d,) * len(gens))

@@ -1,13 +1,18 @@
+import itertools
+import json
+import random
 import warnings
 
 import pytest
 
+from cancelkit import reductions
 from cancelkit.errors import NotSubideal
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
 from cancelkit.reductions import (analytic_deviation, find_minimal_reduction,
                                   reduction_number)
-from cancelkit.ring import Ring
+from cancelkit.rees import rees_presentation
+from cancelkit.ring import Polynomial, Ring, combination
 from cancelkit.fixtures import monomial_curve
 
 
@@ -130,7 +135,6 @@ def test_minreduction_refuses_mixed_degrees_before_the_spread(
         tmp_path, monkeypatch, capsys):
     # three generators in degrees 2 and 3 in two variables: the spread is
     # at most 2 < 3, so the refusal needs no Rees presentation
-    from cancelkit import reductions
     from cancelkit.cli import main
     calls = []
 
@@ -179,8 +183,9 @@ def test_reduction_number_of_one_degree_ideals_forms_no_spairs(
 
 
 def test_warm_reduce_job_builds_nothing(tmp_path, monkeypatch):
-    # a cold run keeps the degree parts it reads on disk, beside the full
-    # bases; the warm run reads every one back and prints the same report
+    # a cold run keeps its bases on disk (the reduction numbers read the
+    # fiber cone, so no degree part is built); the warm run reads every
+    # one back and prints the same report
     from cancelkit import gb
     from test_bench_digests import _job, _run
     job, ref = _job("rerun-q", "sparse3-1-3")
@@ -190,7 +195,7 @@ def test_warm_reduce_job_builds_nothing(tmp_path, monkeypatch):
     echelons = _count(monkeypatch, gb, "_echelon")
     loops = _count(monkeypatch, gb, "_basis")
     cold = _run(path, *flags)
-    assert echelons and loops
+    assert loops
     del echelons[:], loops[:]
     warm = _run(path, *flags)
     assert (len(echelons), len(loops)) == (0, 0)
@@ -200,7 +205,6 @@ def test_warm_reduce_job_builds_nothing(tmp_path, monkeypatch):
 def test_a_reduce_job_decides_each_reduction_once(tmp_path, monkeypatch):
     # minreduction decides r_J(I) for the J it returns; `reduction(I, J)`
     # and `powerscan(I, J, 4)` read that report from the job's store
-    from cancelkit import reductions
     from test_bench_digests import _job, _run
     job, ref = _job("reduce", "sparse3-0-0")
     path = tmp_path / "job.ck"
@@ -223,3 +227,106 @@ def test_a_reduce_job_decides_each_reduction_once(tmp_path, monkeypatch):
     del decided[:]
     assert reduction_number(I, J).r == reduction_number(I, J).r == 1
     assert len(decided) == 2
+
+
+def _seeded_one_degree_ideal(seed):
+    """A seeded ideal generated in one weighted degree D in {2, 3}, in 2 or
+    3 variables over zp(32003), zp(101) or Q, some rings weighted: a few
+    monomials of degree D (often every pure power among them) and
+    sometimes a binomial."""
+    rng = random.Random(f"diff-{seed}")
+    field = (PrimeField(32003), PrimeField(101), RationalField())[seed % 3]
+    n, D = rng.choice((2, 3)), rng.choice((2, 3))
+    weights = rng.choice((None, None, (1,) * (n - 1) + (2,)))
+    R = Ring(field, "xyz"[:n], weights=weights)
+    monos = [R.encode(e) for e in itertools.product(range(D + 1), repeat=n)
+             if sum(a * b for a, b in zip(e, weights or (1,) * n)) == D]
+    pure = [m for m in monos if sum(map(bool, R.decode(m))) == 1] \
+        if rng.random() < 0.6 else []
+    rest = [m for m in monos if m not in pure]
+    chosen = pure + rng.sample(rest, rng.randint(min(1, len(rest)),
+                                                 min(len(rest), 3)))
+    gens = [Polynomial(R, {m: field.one}) for m in chosen]
+    if rng.random() < 0.4:
+        a, b = rng.sample(monos, 2)
+        gens.append(Polynomial(R, {a: field.one,
+                                   b: field.normalize(rng.randint(1, 9))}))
+    return Ideal(R, gens), rng
+
+
+def test_fiber_route_agrees_with_the_loop():
+    # r_J(I) read from the fiber cone against the product loop, for J of
+    # every generator count l <= m: l seeded combinations of I's generators
+    seen, disagree = set(), []
+    for seed in range(48):
+        I, rng = _seeded_one_degree_ideal(seed)
+        R, gens = I.ring, I.generators
+        fiber = rees_presentation(I).fiber_ideal
+        for l in range(1, len(gens) + 1):
+            J = Ideal(R, [combination(R, [R.field.random(rng) for _ in gens],
+                                      gens) for _ in range(l)])
+            n_cap = rng.choice((0, 2, 4))
+            loop = reductions._reduction_number(I, J, n_cap)
+            read = reductions._fiber_reduction_number(I, J, n_cap, fiber)
+            seen.add((loop.is_reduction, loop.r))
+            if (read.is_reduction, read.r) != (loop.is_reduction, loop.r):
+                disagree.append((seed, l, n_cap, loop, read))
+    assert disagree == []
+    assert {("inconclusive", None), (True, 0), (True, 1), (True, 2),
+            (True, 3)} <= seen
+
+
+def test_fiber_route_refuses_what_is_not_a_subideal():
+    R = Ring(PrimeField(32003), ["x", "y"])
+    x, y = R.gens()
+    I = Ideal(R, [x * x, y * y])
+    fiber = rees_presentation(I).fiber_ideal
+    with pytest.raises(NotSubideal):
+        reductions._fiber_reduction_number(I, Ideal(R, [x * y]), 4, fiber)
+
+
+def test_a_reduce_job_reads_reduction_numbers_from_the_fiber(
+        tmp_path, monkeypatch):
+    # `rees I;` keeps I's fiber cone in the job's store; minreduction,
+    # `reduction(I, J)` and `powerscan(I, J, 4)` then read r from it, with
+    # no row reduction and no product J*I^n
+    from cancelkit import gb
+    from test_bench_digests import _job, _run
+    job, ref = _job("reduce", "sparse3-0-0")
+    path = tmp_path / "job.ck"
+    path.write_text(job.text)
+    echelons = _count(monkeypatch, gb, "_echelon")
+    products = []
+    multiply, search = Ideal.__mul__, reductions.find_minimal_reduction
+    found = []
+
+    def product(self, other):
+        products.append(self.generators)
+        return multiply(self, other)
+
+    def searched(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(Ideal, "__mul__", product)
+    monkeypatch.setattr(reductions, "find_minimal_reduction", searched)
+    assert _run(path) == (ref["exit"], ref["stdout_sha256"])
+    [J] = [f.result for f in found]
+    assert echelons == []
+    assert products and J.generators not in products
+
+
+def test_reduction_alone_builds_no_fiber(tmp_path, monkeypatch, capsys):
+    # with no `rees` or `minreduction` in the job, the store holds no
+    # Rees presentation, and the product loop decides without one
+    from cancelkit import cli, ideals, rees
+    kernels = _count(monkeypatch, ideals, "kernel_of_map")
+    monkeypatch.setattr(rees, "kernel_of_map", ideals.kernel_of_map)
+    path = tmp_path / "reduction.ck"
+    path.write_text("ring R = zp(32003)[x,y] grevlex;\n"
+                    "ideal I = (x2, x*y, y2);\nideal J = (x2, y2);\n"
+                    "reduction(I, J);\n")
+    assert cli.main(["run", str(path)]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["commands"]
+    assert entry["result"] == {"is_reduction": True, "r": 1}
+    assert kernels == []

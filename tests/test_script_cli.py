@@ -484,6 +484,23 @@ def test_mingens_tests_the_ideal_not_its_generators(tmp_path, capsys):
     assert '"min_gens":2' in capsys.readouterr().out
 
 
+def test_rees_of_constants(tmp_path, capsys):
+    # (2, 3) is the unit ideal: T_i -> c_i*t, so the fiber ideal is the
+    # linear relation 3*T1 - 2*T2 and the spread is 1; the generators'
+    # degree 0 is not a weight the fiber ring can carry
+    script = tmp_path / "constants.ck"
+    script.write_text("ring R = q[x,y] grevlex;\nideal I = (2, 3);\n"
+                      "rees I;\nideal J = minreduction(I);\n"
+                      "minreduction I;\n")
+    assert main(["run", str(script)]) == 0
+    rees, search = json.loads(capsys.readouterr().out)["commands"]
+    assert rees["result"]["analytic_spread"] == 1
+    assert rees["result"]["fiber_generators"] == ["T1-2/3*T2"]
+    assert search["result"]["analytic_spread"] == 1
+    assert search["result"]["r"] == 0
+    assert len(search["result"]["generators"]) == 1
+
+
 HYPOTHESIS_FAILURES = (
     """\
 ring R = zp(32003)[x,y,z] grevlex;
