@@ -62,7 +62,7 @@ class PrimeField:
     def from_ints(self, ints, num, den):
         """The residues of ints * num / den, zero terms dropped."""
         p = self.p
-        scale = num * self.inv(den) % p
+        scale = num * self.inv(den) % p if den != 1 else num % p
         return {m: v for m, c in ints.items() if (v := c * scale % p)}
 
     def normalize(self, x):

@@ -18,6 +18,14 @@ boundary: the monic reduced basis `_interreduce` returns and the
 remainder `normal_form` returns.  Reduced bases are unique, so they are
 the same as with field arithmetic throughout.
 
+The loop runs many small bases, so its cost per element counts as much
+as its cost per term.  Every polynomial the engine builds carries its
+leading monomial (division knows it: the first term it keeps), so
+`lm()` never searches one.  `_interreduce` divides each element only by
+the kept elements with smaller leads, as a larger lead divides no term
+of it.  The pair update works on the packed ints, with no call per
+pair.
+
 For forms of one weighted degree D, `degree_basis` gives the degree-D
 part of the reduced basis by row reduction alone (`_echelon`); the
 job's store and the disk cache keep such a part under keys that name D,
@@ -73,7 +81,8 @@ def _common_ring(polys):
 def _working(g):
     """Nonzero g in the engine's working form: integer coefficients,
     monic over F_p, primitive with a positive lead over Q."""
-    return Polynomial(g.ring, g.ring.field.to_ints(g.terms, g.lm())[0])
+    lead = g.lm()
+    return Polynomial(g.ring, g.ring.field.to_ints(g.terms, lead)[0], lead)
 
 
 def _divisor(g):
@@ -152,7 +161,7 @@ def _divide(work, num, den, divisors, ring, full):
             result[m] = c
             if not full:
                 result.update(work)
-                return Polynomial(ring, field.to_ints(result, m)[0])
+                return Polynomial(ring, field.to_ints(result, m)[0], m)
             continue
         q = m - lm
         # exponents below 2^15 add without a carry, so a new term mt + q
@@ -193,7 +202,9 @@ def _divide(work, num, den, divisors, ring, full):
                 num *= content
     if not full:
         return ring.zero()
-    return Polynomial(ring, field.from_ints(result, num, den))
+    # terms enter result largest first, none of them zero
+    return Polynomial(ring, field.from_ints(result, num, den),
+                      next(iter(result), None))
 
 
 def _spoly(f, g, lcm, ring):
@@ -201,9 +212,10 @@ def _spoly(f, g, lcm, ring):
     lm g): the integer combination
     (lc g/h)*x^(lcm - lm f)*f - (lc f/h)*x^(lcm - lm g)*g with
     h = gcd(lc f, lc g) (over F_p both leads are 1)."""
-    h = gcd(f.lc(), g.lc())
-    qf, cf = lcm - f.lm(), g.lc() // h
-    qg, cg = lcm - g.lm(), f.lc() // h
+    af, ag = f.lc(), g.lc()
+    h = gcd(af, ag)
+    qf, cf = lcm - f.lm(), ag // h
+    qg, cg = lcm - g.lm(), af // h
     terms = {m + qf: c * cf for m, c in f.terms.items()}
     for m, c in g.terms.items():
         m += qg
@@ -222,41 +234,55 @@ def _gm_update(lms, pairs, heap, ring):
     when the pair is made.  The chain criterion deletes, in place, the
     pairs whose lcm the new leading monomial properly covers.  The new
     pairs (i, t) are grouped by lcm; only lcm-minimal classes are kept,
-    one representative each, and a class with a coprime member is
-    skipped.  Each new pair is pushed on the heap under its selection
-    key: the normal strategy, smallest lcm degree first -- weighted
-    degree when the ring is weighted, so homogeneous inputs are
+    one representative each (the smallest i), and a class with a coprime
+    member is skipped.  Each new pair is pushed on the heap under its
+    selection key: the normal strategy, smallest lcm degree first --
+    weighted degree when the ring is weighted, so homogeneous inputs are
     processed degree by degree.  In a module ring only pairs within one
     component are formed.
+
+    It runs once per basis element over a few pairs each, so the lcms
+    come in one call and the divisibility tests are written out on the
+    packed ints.
     """
     t = len(lms) - 1
     lm_t = lms[t]
-    divides = ring.mono_divides
-    with_t = [ring.mono_lcm(lm, lm_t) for lm in lms[:t]]
-
-    for (i, j), L in list(pairs.items()):
-        if divides(lm_t, L) and L != with_t[i] and L != with_t[j]:
-            del pairs[i, j]
-
+    guards = ring._guards
     components = ring._components
     # an element of a rank-1 module ring R[e_0] is e_0 times one of R, so
     # the coprime-leads test holds there without the shared e_0
-    single = components if components & (components - 1) == 0 else 0
-    by_lcm = {}
-    for i in range(t):
-        if not (lms[i] ^ lm_t) & components:
-            by_lcm.setdefault(with_t[i], []).append(i)
+    product = lm_t - (components if components & (components - 1) == 0
+                      else 0)
+    with_t = ring.mono_lcms(lm_t, lms[:t])
+    first, coprime = {}, set()
+    for i, L in enumerate(with_t):
+        m = lms[i]
+        if not (m ^ lm_t) & components:
+            if L not in first:
+                first[L] = i
+            if L == m + product:
+                coprime.add(L)
+
+    dead = [ij for ij, L in pairs.items()
+            if ((L | guards) - lm_t) & guards == guards
+            and L != with_t[ij[0]] and L != with_t[ij[1]]]
+    for ij in dead:
+        del pairs[ij]
+
+    # a divisor of a packed monomial is a smaller int, so in int order
+    # each class comes after every class whose lcm divides its own
     minimal = []
-    for L in sorted(by_lcm, key=ring.key):
-        if any(divides(Lm, L) for Lm in minimal):
-            continue
-        minimal.append(L)
-        members = by_lcm[L]
-        if any(L == lms[i] + lm_t - single for i in members):
-            continue
-        i = min(members)
-        pairs[i, t] = L
-        heapq.heappush(heap, (ring.mono_wdeg(L), ring.key(L), i, t))
+    for L in sorted(first):
+        bound = L | guards
+        for Lm in minimal:
+            if (bound - Lm) & guards == guards:
+                break
+        else:
+            minimal.append(L)
+            if L not in coprime:
+                i = first[L]
+                pairs[i, t] = L
+                heapq.heappush(heap, (ring.mono_wdeg(L), ring.key(L), i, t))
 
 
 def buchberger(gens, *, known=(), head=None):
@@ -374,23 +400,21 @@ def _echelon(gens, ring):
 def _interreduce(G, ring):
     """The unique reduced basis of a Groebner basis G: drop the elements
     whose leading monomial another's divides, tail-reduce the rest, and
-    sort by leading monomial.  The elements come out monic and in the
+    sort by leading monomial.  In ascending order of leads, each element
+    is divided only by the kept elements before it: a larger lead
+    divides no term of it, and the division never makes a term above
+    its lead, which it keeps.  The elements come out monic and in the
     field: the engine's integer forms end here."""
-    divides = ring.mono_divides
-    minimal, lms = [], []
+    guards = ring._guards
+    divisors, reduced = [], []
     for g in sorted(G, key=lambda f: ring.key(f.lm())):
-        lm = g.lm()
-        if not any(divides(h, lm) for h in lms):
-            minimal.append(g)
-            lms.append(lm)
-    divisors = [_divisor(g) for g in minimal]
-    reduced = []
-    for i, g in enumerate(minimal):
-        r = _divide(dict(g.terms), 1, 1, divisors[:i] + divisors[i + 1:],
-                    ring, full=True)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    return sorted(reduced, key=lambda f: ring.key(f.lm()))
+        bound = g.lm() | guards
+        if any((bound - d[0]) & guards == guards for d in divisors):
+            continue
+        reduced.append(_divide(dict(g.terms), 1, 1, divisors, ring,
+                               full=True).monic())
+        divisors.append(_divisor(g))
+    return reduced
 
 
 def is_member(f, gens):

@@ -145,7 +145,7 @@ def _coordinates(gens, basis):
 
 
 def analytic_deviation(I):
-    """Analytic spread minus height."""
+    """Analytic spread minus height; None for the unit ideal."""
     return rees_presentation(I).analytic_deviation
 
 

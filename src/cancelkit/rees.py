@@ -46,7 +46,9 @@ class ReesPresentation:
         self.base_count = base_count
         self.fiber_ideal = fiber_ideal
         self.analytic_spread = fiber_ideal.dim
-        self.analytic_deviation = self.analytic_spread - base.height
+        # spread minus height; the unit ideal has no height, so None
+        self.analytic_deviation = (None if base.dim < 0 else
+                                   self.analytic_spread - base.height)
 
     @property
     def Q(self):

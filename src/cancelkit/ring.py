@@ -52,6 +52,7 @@ class Ring:
             (s, sum(row[i] * p for row, p in zip(rows, places)))
             for i, s in enumerate(self._shifts))
         self._key_memo = {}
+        self._wdeg_steps = tuple(zip(self._shifts, weights or (1,) * self.n))
         self._index = {name: i for i, name in enumerate(names)}
         # set on module rings only (see module_ring): the coordinate ring,
         # and one bit per component variable
@@ -88,20 +89,34 @@ class Ring:
         return ((b | self._guards) - a) & self._guards == self._guards
 
     def mono_lcm(self, a, b):
-        # a field's guard bit survives a - b exactly when a >= b there;
-        # spread it over the field to pick a's exponent or b's
-        keep = (((a | self._guards) - b) & self._guards) >> (FIELD_BITS - 1)
-        keep *= (1 << FIELD_BITS) - 1
-        return (a & keep) | (b & ~keep)
+        return self.mono_lcms(a, (b,))[0]
+
+    def mono_lcms(self, a, bs):
+        """[lcm(a, b) for b in bs] in one call."""
+        guards = self._guards
+        top = a | guards
+        out = []
+        for b in bs:
+            # a field's guard bit survives a - b exactly when a >= b
+            # there; spread it over the field to pick a's exponent or b's
+            keep = ((top - b) & guards) >> (FIELD_BITS - 1)
+            keep *= (1 << FIELD_BITS) - 1
+            out.append((a & keep) | (b & ~keep))
+        return out
 
     def mono_deg(self, m):
-        return sum(self.decode(m))
+        d = 0
+        for s in self._shifts:
+            d += (m >> s) & 0xFFFF  # one FIELD_BITS field
+        return d
 
     def mono_wdeg(self, m):
-        exps = self.decode(m)
-        if self.weights is None:
-            return sum(exps)
-        return sum(e * w for e, w in zip(exps, self.weights))
+        """The weighted degree of m, one (shift, weight) step per
+        variable as in `key`."""
+        d = 0
+        for s, w in self._wdeg_steps:
+            d += ((m >> s) & 0xFFFF) * w  # one FIELD_BITS field
+        return d
 
     def key(self, m):
         """The order key of m as one int, memoised per ring: the order's
@@ -205,11 +220,14 @@ class Ring:
 class Polynomial:
     """Immutable sparse polynomial: dict of packed monomial -> coefficient."""
 
-    __slots__ = ("ring", "terms", "_sorted", "_hash")
+    __slots__ = ("ring", "terms", "_lead", "_sorted", "_hash")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, terms, lead=None):
+        # lead, when the caller knows it, is the leading monomial; the
+        # Groebner engine passes it for every polynomial it builds
         self.ring = ring
         self.terms = terms
+        self._lead = lead
         self._sorted = None
         self._hash = None
 
@@ -227,8 +245,11 @@ class Polynomial:
         return self._sorted
 
     def lm(self):
-        """Leading monomial (packed); poly must be nonzero."""
-        return self.sorted_monomials()[0]
+        """Leading monomial (packed); poly must be nonzero.  Carried when
+        the polynomial was built with it, else found once."""
+        if self._lead is None:
+            self._lead = max(self.terms, key=self.ring.key)
+        return self._lead
 
     def lc(self):
         return self.terms[self.lm()]
@@ -311,12 +332,18 @@ class Polynomial:
         c = field.normalize(c)
         if c == field.zero:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: field.mul(cc, c) for m, cc in self.terms.items()})
+        # a nonzero multiple keeps every term, so the lead too
+        return Polynomial(self.ring, {m: field.mul(cc, c)
+                                      for m, cc in self.terms.items()},
+                          self._lead)
 
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self.ring.field.inv(self.lc()))
+        lc = self.lc()
+        if lc == self.ring.field.one:
+            return self
+        return self.scale(self.ring.field.inv(lc))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring

@@ -6,6 +6,7 @@ bounded-degree exact linear algebra over the coefficient field, written
 from scratch here.
 """
 
+import heapq
 from fractions import Fraction
 
 
@@ -206,3 +207,43 @@ def minimal_generator_count(gens):
         count += (rref_rank([r[:] for r in low + new], F)
                   - rref_rank([r[:] for r in low], F))
     return count
+
+
+def gm_update(lms, pairs, heap, ring):
+    """The Gebauer-Moeller pair update as the engine first wrote it, kept
+    as the reference for `gb._gm_update`: the lcm-minimal classes are
+    found in order of the monomial order's key, and lcms, divisibility
+    and weighted degrees are read from the decoded exponents."""
+    def divides(a, b):
+        return all(x <= y for x, y in zip(ring.decode(a), ring.decode(b)))
+
+    t = len(lms) - 1
+    lm_t = lms[t]
+    with_t = [ring.encode(tuple(map(max, ring.decode(lm), ring.decode(lm_t))))
+              for lm in lms[:t]]
+
+    for (i, j), L in list(pairs.items()):
+        if divides(lm_t, L) and L != with_t[i] and L != with_t[j]:
+            del pairs[i, j]
+
+    components = ring._components
+    # in a rank-1 module ring the coprime test ignores the shared e_0
+    single = components if components & (components - 1) == 0 else 0
+    by_lcm = {}
+    for i in range(t):
+        if not (lms[i] ^ lm_t) & components:
+            by_lcm.setdefault(with_t[i], []).append(i)
+    minimal = []
+    for L in sorted(by_lcm, key=ring.key):
+        if any(divides(Lm, L) for Lm in minimal):
+            continue
+        minimal.append(L)
+        members = by_lcm[L]
+        if any(L == lms[i] + lm_t - single for i in members):
+            continue
+        i = min(members)
+        pairs[i, t] = L
+        exps = ring.decode(L)
+        wdeg = sum(e * w for e, w in zip(exps, ring.weights or
+                                         (1,) * len(exps)))
+        heapq.heappush(heap, (wdeg, ring.key(L), i, t))

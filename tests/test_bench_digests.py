@@ -1,10 +1,12 @@
-"""One benchmark job per family, checked against the recorded digests.
+"""Every benchmark job, checked against the recorded digests.
 
-Runs each job twice in this process through ``cancelkit.cli.main``, as
-``perfbench/run.py`` does, and compares its exit code and the sha256 of
-its stdout with ``perfbench/reference.json``: a changed report shows here
-in about a second instead of in a full benchmark run.  Reads
-``perfbench/`` and writes nothing there.
+Runs each job of the ``verify`` and ``reduce`` pools twice in this
+process through ``cancelkit.cli.main``, as ``perfbench/run.py`` does, and
+each ``rerun-q`` job cold and then warm on a fresh disk cache, and
+compares its exit code and the sha256 of its stdout with
+``perfbench/reference.json``: a changed report shows here in a few
+seconds instead of in a full benchmark run.  Reads ``perfbench/`` and
+writes nothing there.
 """
 
 import contextlib
@@ -37,11 +39,9 @@ def _load_jobs():
 JOBS = _load_jobs()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
-# the cheapest job of each family
-SAMPLE = {
-    "verify": ("curve6-7-9", "link5-6-8", "ci25", "mixed1-2", "short4-6-9"),
-    "reduce": ("mpow3-2", "sparse3-0-1", "graph0"),
-}
+
+def _names(workload):
+    return [job.name for job in JOBS.POOLS[workload]()]
 
 
 def _job(workload, name):
@@ -58,9 +58,15 @@ def _run(path, *flags):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def test_every_recorded_job_is_checked():
+    for workload in ("verify", "reduce", "rerun-q"):
+        assert sorted(_names(workload)) == sorted(
+            REFERENCE["workloads"][workload]), workload
+
+
 @pytest.mark.parametrize("workload, name", [
-    (workload, name) for workload, names in SAMPLE.items()
-    for name in names])
+    (workload, name) for workload in ("verify", "reduce")
+    for name in _names(workload)])
 def test_job_matches_reference(tmp_path, workload, name):
     # twice in one process, as the benchmark's later rounds run it: state
     # left over from the first run must not change the second
@@ -73,10 +79,10 @@ def test_job_matches_reference(tmp_path, workload, name):
 
 
 def test_cached_job_matches_reference_cold_and_warm(tmp_path):
-    # curve4-9-10 has coefficients +-1 only; ci6 and sparse3-1-3 have
+    # curve jobs have coefficients +-1 only; ci and sparse jobs have
     # non-unit leading coefficients, so their Q division takes the
     # pseudo-division scaling step
-    for name in ("curve4-9-10", "ci6", "sparse3-1-3"):
+    for name in _names("rerun-q"):
         job, ref = _job("rerun-q", name)
         path = tmp_path / f"{name}.ck"
         path.write_text(job.text)

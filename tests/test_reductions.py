@@ -60,6 +60,13 @@ def test_analytic_deviation_on_curves():
     assert analytic_deviation(monomial_curve((3, 4, 5))) == 1
 
 
+def test_analytic_deviation_of_the_unit_ideal_is_none(R):
+    x, y = R.gens()[:2]
+    assert analytic_deviation(Ideal(R, [R.one(), x])) is None
+    assert analytic_deviation(Ideal(R, [R.constant(2), R.constant(3)])) is None
+    assert analytic_deviation(Ideal(R, [x * x, x * y])) is not None
+
+
 def test_minimal_reduction_veronese(R):
     x, y = R.gens()
     I = Ideal(R, [x * x, x * y, y * y])

@@ -501,6 +501,22 @@ def test_rees_of_constants(tmp_path, capsys):
     assert len(search["result"]["generators"]) == 1
 
 
+def test_rees_of_the_unit_ideal_has_no_deviation(tmp_path, capsys):
+    # the unit ideal has no height, so spread minus height is undefined:
+    # null, not the -2 that the dimension report's height n + 1 gave
+    script = tmp_path / "unit.ck"
+    script.write_text("ring R = q[x,y] grevlex;\nideal U = (1, x);\n"
+                      "ideal C = (2, 3);\nrees U;\nrees C;\n")
+    assert main(["run", str(script)]) == 0
+    unit, constants = json.loads(capsys.readouterr().out)["commands"]
+    assert unit["result"] == {"analytic_deviation": None,
+                              "analytic_spread": 1,
+                              "fiber_generators": ["T2"]}
+    assert constants["result"] == {"analytic_deviation": None,
+                                   "analytic_spread": 1,
+                                   "fiber_generators": ["T1-2/3*T2"]}
+
+
 HYPOTHESIS_FAILURES = (
     """\
 ring R = zp(32003)[x,y,z] grevlex;
