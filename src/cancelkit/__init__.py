@@ -20,9 +20,8 @@ from .errors import (ArityMismatch, BadRegularSequence, CancelkitError,
                      ZeroColon, ZeroInversion)
 from .fields import (DEFAULT_PRIME, PrimeField, RationalField,
                      field_from_spec)
-from .gb import GroebnerBasis, buchberger, is_member, normal_form
-from .ideals import (DimensionReport, Ideal, is_unmixed, kernel_of_map,
-                     radical_contains)
+from .gb import GroebnerBasis, buchberger, normal_form
+from .ideals import DimensionReport, Ideal, kernel_of_map, radical_contains
 from .orders import Block, Grevlex, Lex
 from .reductions import (MinimalReductionSearch, ReductionReport,
                          analytic_deviation, find_minimal_reduction,

@@ -270,7 +270,9 @@ def corollary213_check(H, n):
     """The power-membership equivalence: I^n in J iff
     I^(n+1) cap J in J*I.  Requires certified hypotheses and
     radical(J) = radical(I), checked as J in I and I in radical(J);
-    disagreement raises TheoremViolation."""
+    disagreement raises TheoremViolation.  The right side is first
+    tested as I^(n+1) in J*I, which implies it; the intersection
+    I^(n+1) cap J is formed only when that containment fails."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not H.certified:
@@ -281,7 +283,8 @@ def corollary213_check(H, n):
         raise HypothesisFailed("radical(J) = radical(I) fails")
     lhs = J.contains(I ** n)
     JI = J * I
-    rhs = JI.contains((I ** (n + 1)).intersect(J))
+    power = I ** (n + 1)
+    rhs = JI.contains(power) or JI.contains(power.intersect(J))
     if lhs != rhs:
         raise TheoremViolation(
             f"power-membership equivalence failed at n={n}: "

@@ -415,13 +415,3 @@ def _interreduce(G, ring):
                                full=True).monic())
         divisors.append(_divisor(g))
     return reduced
-
-
-def is_member(f, gens):
-    """True iff f lies in the ideal generated by gens."""
-    basis = gens if isinstance(gens, GroebnerBasis) else buchberger(gens)
-    if f.is_zero():
-        return True
-    if not basis.generators:
-        return False
-    return normal_form(f, basis).is_zero()

@@ -3,14 +3,15 @@
 Covers sums, products, powers, intersection, colon, saturation,
 elimination, containment/equality, radical membership, Krull dimension
 via independent sets modulo the initial ideal, minimal generator counts,
-kernels of algebra maps, and the linkage-based unmixedness test.
+and kernels of algebra maps.
 
 Saturation, elimination and toric kernels are one elimination: new
 variables in front of the target ring under a block order, then the
 basis elements free of them, which are the target's reduced basis when
 the order ends in the target's.  Saturation by J = (f_1..f_k) eliminates
 the z from (I, 1 - z_1*f_1 - ... - z_k*f_k) in R[z_1..z_k], and J lies
-in the radical of I iff that saturation is (1).
+in the radical of I iff that saturation is (1).  A radical membership
+test forms it only when J is not already contained in I.
 
 Containment between ideals generated in one weighted degree D, when
 the containing ideal holds no basis, reads only the degree-D part of
@@ -22,8 +23,7 @@ a polynomial ring over a field (catenary and equidimensional).
 """
 
 from . import cache as _cache
-from .errors import (ArityMismatch, BadRegularSequence, NotHomogeneous,
-                     RingMismatch, ZeroColon)
+from .errors import ArityMismatch, NotHomogeneous, RingMismatch, ZeroColon
 from .gb import GroebnerBasis, buchberger, degree_basis, normal_form
 from .orders import Block, Grevlex, Lex
 from .ring import Polynomial, Ring, embed
@@ -391,22 +391,8 @@ def kernel_of_map(source_ring, images):
 
 def radical_contains(ideal, f):
     """True iff f, a polynomial or an ideal, lies in the radical of the
-    ideal: iff the saturation of the ideal by f is (1)."""
+    ideal: when f lies in the ideal itself, else iff the saturation of
+    the ideal by f is (1), which is formed only in that case."""
     if isinstance(f, Polynomial):
         f = Ideal(ideal.ring, [f])
-    ideal._check(f)
-    return f.is_zero() or ideal.saturate(f).is_unit()
-
-
-def is_unmixed(ideal, a):
-    """Linkage test for unmixedness in the (Gorenstein) polynomial ring:
-    I is unmixed iff a : (a : I) = I for a regular sequence a in I of
-    length height(I)."""
-    g = ideal.height
-    A = Ideal(ideal.ring, list(a))
-    if A.height != g or len(A.generators) != g:
-        raise BadRegularSequence(
-            f"need a regular sequence of length {g} (height criterion)")
-    if not ideal.contains(A):
-        raise BadRegularSequence("sequence must lie inside the ideal")
-    return A.colon(A.colon(ideal)) == ideal
+    return ideal.contains(f) or ideal.saturate(f).is_unit()

@@ -1,13 +1,19 @@
-"""Independent test oracles.
+"""Independent test oracles, and test helpers the package does not need.
 
-Deliberately does NOT reuse the package's Groebner or linear-algebra
-code: membership of a polynomial in a homogeneous ideal is decided by
-bounded-degree exact linear algebra over the coefficient field, written
-from scratch here.
+The oracles deliberately do NOT reuse the package's Groebner or
+linear-algebra code: membership of a polynomial in a homogeneous ideal
+is decided by bounded-degree exact linear algebra over the coefficient
+field, written from scratch here.  `is_member` and `is_unmixed` are the
+exception: they are written on the package's ideals, and only tests
+call them.
 """
 
 import heapq
 from fractions import Fraction
+
+from cancelkit.errors import BadRegularSequence
+from cancelkit.gb import GroebnerBasis, buchberger, normal_form
+from cancelkit.ideals import Ideal
 
 
 def monomials_of_degree(nvars, d):
@@ -247,3 +253,27 @@ def gm_update(lms, pairs, heap, ring):
         wdeg = sum(e * w for e, w in zip(exps, ring.weights or
                                          (1,) * len(exps)))
         heapq.heappush(heap, (wdeg, ring.key(L), i, t))
+
+
+def is_member(f, gens):
+    """True iff f lies in the ideal generated by gens."""
+    basis = gens if isinstance(gens, GroebnerBasis) else buchberger(gens)
+    if f.is_zero():
+        return True
+    if not basis.generators:
+        return False
+    return normal_form(f, basis).is_zero()
+
+
+def is_unmixed(ideal, a):
+    """Linkage test for unmixedness in the (Gorenstein) polynomial ring:
+    I is unmixed iff a : (a : I) = I for a regular sequence a in I of
+    length height(I)."""
+    g = ideal.height
+    A = Ideal(ideal.ring, list(a))
+    if A.height != g or len(A.generators) != g:
+        raise BadRegularSequence(
+            f"need a regular sequence of length {g} (height criterion)")
+    if not ideal.contains(A):
+        raise BadRegularSequence("sequence must lie inside the ideal")
+    return A.colon(A.colon(ideal)) == ideal

@@ -137,6 +137,68 @@ def _power(I, n):
     return P
 
 
+def test_corollary_decides_the_nontrivial_direction(monkeypatch):
+    # I is not in J = (a, a_extra) here, so at n = 1 the right side is
+    # decided by the intersection I^2 cap J; from n = 2 on, I^n in J and
+    # I^(n+1) in J*I certifies the right side without it
+    I = monomial_curve((4, 5, 7))
+    g = I.generators
+    z = I.ring.var(2)
+    H = check_hypotheses(I, [g[0], z * g[1]], g[2])
+    assert H.certified, H.failing()
+    intersections = []
+    original = Ideal.intersect
+
+    def counted(self, other):
+        intersections.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Ideal, "intersect", counted)
+    verdicts = {}
+    for n in (1, 2, 3):
+        del intersections[:]
+        verdicts[n] = (corollary213_check(H, n), len(intersections))
+    assert verdicts == {1: (False, 1), 2: (True, 0), 3: (True, 0)}
+
+
+def test_corollary_in_a_verify_job_forms_no_intersection(tmp_path,
+                                                         monkeypatch):
+    # on the curve (3, 4, 5), I^n lies in J for n = 1, 2, so each cor213
+    # is certified by I^(n+1) in J*I and I in J: nothing called from
+    # inside the check intersects or saturates
+    from cancelkit import cancellation
+    from test_bench_digests import _job, _run
+    job, ref = _job("verify", "curve3-4-5")
+    path = tmp_path / "job.ck"
+    path.write_text(job.text)
+    inside, built, checks = [], [], []
+    check = cancellation.corollary213_check
+
+    def in_check(H, n):
+        checks.append(n)
+        inside.append(True)
+        try:
+            return check(H, n)
+        finally:
+            inside.pop()
+
+    def watched(name):
+        original = getattr(Ideal, name)
+
+        def call(self, other):
+            if inside:
+                built.append(name)
+            return original(self, other)
+        return call
+
+    monkeypatch.setattr(cancellation, "corollary213_check", in_check)
+    for name in ("intersect", "saturate"):
+        monkeypatch.setattr(Ideal, name, watched(name))
+    assert _run(path) == (ref["exit"], ref["stdout_sha256"])
+    assert checks == [1, 2]
+    assert built == []
+
+
 def test_corollary_rejects_bad_n():
     H = _curve_hypotheses((3, 4, 5))
     with pytest.raises(Exception):

@@ -5,7 +5,9 @@ elimination:
 - I cap J is the lex elimination of t from t*I + (1 - t)*J;
 - I : J is the intersection over the generators f_j of J of
   (I cap (f_j)) / f_j, each quotient an exact division;
-- I : J^infinity is the colon by J repeated until it is stable.
+- I : J^infinity is the colon by J repeated until it is stable;
+- f lies in the radical of I iff 1 is in I + (1 - t*f) (Rabinowitsch),
+  and in I iff sympy's basis of I reduces it to 0.
 
 Intersection and colon run twice: from the generators, and with each
 ideal's reduced basis already held (on the ideal, or only in the job's
@@ -33,7 +35,7 @@ from cancelkit import ideals
 from cancelkit.cache import Store, active_store
 from cancelkit.errors import ZeroInversion
 from cancelkit.fields import PrimeField, RationalField
-from cancelkit.ideals import Ideal
+from cancelkit.ideals import Ideal, radical_contains
 from cancelkit.orders import Grevlex, Lex
 from cancelkit.ring import Polynomial, Ring
 
@@ -207,6 +209,51 @@ def test_colon_from_a_held_basis_matches_quotients(case, held):
     assert _known(I)
     ours = case.reduced(case.to_sympy(I.colon(J)))
     assert ours == case.reduced(case.colon(case.I[1], case.J[1]))
+
+
+def _radical_case(field, order, seed, outcome):
+    """A seeded ideal I and polynomial f for which sympy finds the given
+    outcome: "member" (f in I), "power" (f not in I, a power of f in I)
+    or "outside" (f not in the radical of I), and sympy's verdict on
+    radical membership.  A "power" case adds f^2 to a seeded ideal;
+    attempts whose outcome differs are skipped."""
+    homogeneous = seed % 2 == 0
+    for attempt in range(20):
+        case = _Case(field, order, homogeneous, f"radical-{seed}-{attempt}")
+        rng = random.Random(f"radical-{field}-{order}-{seed}-{attempt}")
+        I = case.I[0]
+
+        def poly():
+            return case.ring.from_terms(case._terms(rng, homogeneous))
+
+        f = poly()
+        if outcome == "member":
+            f = sum((poly() * g for g in I.generators), case.ring.zero())
+        elif outcome == "power":
+            I = I + Ideal(case.ring, [f * f])
+        if f.is_zero():
+            continue
+        F, [e] = case.to_sympy(I), case.to_sympy(Ideal(case.ring, [f]))
+        member = sympy.groebner(F, *case.syms, order=case.order,
+                                **case.domain).contains(e)
+        radical = sympy.groebner(F + [1 - T * e], T, *case.syms,
+                                 order=case.order, **case.domain).exprs
+        found = ("member" if member else
+                 "power" if radical == [1] else "outside")
+        if found == outcome:
+            return I, f, radical == [1]
+    raise AssertionError(f"no seeded case with outcome {outcome}")
+
+
+@pytest.mark.parametrize("outcome", ["member", "power", "outside"])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("field", FIELDS)
+def test_radical_membership_matches_rabinowitsch(field, order, seed,
+                                                 outcome):
+    I, f, in_radical = _radical_case(field, order, seed, outcome)
+    assert radical_contains(I, f) is in_radical
+    assert I.contains(f) is (outcome == "member")
 
 
 def _mod(poly, ring):
