@@ -16,33 +16,43 @@ Only results whose computation returned are kept; one that raised is
 computed again on the next call.
 
 `GBCache` is the disk layer, consulted only when the store misses.  Its
-key and its entries are the integer form of `fields.to_ints`.  One file
-per basis: name = hex sha256 of `ring.describe()` and of each
-generator's packed monomials (ascending) with integer coefficients over
-one denominator, the generators' strings sorted, and for a one-degree
-part a line "degree D", for a kernel a line "head H", after the ring's;
-body = canonical JSON of the
-entry schema version, that hash, and the reduced basis, each element
-one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms descending)
-read back by `from_ints(ints, 1, den)`.  Writes are atomic
-(tempfile + rename); there is no index file and no size bound.  An entry
-that does not match its name and schema, or does not read back as a
-basis of the ring (empty, a zero element, a monomial outside the ring's
-packed fields, a coefficient that reads back zero, den < 1), is a miss
-and is rewritten.  Only a kernel may be empty: under a kernel key an
-empty entry is a hit.
+key and its entries are the integer form of `fields.to_ints`.  Key = hex
+sha256 of `ring.describe()` and of each generator's packed monomials
+(ascending) with integer coefficients over one denominator, the
+generators' strings sorted, and for a one-degree part a line "degree
+D", for a kernel a line "head H", after the ring's.  Entry = canonical
+JSON of the entry schema version, that key, and the reduced basis, each
+element one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms
+descending) read back by `from_ints(ints, 1, den)`.
+
+A cache directory holds one append-only log, `LOG`: one line per entry,
+the key, a space, then the entry.  A `GBCache` reads the whole log once,
+on first use, and indexes its lines by key, the last line for a key
+winning; an entry's JSON is parsed only when its key is asked for.
+`put` encodes an entry and keeps it in memory (a later `get` of the same
+object reads it); `flush` appends every entry kept since the last flush
+in one write, each on a fresh line, so a line torn by a writer that died
+mid-append costs only its own entry, and several writers on one
+directory append in turn.  A line that is torn, foreign, does not match
+its key and schema, or does not read back as a basis of the ring
+(empty, a zero element, a monomial outside the ring's packed fields, a
+coefficient that reads back zero, den < 1), is a miss, and the entry
+computed instead is a later line.  Only a kernel may be empty: under a
+kernel key an empty entry is a hit.  Files other than the log, such as
+the one-file-per-basis entries of earlier versions, are never opened.
+There is no size bound and no compaction.
 """
 
 import contextvars
 import hashlib
 import json
 import os
-import tempfile
 
 from .errors import CancelkitError
 from .ring import Polynomial
 
 SCHEMA = 3
+LOG = "gb.log"
 
 active_store = contextvars.ContextVar("cancelkit_store", default=None)
 
@@ -91,7 +101,7 @@ class Store:
         """The reduced basis of the nonzero gens, or with a degree its
         part in that degree, or with a head the kernel basis past the
         head components: kept, else read from disk, else
-        compute()'s, which is written to disk.  Both keys name the degree
+        compute()'s, which is put to disk.  Both keys name the degree
         and the head, so a part or a kernel never answers for the full
         basis.  Only a kernel may be empty.  The disk key is hashed once
         per miss."""
@@ -140,8 +150,8 @@ def _element(ring, flat):
 
 
 class GBCache:
-    """File-per-entry cache rooted at `path`; counts hits, misses and
-    bytes written for reporting."""
+    """The append-only log of the cache directory `path`; counts hits,
+    misses and bytes written for reporting."""
 
     def __init__(self, path):
         self.path = path
@@ -149,19 +159,34 @@ class GBCache:
         self.hits = 0
         self.misses = 0
         self.bytes_written = 0
+        self._entries = None  # key -> entry bytes
+        self._pending = []  # lines put since the last flush
+
+    def _index(self):
+        """The log's entries by key, the last line for a key winning (with
+        the entries put since), read on the first call."""
+        if self._entries is None:
+            try:
+                with open(os.path.join(self.path, LOG), "rb") as fh:
+                    data = fh.read()
+            except OSError:
+                data = b""
+            self._entries = {key: entry for key, _, entry in
+                             (line.partition(b" ")
+                              for line in data.split(b"\n"))}
+        return self._entries
 
     def get(self, ring, key, empty=False):
         """The basis kept under key, or None on a miss; an empty basis
         is a hit only with empty=True (a kernel key)."""
         try:
-            with open(os.path.join(self.path, key), "rb") as fh:
-                entry = json.load(fh)
+            entry = json.loads(self._index()[key.encode()])
             if entry["schema"] != SCHEMA or entry["key"] != key:
                 raise ValueError("entry of another schema or key")
             basis = [_element(ring, flat) for flat in entry["basis"]]
             if not basis and not empty:
                 raise ValueError("entry is not a basis")
-        except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
+        except (ValueError, LookupError, TypeError, ArithmeticError,
                 RecursionError, CancelkitError):
             self.misses += 1
             return None
@@ -169,18 +194,28 @@ class GBCache:
         return basis
 
     def put(self, key, basis):
-        data = json.dumps({"schema": SCHEMA, "key": key,
-                           "basis": [_flat(g) for g in basis]},
-                          separators=(",", ":")).encode()
-        fd, tmp = tempfile.mkstemp(dir=self.path)
+        """Keep basis under key until the next flush."""
+        entry = json.dumps({"schema": SCHEMA, "key": key,
+                            "basis": [_flat(g) for g in basis]},
+                           separators=(",", ":")).encode()
+        key = key.encode()
+        self._index()[key] = entry
+        self._pending.append(b"\n" + key + b" " + entry)
+
+    def flush(self):
+        """Append the entries put since the last flush to the log, in one
+        write; raises OSError when the write fails or falls short."""
+        if not self._pending:
+            return
+        data = b"".join(self._pending)
+        self._pending = []
+        fd = os.open(os.path.join(self.path, LOG),
+                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, os.path.join(self.path, key))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.bytes_written += len(data)
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        self.bytes_written += written
+        if written < len(data):
+            raise OSError(f"wrote {written} of {len(data)} bytes to the "
+                          "cache log")

@@ -89,11 +89,26 @@ def _render_text(report, elapsed, store):
     return "\n".join(lines)
 
 
+def _flush(disk):
+    """Append what the job put to the disk cache, if there is one; False,
+    with the error on stderr, when the append failed."""
+    if disk is None:
+        return True
+    try:
+        disk.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     flags = RunFlags(field=args.field, seed=args.seed, n_cap=args.ncap,
                      attempts=args.attempts)
-    # one store per job, dropped when the job ends however it ends
+    # one store per job, dropped when the job ends however it ends; what
+    # it put on disk is appended then, whatever the exit code, and a failed
+    # append makes a job that succeeded exit 1
     store = Store(GBCache(args.cache_dir) if args.cache_dir else None)
     token = active_store.set(store)
     start = time.monotonic()
@@ -127,6 +142,9 @@ def main(argv=None):
         return 1
     finally:
         active_store.reset(token)
+        flushed = _flush(store.disk)
+    if not flushed:
+        return 1
     elapsed = time.monotonic() - start
     if args.fmt == "json":
         print(canonical_json(report))

@@ -3,6 +3,7 @@ job computed is kept for the next one, however the job ended.  The disk
 cache behind it: a key stable across processes, and every entry that is
 not a basis of its own key and ring is a miss."""
 
+import builtins
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from cancelkit import cache, cancellation, gb
+from cancelkit import cache, cancellation, cli, gb
 from cancelkit.cache import active_store
 from cancelkit.cli import main
 from cancelkit.fields import PrimeField, RationalField
@@ -60,6 +61,26 @@ def _run(tmp_path, text, *flags):
         code = main(["run", str(path), *flags])
     assert active_store.get() is None
     return code, out.getvalue()
+
+
+def _report(out):
+    """A --text report without its counts and time."""
+    return [line for line in out.splitlines()
+            if not line.startswith(("cache:", "memo:", "elapsed:"))]
+
+
+def _log(directory):
+    """The lines of the cache log in directory, in order, as (key, entry)
+    byte pairs, leaving out the blank line each append starts with."""
+    data = (directory / cache.LOG).read_bytes()
+    return [line.partition(b" ")[::2] for line in data.split(b"\n") if line]
+
+
+def _write_log(directory, lines):
+    """Make the cache log in directory hold exactly these (key, entry)
+    lines."""
+    (directory / cache.LOG).write_bytes(
+        b"".join(b"\n" + key + b" " + entry for key, entry in lines))
 
 
 def test_repeated_hypothesis_check_runs_once_per_job(tmp_path, monkeypatch):
@@ -247,32 +268,34 @@ def test_an_entry_of_schema_2_is_a_miss_and_is_rewritten(tmp_path):
     flags = ("--text", "--cache-dir", str(directory))
     cold = _run(tmp_path, SCHEMA2_JOB, *flags)
     assert cold[0] == 0
-    entries = sorted(f for f in directory.iterdir() if f.is_file())
-    assert len(entries) == 2
-    originals = [f.read_bytes() for f in entries]
+    assert os.listdir(directory) == [cache.LOG]
+    originals = _log(directory)
+    assert len(dict(originals)) == len(originals) == 2
     # the same bases in the schema-2 form (decoded exponents and
     # coefficient strings, terms descending) under the new keys
     R = Ring(RationalField(), ["x", "y", "z"])
     disk = cache.GBCache(str(directory))
-    for f in entries:
-        basis = disk.get(R, f.name)
+    schema2 = []
+    for key, _ in originals:
+        basis = disk.get(R, key.decode())
         assert basis
-        f.write_text(json.dumps(
-            {"schema": 2, "key": f.name,
+        schema2.append((key, json.dumps(
+            {"schema": 2, "key": key.decode(),
              "basis": [[[list(R.decode(m)), str(g.terms[m])]
                         for m in g.sorted_monomials()] for g in basis]},
-            separators=(",", ":")))
+            separators=(",", ":")).encode()))
+    _write_log(directory, schema2)
     warm = _run(tmp_path, SCHEMA2_JOB, *flags)
     assert warm[0] == 0
     assert re.search(r"^cache: 0 hits, 2 misses, \d+ bytes written$",
                      warm[1], re.M)
-
-    def report(out):
-        return [line for line in out.splitlines()
-                if not line.startswith(("cache:", "memo:", "elapsed:"))]
-
-    assert report(warm[1]) == report(cold[1])
-    assert [f.read_bytes() for f in entries] == originals
+    assert _report(warm[1]) == _report(cold[1])
+    # each miss was rewritten as a later line holding the original entry,
+    # which a later reader takes
+    assert _log(directory) == schema2 + originals
+    disk = cache.GBCache(str(directory))
+    assert all(disk.get(R, key.decode()) for key, _ in originals)
+    assert (disk.hits, disk.misses) == (2, 0)
 
 
 def _bad_entries(entry, ring):
@@ -306,23 +329,25 @@ def test_each_bad_entry_is_a_miss(tmp_path, field):
     R = Ring(field, ["x", "y", "z"])
     gens = [R.poly("3*x*y - 5*z"), R.poly("2/3*y*z - 7*x")]
     basis = gb.buchberger(gens).generators
-    disk = cache.GBCache(str(tmp_path))
     key = cache.basis_key(R, gens)
+    disk = cache.GBCache(str(tmp_path))
     disk.put(key, basis)
-    path = tmp_path / key
-    entry = json.loads(path.read_text())
+    disk.flush()
+    [(_, good)] = _log(tmp_path)
+    disk = cache.GBCache(str(tmp_path))
     assert disk.get(R, key) == basis
     assert (disk.hits, disk.misses) == (1, 0)
-    bad = _bad_entries(entry, R)
-    for name, body in bad.items():
-        path.write_text(json.dumps(body))
+    bad = {name: json.dumps(body).encode()
+           for name, body in _bad_entries(json.loads(good), R).items()}
+    bad["nested too deep for the JSON parser"] = b"[" * 100000
+    # each bad entry as the one line of the log under the key
+    for name, line in bad.items():
+        _write_log(tmp_path, [(key.encode(), line)])
+        disk = cache.GBCache(str(tmp_path))
         assert disk.get(R, key) is None, name
-    # nested too deep for the JSON parser
-    path.write_text("[" * 100000)
-    assert disk.get(R, key) is None
-    assert (disk.hits, disk.misses) == (1, len(bad) + 1)
-    path.write_text(json.dumps(entry))
-    assert disk.get(R, key) == basis
+        assert (disk.hits, disk.misses) == (0, 1), name
+    _write_log(tmp_path, [(key.encode(), good)])
+    assert cache.GBCache(str(tmp_path)).get(R, key) == basis
 
 
 # the syzygies of R/(xy, xz, yz) end after two steps: the kernel of the
@@ -339,8 +364,8 @@ def test_an_empty_kernel_is_a_cache_hit(tmp_path, monkeypatch):
     flags = ("--text", "--cache-dir", str(directory))
     cold = _run(tmp_path, SYZYGY_JOB, *flags)
     assert cold[0] == 0
-    entries = {f.name: json.loads(f.read_text())["basis"]
-               for f in directory.iterdir()}
+    entries = {key.decode(): json.loads(entry)["basis"]
+               for key, entry in _log(directory)}
     empty = [key for key, basis in entries.items() if basis == []]
     assert len(empty) == 1
     loops = _count_calls(monkeypatch, gb, "_basis")
@@ -375,19 +400,24 @@ def test_a_kernel_never_passes_for_the_basis(tmp_path):
             full = module_buchberger(vecs).generators
         finally:
             active_store.reset(token)
+            store.disk.flush()
         assert [components(g) for g in kernel] == [[zero, y, -x]]
         assert len(full) > len(kernel)
     assert (store.disk.hits, store.disk.misses) == (2, 0)
-    assert sorted(os.listdir(directory)) == sorted(
-        [cache.basis_key(vecs[0].ring, vecs, head=head),
-         cache.basis_key(vecs[0].ring, vecs)])
+    # two lines under two keys, written by the first job only
+    assert os.listdir(directory) == [cache.LOG]
+    assert [key.decode() for key, _ in _log(directory)] == [
+        cache.basis_key(vecs[0].ring, vecs, head=head),
+        cache.basis_key(vecs[0].ring, vecs)]
 
 
 def test_text_report_counts_cache_bytes_written(tmp_path):
     directory = tmp_path / "cache"
     flags = ("--cache-dir", str(directory))
     cold = _run(tmp_path, SCHEMA2_JOB, "--text", *flags)
-    written = sum(f.stat().st_size for f in directory.iterdir())
+    # the job's one append is the whole log
+    assert os.listdir(directory) == [cache.LOG]
+    written = (directory / cache.LOG).stat().st_size
     assert written > 0
     assert re.search(rf"^cache: 0 hits, 2 misses, {written} bytes written$",
                      cold[1], re.M)
@@ -423,7 +453,8 @@ def test_a_degree_part_never_passes_for_the_basis(tmp_path, monkeypatch,
         assert not I.contains(Ideal(R, [R.poly("x*z")]))
         assert (len(echelons), len(loops)) == (1, 0)
         assert I._gb is None
-        [part] = os.listdir(directory)
+        store.disk.flush()
+        [part] = [key.decode() for key, _ in _log(directory)]
         assert part == cache.basis_key(R, gens, 2)
         assert part != cache.basis_key(R, gens)
         # the full basis of the same generators: a store and disk miss
@@ -431,8 +462,10 @@ def test_a_degree_part_never_passes_for_the_basis(tmp_path, monkeypatch,
         assert I.groebner().generators == full
         assert (len(echelons), len(loops)) == (1, 1)
         assert (store.disk.hits, store.disk.misses) == (0, 2)
-        assert sorted(os.listdir(directory)) == sorted(
-            [part, cache.basis_key(R, gens)])
+        store.disk.flush()
+        assert os.listdir(directory) == [cache.LOG]
+        assert [key.decode() for key, _ in _log(directory)] == [
+            part, cache.basis_key(R, gens)]
         assert store.disk.get(R, cache.basis_key(R, gens)) == full
         assert store.disk.get(R, part) != full
     finally:
@@ -448,3 +481,135 @@ def test_a_degree_part_never_passes_for_the_basis(tmp_path, monkeypatch,
         assert (len(echelons), len(loops)) == (1, 1)
     finally:
         active_store.reset(token)
+
+
+def test_a_torn_last_line_costs_only_its_own_entry(tmp_path):
+    directory = tmp_path / "cache"
+    flags = ("--text", "--cache-dir", str(directory))
+    cold = _run(tmp_path, CURVE, *flags)
+    assert cold[0] == 0
+    lines = _log(directory)
+    assert len(dict(lines)) == len(lines) > 2
+    # a writer died in the middle of the last entry
+    log = directory / cache.LOG
+    data = log.read_bytes()
+    log.write_bytes(data[:len(data) - len(lines[-1][1]) // 2])
+    torn = _run(tmp_path, CURVE, *flags)
+    assert torn[0] == 0
+    assert _report(torn[1]) == _report(cold[1])
+    assert re.search(rf"^cache: {len(lines) - 1} hits, 1 misses, \d+ bytes "
+                     "written$", torn[1], re.M)
+    # the entry is appended on a line of its own after the torn one
+    after = _log(directory)
+    assert after[:-2] == lines[:-1] and after[-1] == lines[-1]
+    assert after[-2][0] == lines[-1][0] and after[-2][1] != lines[-1][1]
+    warm = _run(tmp_path, CURVE, *flags)
+    assert _report(warm[1]) == _report(cold[1])
+    assert re.search(rf"^cache: {len(lines)} hits, 0 misses, 0 bytes "
+                     "written$", warm[1], re.M)
+
+
+def test_two_caches_on_one_directory_append_in_turn(tmp_path):
+    R = Ring(RationalField(), ["x", "y", "z"])
+    ideals = [[R.poly("3*x*y - 5*z"), R.poly("2/3*y*z - 7*x")],
+              [R.poly("x^2 - y*z"), R.poly("y^2 - 2*x*z")]]
+    keys = [cache.basis_key(R, gens) for gens in ideals]
+    bases = [gb.buchberger(gens).generators for gens in ideals]
+    # both read the log before either appends to it
+    writers = [cache.GBCache(str(tmp_path)) for _ in ideals]
+    for disk, key, basis in zip(writers, keys, bases):
+        assert disk.get(R, key) is None
+        disk.put(key, basis)
+    for disk in writers:
+        disk.flush()
+    assert os.listdir(tmp_path) == [cache.LOG]
+    reader = cache.GBCache(str(tmp_path))
+    assert [reader.get(R, key) for key in keys] == bases
+    assert (reader.hits, reader.misses) == (2, 0)
+
+
+def test_a_good_line_after_a_bad_line_wins(tmp_path):
+    directory = tmp_path / "cache"
+    flags = ("--text", "--cache-dir", str(directory))
+    cold = _run(tmp_path, SCHEMA2_JOB, *flags)
+    lines = _log(directory)
+    _write_log(directory, [(key, b"[]") for key, _ in lines] + lines)
+    warm = _run(tmp_path, SCHEMA2_JOB, *flags)
+    assert warm[0] == 0
+    assert _report(warm[1]) == _report(cold[1])
+    assert re.search(r"^cache: 2 hits, 0 misses, 0 bytes written$",
+                     warm[1], re.M)
+
+
+def _opened(monkeypatch, directory):
+    """The names of the files in directory opened from now on, by `open`
+    or by `os.open`."""
+    names = []
+
+    def counting(original):
+        def counted(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and \
+                    os.path.dirname(os.fspath(file)) == str(directory):
+                names.append(os.path.basename(file))
+            return original(file, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    monkeypatch.setattr(os, "open", counting(os.open))
+    return names
+
+
+def test_entries_of_the_file_per_basis_layout_are_never_opened(
+        tmp_path, monkeypatch):
+    directory = tmp_path / "cache"
+    flags = ("--text", "--cache-dir", str(directory))
+    cold = _run(tmp_path, SCHEMA2_JOB, *flags)
+    lines = _log(directory)
+    # the directory as the one-file-per-basis layout left it: each entry
+    # of schema 3 in a file named by its key
+    (directory / cache.LOG).unlink()
+    for key, entry in lines:
+        (directory / key.decode()).write_bytes(entry)
+    opened = _opened(monkeypatch, directory)
+    rerun = _run(tmp_path, SCHEMA2_JOB, *flags)
+    assert rerun[0] == 0
+    assert _report(rerun[1]) == _report(cold[1])
+    assert re.search(r"^cache: 0 hits, 2 misses, \d+ bytes written$",
+                     rerun[1], re.M)
+    assert set(opened) == {cache.LOG}
+    assert _log(directory) == lines
+    assert all((directory / key.decode()).read_bytes() == entry
+               for key, entry in lines)
+
+
+def test_a_job_that_exits_2_keeps_its_bases(tmp_path, monkeypatch):
+    directory = tmp_path / "cache"
+    flags = ("--text", "--cache-dir", str(directory))
+    cold = _run(tmp_path, FAILING[2], *flags)
+    assert cold == (2, "")
+    lines = _log(directory)
+    assert lines
+    disks = []
+    monkeypatch.setattr(cli, "GBCache",
+                        lambda path: disks.append(cache.GBCache(path))
+                        or disks[-1])
+    loops = _count_calls(monkeypatch, gb, "_basis")
+    assert _run(tmp_path, FAILING[2], *flags) == cold
+    [disk] = disks
+    assert (disk.hits, disk.misses, disk.bytes_written) == (len(lines), 0, 0)
+    assert loops == []
+
+
+def test_a_failed_append_fails_only_a_job_that_succeeded(tmp_path):
+    directory = tmp_path / "cache"
+    # the log cannot be opened for reading or for appending
+    (directory / cache.LOG).mkdir(parents=True)
+    path = tmp_path / "job.ck"
+    for text, code in ((SCHEMA2_JOB, 1), (FAILING[2], 2)):
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["run", str(path), "--cache-dir",
+                         str(directory)]) == code
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("error: ")

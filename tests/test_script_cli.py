@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from cancelkit.cache import LOG
 from cancelkit.cli import build_parser, main
 from cancelkit.errors import ScriptSyntaxError
 from cancelkit.fields import PrimeField
@@ -307,7 +308,8 @@ contains(C, (z));
 
 def test_cli_corrupted_cache_entries(tmp_path):
     # an entry that is not a basis of its own key is a miss: the answer
-    # is recomputed and the entry rewritten, never read back as a basis
+    # is recomputed and the entry rewritten as a later line of the log,
+    # never read back as a basis
     script = tmp_path / "colon.ck"
     script.write_text(COLON_Q)
     cache = tmp_path / "cache"
@@ -316,22 +318,37 @@ def test_cli_corrupted_cache_entries(tmp_path):
     assert cold.returncode == 0, cold.stderr
     assert json.loads(cold.stdout)["commands"][0]["result"] == {
         "generators": ["z", "x*y"]}
-    entries = sorted(f for f in cache.iterdir() if f.is_file())
-    assert len(entries) >= 2
-    originals = [f.read_bytes() for f in entries]
+    log = cache / LOG
+    assert os.listdir(cache) == [LOG]
+
+    def lines():
+        return [line.partition(b" ")[::2]
+                for line in log.read_bytes().split(b"\n") if line]
+
+    originals = lines()
+    assert len(dict(originals)) == len(originals) >= 2
+    keys = [key for key, _ in originals]
+    entries = [entry for _, entry in originals]
     corruptions = (
         [b"[]"] * len(entries),
         # each entry holds the bytes of another one
-        originals[1:] + originals[:1],
+        entries[1:] + entries[:1],
     )
     for corrupt in corruptions:
-        for f, data in zip(entries, corrupt):
-            f.write_bytes(data)
+        log.write_bytes(b"".join(b"\n" + key + b" " + entry
+                                 for key, entry in zip(keys, corrupt)))
         rerun = _cli(args)
         assert rerun.returncode == 0, rerun.stderr
         assert rerun.stdout == cold.stdout
-        # the misses were rewritten with the true entries
-        assert [f.read_bytes() for f in entries] == originals
+        # the misses were rewritten with the true entries, which are now
+        # the last line under each key
+        after = lines()
+        assert after == list(zip(keys, corrupt)) + originals
+        assert dict(after) == dict(originals)
+        # and read back as hits
+        text = _cli(["run", str(script), "--text", "--cache-dir", str(cache)])
+        assert f"cache: {len(keys)} hits, 0 misses, 0 bytes written" \
+            in text.stdout.splitlines()
 
 
 def test_cli_exponent_overflow_exit_code(tmp_path):
