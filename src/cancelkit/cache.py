@@ -16,31 +16,34 @@ Only results whose computation returned are kept; one that raised is
 computed again on the next call.
 
 `GBCache` is the disk layer, consulted only when the store misses.  Its
-key and its entries are the integer form of `fields.to_ints`.  Key = hex
-sha256 of `ring.describe()` and of each generator's packed monomials
-(ascending) with integer coefficients over one denominator, the
-generators' strings sorted, and for a one-degree part a line "degree
-D", for a kernel a line "head H", after the ring's.  Entry = canonical
-JSON of the entry schema version, that key, and the reduced basis, each
-element one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms
-descending) read back by `from_ints(ints, 1, den)`.
+key and its entries are a polynomial's own integers over its
+denominator (`ring.Polynomial`), read directly.  Key = hex sha256 of
+`ring.describe()` and of each generator's denominator and its packed
+monomials (ascending) with their integer coefficients, the generators'
+strings sorted, and for a one-degree part a line "degree D", for a
+kernel a line "head H", after the ring's.  Entry = canonical JSON of
+the entry schema version, that key, and the reduced basis, each element
+one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms descending)
+read back by `fields.from_ints(ints, 1, den)`, so an element written in
+another form of the same polynomial reads back canonical.
 
 A cache directory holds one append-only log, `LOG`: one line per entry,
 the key, a space, then the entry.  A `GBCache` reads the whole log once,
 on first use, and indexes its lines by key, the last line for a key
 winning; an entry's JSON is parsed only when its key is asked for.
 `put` encodes an entry and keeps it in memory (a later `get` of the same
-object reads it); `flush` appends every entry kept since the last flush
-in one write, each on a fresh line, so a line torn by a writer that died
-mid-append costs only its own entry, and several writers on one
-directory append in turn.  A line that is torn, foreign, does not match
-its key and schema, or does not read back as a basis of the ring
-(empty, a zero element, a monomial outside the ring's packed fields, a
-coefficient that reads back zero, den < 1), is a miss, and the entry
-computed instead is a later line.  Only a kernel may be empty: under a
-kernel key an empty entry is a hit.  Files other than the log, such as
-the one-file-per-basis entries of earlier versions, are never opened.
-There is no size bound and no compaction.
+object reads it); `flush` makes the directory if it is missing and
+appends every entry kept since the last flush in one write, each on a
+fresh line, so a line torn by a writer that died mid-append costs only
+its own entry, and several writers on one directory append in turn.  A
+line that is torn, foreign, does not match its key and schema, or does
+not read back as a basis of the ring (empty, a zero element, a monomial
+outside the ring's packed fields, a coefficient that reads back zero,
+den < 1), is a miss, and the entry computed instead is a later line.
+Only a kernel may be empty: under a kernel key an empty entry is a hit.
+Files other than the log, such as the one-file-per-basis entries of
+earlier versions, are never opened.  There is no size bound and no
+compaction.
 """
 
 import contextvars
@@ -64,12 +67,7 @@ def basis_key(ring, gens, degree=None, head=None):
     with a head (the bits of the leading component variables of a
     module ring), that of the kernel basis past those components; each
     differs from the full basis's key."""
-    to_ints = ring.field.to_ints
-    polys = []
-    for g in gens:
-        ints, _, den = to_ints(g.terms)
-        polys.append(repr((den, sorted(ints.items()))))
-    polys.sort()
+    polys = sorted(repr((g.den, sorted(g.terms.items()))) for g in gens)
     if degree is not None:
         polys.insert(0, f"degree {degree}")
     if head is not None:
@@ -126,10 +124,10 @@ class Store:
 
 def _flat(g):
     """g as one int list [den, m_1, c_1, m_2, c_2, ...], terms descending."""
-    ints, _, den = g.ring.field.to_ints(g.terms)
-    flat = [den]
+    terms = g.terms
+    flat = [g.den]
     for m in g.sorted_monomials():
-        flat += (m, ints[m])
+        flat += (m, terms[m])
     return flat
 
 
@@ -143,10 +141,10 @@ def _element(ring, flat):
         raise ValueError("an element is zero or malformed")
     if not ring.fits(monomials):
         raise ValueError("a monomial does not fit the ring")
-    terms = ring.field.from_ints(dict(zip(monomials, coeffs)), 1, den)
+    terms, den = ring.field.from_ints(dict(zip(monomials, coeffs)), 1, den)
     if len(terms) != len(monomials):
         raise ValueError("a term is zero or repeated")
-    return Polynomial(ring, terms)
+    return Polynomial(ring, terms, den)
 
 
 class GBCache:
@@ -155,7 +153,6 @@ class GBCache:
 
     def __init__(self, path):
         self.path = path
-        os.makedirs(path, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.bytes_written = 0
@@ -203,8 +200,11 @@ class GBCache:
         self._pending.append(b"\n" + key + b" " + entry)
 
     def flush(self):
-        """Append the entries put since the last flush to the log, in one
-        write; raises OSError when the write fails or falls short."""
+        """Make the directory if it is missing, then append the entries
+        put since the last flush to the log, in one write; raises OSError
+        when the directory cannot be made or the write fails or falls
+        short."""
+        os.makedirs(self.path, exist_ok=True)
         if not self._pending:
             return
         data = b"".join(self._pending)

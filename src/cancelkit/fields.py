@@ -1,20 +1,18 @@
 """Exact coefficient fields: prime fields F_p and arbitrary-precision rationals.
 
-Elements are plain Python values (int residues in [0, p) for F_p,
-`fractions.Fraction` for Q), so polynomial inner loops stay cheap.  The
-field object supplies the arithmetic and canonicalization.
-
-These are the forms at the API: every polynomial a caller builds or gets
-back has canonical residues or `Fraction`s.  Inside, the Groebner engine
-(`gb`) and polynomial products work on plain integers over both fields:
-`to_ints` takes a polynomial's terms to integers and `from_ints` takes
-integers back to the field, and this module is the only one that knows
-how.  Over F_p those integers may be unreduced or negative; they are
-reduced mod p (the field's `characteristic`) when they leave.
+Polynomials hold integers over both fields (`ring.Polynomial`): residues
+in [0, p) over F_p, integer numerators over one denominator over Q.
+Field elements (int residues, `fractions.Fraction`s) appear only where a
+coefficient enters or leaves a polynomial: parsing, scaling, rendering
+and dense linear algebra.  This module is the only one that knows how
+coefficients are held: `from_ints` makes the canonical integer form,
+`to_ints` the working form of the Groebner engine (`gb`), and `element`
+a field element.  Over F_p the integers given may be unreduced or
+negative; they are reduced mod p (the field's `characteristic`).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ZeroInversion
 
@@ -48,22 +46,23 @@ class PrimeField:
         self.zero = 0
         self.one = 1
 
-    def to_ints(self, terms, lead=None):
-        """(ints, num, den) with terms[m] == ints[m] * num / den mod p.
-        Without lead, a copy; with lead, the monic form, reduced mod p
-        with zero terms dropped (terms may hold any integers)."""
-        if lead is None:
-            return dict(terms), 1, 1
+    def to_ints(self, terms, lead):
+        """The working form of the integers terms: monic, reduced mod p,
+        zero terms dropped; a new dict."""
         p = self.p
-        num = terms[lead] % p
-        inv = self.inv(num)
-        return {m: v for m, c in terms.items() if (v := c * inv % p)}, num, 1
+        inv = self.inv(terms[lead])
+        return {m: v for m, c in terms.items() if (v := c * inv % p)}
 
     def from_ints(self, ints, num, den):
-        """The residues of ints * num / den, zero terms dropped."""
+        """(terms, 1): the residues of ints * num / den, zero terms
+        dropped."""
         p = self.p
         scale = num * self.inv(den) % p if den != 1 else num % p
-        return {m: v for m, c in ints.items() if (v := c * scale % p)}
+        return {m: v for m, c in ints.items() if (v := c * scale % p)}, 1
+
+    def element(self, c, den):
+        """The coefficient c of a polynomial with denominator den (1)."""
+        return c
 
     def normalize(self, x):
         if isinstance(x, Fraction):
@@ -91,8 +90,9 @@ class PrimeField:
     def random(self, rng):
         return rng.randrange(self.p)
 
-    def to_str(self, a):
-        return str(a)
+    def to_str(self, c, den):
+        """The text of the coefficient c of a polynomial over den (1)."""
+        return str(c)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -108,7 +108,9 @@ class PrimeField:
 
 
 class RationalField:
-    """Q with elements as `Fraction` (already canonical: reduced, den > 0)."""
+    """Q with elements as `Fraction` (already canonical: reduced, den > 0).
+    A polynomial's coefficients are integers over its one denominator;
+    the element-wise `add` and `neg` serve both."""
 
     kind = "rationals"
     characteristic = 0
@@ -117,25 +119,32 @@ class RationalField:
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
-    def to_ints(self, terms, lead=None):
-        """(ints, num, den) with terms[m] == ints[m] * num / den, den the
-        lcm of the denominators.  With lead, also without content and
-        with ints[lead] > 0: the primitive form.  terms may hold ints."""
-        den = lcm(*[c.denominator for c in terms.values()])
-        ints = {m: c.numerator * (den // c.denominator)
-                for m, c in terms.items()}
-        if lead is None:
-            return ints, 1, den
-        num = gcd(*ints.values())
-        if ints[lead] < 0:
+    def to_ints(self, terms, lead):
+        """The working form of the nonzero integers terms: without
+        content and with a positive lead, the primitive form; terms
+        itself when it is that already."""
+        num = gcd(*terms.values())
+        if terms[lead] < 0:
             num = -num
-        if num != 1:
-            ints = {m: c // num for m, c in ints.items()}
-        return ints, num, den
+        if num == 1:
+            return terms
+        return {m: c // num for m, c in terms.items()}
 
     def from_ints(self, ints, num, den):
-        """The Fractions ints * num / den, zero terms dropped."""
-        return {m: Fraction(c * num, den) for m, c in ints.items() if c}
+        """(terms, den') in canonical form with terms / den' == ints * num
+        / den: den' >= 1, no factor common to den' and every numerator,
+        zero terms dropped.  ints may hold zeros; num and den nonzero."""
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // g, den // g
+        # num and den are coprime, so only the content can share with den
+        g = gcd(den, *ints.values())
+        if g == 1 and num == 1:
+            return {m: c for m, c in ints.items() if c}, den
+        return {m: c // g * num for m, c in ints.items() if c}, den // g
+
+    def element(self, c, den):
+        """The coefficient c / den of a polynomial with denominator den."""
+        return Fraction(c, den)
 
     def normalize(self, x):
         return Fraction(x)
@@ -160,8 +169,9 @@ class RationalField:
     def random(self, rng):
         return Fraction(rng.randrange(-20, 21))
 
-    def to_str(self, a):
-        return str(a)
+    def to_str(self, c, den):
+        """The text of the coefficient c / den."""
+        return str(Fraction(c, den))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

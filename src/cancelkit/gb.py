@@ -7,24 +7,24 @@ Everything here is deterministic: pair selection is by minimal lcm degree
 with ties broken by the lcm's exponent key and then the pair indices, and
 division always uses the first applicable divisor in list order.
 
-Over both fields the engine runs on integer polynomials in working
-form, which the field makes (`to_ints` with a lead): monic over F_p,
-primitive with a positive lead over Q.  S-polynomials are integer
-combinations and division is pseudo-division with content removal
-(Knuth, TAOCP vol. 2, 4.6.1, Algorithm R); over F_p every lead is 1, so
-it is plain division, with coefficients reduced mod p as their terms
-are popped.  Field elements are built (`from_ints`) only at the
-boundary: the monic reduced basis `_interreduce` returns and the
-remainder `normal_form` returns.  Reduced bases are unique, so they are
-the same as with field arithmetic throughout.
+The engine runs on the integer numerators of polynomials in working
+form, which the field makes (`to_ints`): monic over F_p, primitive with
+a positive lead over Q.  S-polynomials are integer combinations and
+division is pseudo-division with content removal (Knuth, TAOCP vol. 2,
+4.6.1, Algorithm R); over F_p every lead is 1, so it is plain division,
+with coefficients reduced mod p as their terms are popped.  The
+canonical form (`from_ints`) is made only for the monic reduced basis
+`_interreduce` returns and the remainder `normal_form` returns.  Reduced
+bases are unique, so they are the same as with field arithmetic
+throughout.
 
 The loop runs many small bases, so its cost per element counts as much
 as its cost per term.  Every polynomial the engine builds carries its
 leading monomial (division knows it: the first term it keeps), so
 `lm()` never searches one.  `_interreduce` divides each element only by
 the kept elements with smaller leads, as a larger lead divides no term
-of it.  The pair update works on the packed ints, with no call per
-pair.
+of it, with the division data the loop built for them.  The pair update
+works on the packed ints, with no call per pair.
 
 For forms of one weighted degree D, `degree_basis` gives the degree-D
 part of the reduced basis by row reduction alone (`_echelon`); the
@@ -82,7 +82,7 @@ def _working(g):
     """Nonzero g in the engine's working form: integer coefficients,
     monic over F_p, primitive with a positive lead over Q."""
     lead = g.lm()
-    return Polynomial(g.ring, g.ring.field.to_ints(g.terms, lead)[0], lead)
+    return Polynomial(g.ring, g.ring.field.to_ints(g.terms, lead), lead=lead)
 
 
 def _divisor(g):
@@ -116,7 +116,11 @@ def normal_form(f, G):
         divisors = [_divisor(_working(g)) for g in G if not g.is_zero()]
     if not divisors or f.is_zero():
         return f
-    return _divide(*ring.field.to_ints(f.terms), divisors, ring, full=True)
+    result, num, den = _divide(dict(f.terms), 1, f.den, divisors, ring,
+                               full=True)
+    # terms enter result largest first, none of them zero
+    return Polynomial(ring, *ring.field.from_ints(result, num, den),
+                      lead=next(iter(result), None))
 
 
 def _divide(work, num, den, divisors, ring, full):
@@ -132,7 +136,8 @@ def _divide(work, num, den, divisors, ring, full):
     the partial remainder in working form (its monomials are those of
     the true remainder's): enough for basis building and zero-testing,
     and much cheaper than a full normal form.  With full=True it returns
-    the exact remainder in the field.
+    the exact remainder as (ints, num, den), ints holding its terms
+    largest first, none zero (residues over F_p).
     """
     key = ring.key
     guards = ring._guards
@@ -161,7 +166,7 @@ def _divide(work, num, den, divisors, ring, full):
             result[m] = c
             if not full:
                 result.update(work)
-                return Polynomial(ring, field.to_ints(result, m)[0], m)
+                return Polynomial(ring, field.to_ints(result, m), lead=m)
             continue
         q = m - lm
         # exponents below 2^15 add without a carry, so a new term mt + q
@@ -202,9 +207,7 @@ def _divide(work, num, den, divisors, ring, full):
                 num *= content
     if not full:
         return ring.zero()
-    # terms enter result largest first, none of them zero
-    return Polynomial(ring, field.from_ints(result, num, den),
-                      next(iter(result), None))
+    return result, num, den
 
 
 def _spoly(f, g, lcm, ring):
@@ -212,7 +215,7 @@ def _spoly(f, g, lcm, ring):
     lm g): the integer combination
     (lc g/h)*x^(lcm - lm f)*f - (lc f/h)*x^(lcm - lm g)*g with
     h = gcd(lc f, lc g) (over F_p both leads are 1)."""
-    af, ag = f.lc(), g.lc()
+    af, ag = f.terms[f.lm()], g.terms[g.lm()]
     h = gcd(af, ag)
     qf, cf = lcm - f.lm(), ag // h
     qg, cg = lcm - g.lm(), af // h
@@ -376,9 +379,10 @@ def _basis(gens, ring, known=(), head=None):
                 f"(element of degree {r.degree()})")
         add(r)
 
+    elements = zip(G, div)
     if head is not None:
-        G = [g for g in G if not g.lm() & head]
-    return _interreduce(G, ring)
+        elements = [(g, d) for g, d in elements if not d[0] & head]
+    return _interreduce(elements, ring)
 
 
 def _echelon(gens, ring):
@@ -390,28 +394,33 @@ def _echelon(gens, ring):
     the leads.  No S-pair is formed (Lazard 1983)."""
     rows, div = [], []
     for g in gens:
-        r = _divide(_working(g).terms, 1, 1, div, ring, full=False)
+        r = _divide(dict(_working(g).terms), 1, 1, div, ring, full=False)
         if not r.is_zero():
             rows.append(r)
             div.append(_divisor(r))
-    return _interreduce(rows, ring)
+    return _interreduce(zip(rows, div), ring)
 
 
-def _interreduce(G, ring):
-    """The unique reduced basis of a Groebner basis G: drop the elements
-    whose leading monomial another's divides, tail-reduce the rest, and
-    sort by leading monomial.  In ascending order of leads, each element
-    is divided only by the kept elements before it: a larger lead
-    divides no term of it, and the division never makes a term above
-    its lead, which it keeps.  The elements come out monic and in the
-    field: the engine's integer forms end here."""
+def _interreduce(elements, ring):
+    """The unique reduced basis of a Groebner basis in working form,
+    given as pairs (g, the division data of g, which the loop built):
+    drop the elements whose leading monomial another's divides,
+    tail-reduce the rest, and sort by leading monomial.  In ascending
+    order of leads, each element is divided only by the kept elements
+    before it: a larger lead divides no term of it, and the division
+    never makes a term above its lead, which it keeps.  The elements
+    come out monic and canonical: the engine's working forms end
+    here."""
     guards = ring._guards
+    from_ints = ring.field.from_ints
     divisors, reduced = [], []
-    for g in sorted(G, key=lambda f: ring.key(f.lm())):
-        bound = g.lm() | guards
-        if any((bound - d[0]) & guards == guards for d in divisors):
+    for g, d in sorted(elements, key=lambda gd: ring.key(gd[1][0])):
+        lead = d[0]
+        bound = lead | guards
+        if any((bound - e[0]) & guards == guards for e in divisors):
             continue
-        reduced.append(_divide(dict(g.terms), 1, 1, divisors, ring,
-                               full=True).monic())
-        divisors.append(_divisor(g))
+        result = _divide(dict(g.terms), 1, 1, divisors, ring, full=True)[0]
+        reduced.append(Polynomial(ring, *from_ints(result, 1, result[lead]),
+                                  lead=lead))
+        divisors.append(d)
     return reduced

@@ -22,6 +22,7 @@ linear algebra modulo the columns kept in lower degrees.
 """
 
 from itertools import groupby
+from math import lcm
 
 from .gb import buchberger, normal_form
 from .linalg import echelonize
@@ -30,14 +31,24 @@ from .ring import FIELD_BITS, Polynomial
 
 def vector(polys):
     """The column (polys[0], polys[1], ...) of R^len(polys), as a
-    polynomial of the module ring."""
+    polynomial of the module ring, over the lcm of the parts'
+    denominators (which shares no factor with all numerators)."""
     ring = polys[0].ring.module_ring(len(polys))
+    den = 1
+    for f in polys:
+        if f.den != 1:
+            den = lcm(den, f.den)
     terms = {}
     for s, f in zip(ring._shifts, polys):
         e = 1 << s
-        for m, c in f.terms.items():
-            terms[m + e] = c
-    return Polynomial(ring, terms)
+        if f.den == den:
+            for m, c in f.terms.items():
+                terms[m + e] = c
+        else:
+            scale = den // f.den
+            for m, c in f.terms.items():
+                terms[m + e] = c * scale
+    return Polynomial(ring, terms, den)
 
 
 def components(v):
@@ -51,7 +62,7 @@ def components(v):
     for m, c in v.terms.items():
         pos = last - ((m >> low).bit_length() - 1) // FIELD_BITS
         parts[pos][m & mask] = c
-    return [Polynomial(base, t) for t in parts]
+    return [v.part(base, t) for t in parts]
 
 
 def module_buchberger(vectors, *, known=(), head=None):
@@ -124,9 +135,10 @@ def minimal_columns(cols, shifts):
             basis = module_buchberger([vector(c) for c in kept])
         group = [c for _, c in group]
         forms = [normal_form(vector(c), basis) for c in group]
-        # one row per monomial, one column per candidate
+        # one row per monomial, one column per candidate: its numerators,
+        # a nonzero multiple of it, which leaves the pivots as they are
         field = group[0][0].ring.field
-        rows = [[v.terms.get(m, field.zero) for v in forms]
+        rows = [[v.terms.get(m, 0) for v in forms]
                 for m in set().union(*(v.terms for v in forms))]
         for j in echelonize(rows, field):
             kept.append(group[j])

@@ -129,7 +129,7 @@ def _coordinates(gens, basis):
     gens, by monomial; NotSubideal when some g is outside their span."""
     field = basis[0].ring.field
     columns = (*basis, *gens)
-    rows = [[f.terms.get(mono, field.zero) for f in columns]
+    rows = [[f.coeff(mono) for f in columns]
             for mono in {m for f in columns for m in f.terms}]
     pivots = echelonize(rows, field)
     m = len(basis)

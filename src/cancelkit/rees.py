@@ -22,7 +22,7 @@ from .gb import buchberger, normal_form
 from .ideals import Ideal, kernel_of_map
 from .linalg import echelonize
 from .modules import minimal_columns, syzygy_columns
-from .ring import Polynomial, Ring, embed
+from .ring import Ring, embed
 
 
 def t_degree(poly, base_count):
@@ -187,7 +187,7 @@ def _fiber_by_certificates(ideal, t_ring):
     try:
         degs = {g.wdegree() for g in gens}
         if degs == {0}:
-            c = [g.terms[0] for g in gens]
+            c = [g.coeff(0) for g in gens]
             T = t_ring.gens()
             return Ideal(t_ring, [T[i].scale(c[0]) - T[0].scale(c[i])
                                   for i in range(1, len(gens))])
@@ -216,11 +216,11 @@ def _in_fiber(ideal, forms):
     bases = {}
     for q in forms:
         parts = {}
-        for mono, c in q.terms.items():
+        for mono in q.terms:
             exps = q.ring.decode(mono)
             d = sum(exps)
             value = math.prod((a ** e for a, e in zip(ideal.generators, exps)),
-                              start=ring.constant(c))
+                              start=ring.constant(q.coeff(mono)))
             parts[d] = parts.get(d, ring.zero()) + value
         for d, f in parts.items():
             if d not in bases:
@@ -318,8 +318,8 @@ def _valuation_kernel(ideal, w, t_ring):
                for mono in g.terms}
         low = min(per.values())
         vals.append(low)
-        forms.append(Polynomial(wring, {mono: c for mono, c in g.terms.items()
-                                        if per[mono] == low}))
+        forms.append(g.part(wring, {mono: c for mono, c in g.terms.items()
+                                    if per[mono] == low}))
     low = min(vals)
     attain = [i for i, v in enumerate(vals) if v == low]
     kernel_gens = [t_ring.var(i) for i, v in enumerate(vals) if v > low]

@@ -4,9 +4,16 @@ Monomials are packed into a single int, 16 bits per variable with the
 first variable in the most significant field.  Multiplication is integer
 addition and divisibility is a guard-bit test, which keeps Buchberger's
 inner loops fast in pure Python.  Exponents are capped at 2^15 - 1.
+
+Coefficients are integers: `terms` maps packed monomials to residues
+over F_p and to numerators over one denominator `den` over Q, in the
+canonical form of `fields.from_ints` (den is 1 over F_p), which the
+Groebner engine and the disk cache read as it is.  A coefficient becomes
+a field element only as it leaves (`coeff`, `lc`, `render`).
 """
 
 from functools import reduce
+from math import lcm
 from operator import or_
 
 from .errors import ArityMismatch, ResourceExceeded, RingMismatch
@@ -137,8 +144,10 @@ class Ring:
         return Polynomial(self, {})
 
     def constant(self, c):
+        # a field element is a residue or a reduced Fraction: over both
+        # fields its numerator over its denominator is canonical
         c = self.field.normalize(c)
-        return Polynomial(self, {} if c == self.field.zero else {0: c})
+        return Polynomial(self, {0: c.numerator} if c else {}, c.denominator)
 
     def one(self):
         return self.constant(self.field.one)
@@ -147,29 +156,10 @@ class Ring:
         if isinstance(i, str):
             i = self._index[i]
         return Polynomial(self, {self.encode(tuple(
-            1 if j == i else 0 for j in range(self.n))): self.field.one})
+            1 if j == i else 0 for j in range(self.n))): 1})
 
     def gens(self):
         return [self.var(i) for i in range(self.n)]
-
-    def monomial(self, exps, coeff=None):
-        c = self.field.normalize(coeff if coeff is not None else self.field.one)
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {self.encode(tuple(exps)): c})
-
-    def from_terms(self, pairs):
-        """Build a polynomial from (exponent-tuple, coeff) pairs."""
-        terms = {}
-        zero = self.field.zero
-        for exps, c in pairs:
-            m = self.encode(tuple(exps))
-            c = self.field.add(terms.get(m, zero), self.field.normalize(c))
-            if c == zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = c
-        return Polynomial(self, terms)
 
     def poly(self, text):
         """Parse polynomial text syntax (delegates to the script parser)."""
@@ -218,15 +208,17 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict of packed monomial -> coefficient."""
+    """Immutable sparse polynomial: integer `terms` over `den`, in the
+    canonical form (module docstring), which the caller provides."""
 
-    __slots__ = ("ring", "terms", "_lead", "_sorted", "_hash")
+    __slots__ = ("ring", "terms", "den", "_lead", "_sorted", "_hash")
 
-    def __init__(self, ring, terms, lead=None):
+    def __init__(self, ring, terms, den=1, lead=None):
         # lead, when the caller knows it, is the leading monomial; the
         # Groebner engine passes it for every polynomial it builds
         self.ring = ring
         self.terms = terms
+        self.den = den
         self._lead = lead
         self._sorted = None
         self._hash = None
@@ -251,8 +243,12 @@ class Polynomial:
             self._lead = max(self.terms, key=self.ring.key)
         return self._lead
 
+    def coeff(self, m):
+        """The coefficient of the monomial m, a field element."""
+        return self.ring.field.element(self.terms.get(m, 0), self.den)
+
     def lc(self):
-        return self.terms[self.lm()]
+        return self.coeff(self.lm())
 
     def degree(self):
         if not self.terms:
@@ -271,30 +267,41 @@ class Polynomial:
     def __add__(self, other):
         self._check(other)
         field = self.ring.field
-        zero = field.zero
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = field.add(terms.get(m, zero), c)
-            if s == zero:
-                terms.pop(m, None)
-            else:
+        add = field.add
+        den = self.den
+        if den == other.den:
+            terms = dict(self.terms)
+            addends = other.terms.items()
+        else:
+            # over Q only: both numerators over the lcm of the denominators
+            den = lcm(den, other.den)
+            s1, s2 = den // self.den, den // other.den
+            terms = {m: c * s1 for m, c in self.terms.items()}
+            addends = [(m, c * s2) for m, c in other.terms.items()]
+        for m, c in addends:
+            s = add(terms.get(m, 0), c)
+            if s:
                 terms[m] = s
-        return Polynomial(self.ring, terms)
+            else:
+                terms.pop(m, None)
+        if den == 1:
+            return Polynomial(self.ring, terms)
+        # a sum can share a factor with den that neither addend did
+        return Polynomial(self.ring, *field.from_ints(terms, 1, den))
 
     def __neg__(self):
         neg = self.ring.field.neg
-        return Polynomial(self.ring, {m: neg(c) for m, c in self.terms.items()})
+        return Polynomial(self.ring,
+                          {m: neg(c) for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        # integer coefficients over one scale per factor, taken back to
-        # the field once
-        field = self.ring.field
-        big, n1, d1 = field.to_ints(self.terms)
-        small, n2, d2 = field.to_ints(other.terms)
+        # integer products, over the product of the denominators, taken
+        # to the canonical form once
+        big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
         ints = {}
@@ -302,8 +309,8 @@ class Polynomial:
             for m1, c1 in big.items():
                 m = m1 + m2
                 ints[m] = ints.get(m, 0) + c1 * c2
-        terms = field.from_ints(ints, n1 * n2, d1 * d2)
-        return Polynomial(self.ring, terms)._no_overflow()
+        return Polynomial(self.ring, *self.ring.field.from_ints(
+            ints, 1, self.den * other.den))._no_overflow()
 
     def __pow__(self, k):
         if k < 0:
@@ -327,32 +334,36 @@ class Polynomial:
                 f"exponent overflow: a product has an exponent above {EXP_MAX}")
         return self
 
+    def part(self, ring, terms):
+        """The polynomial of ring with some of this one's terms (monomials
+        renamed), over den: fewer numerators can share a factor with it."""
+        if self.den == 1 or len(terms) == len(self.terms):
+            return Polynomial(ring, terms, self.den)
+        return Polynomial(ring, *ring.field.from_ints(terms, 1, self.den))
+
     def scale(self, c):
         field = self.ring.field
         c = field.normalize(c)
-        if c == field.zero:
+        if not c:
             return self.ring.zero()
         # a nonzero multiple keeps every term, so the lead too
-        return Polynomial(self.ring, {m: field.mul(cc, c)
-                                      for m, cc in self.terms.items()},
-                          self._lead)
+        return Polynomial(self.ring, *field.from_ints(
+            self.terms, c.numerator, self.den * c.denominator),
+            lead=self._lead)
 
     def monic(self):
         if self.is_zero():
             return self
-        lc = self.lc()
-        if lc == self.ring.field.one:
-            return self
-        return self.scale(self.ring.field.inv(lc))
+        return self.scale(self.ring.field.inv(self.lc()))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.terms == other.terms and self.den == other.den)
 
     def __hash__(self):
-        # the ring is left out: equal polynomials share it anyway, and
-        # hashing it costs more than the terms of a small polynomial;
-        # the terms never change, so the hash is computed once
+        # the ring and den are left out: equal polynomials share them, and
+        # hashing the ring costs more than a small polynomial's terms; the
+        # terms never change, so the hash is computed once
         if self._hash is None:
             self._hash = hash(tuple(sorted(self.terms.items())))
         return self._hash
@@ -369,7 +380,8 @@ def render(f):
     if f.is_zero():
         return "0"
     ring = f.ring
-    one = ring.field.one
+    to_str = ring.field.to_str
+    den = f.den
     pieces = []
     for m in f.sorted_monomials():
         c = f.terms[m]
@@ -380,10 +392,10 @@ def render(f):
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        cs = ring.field.to_str(c)
+        cs = to_str(c, den)
         if not factors:
             body = cs
-        elif c == one:
+        elif c == den:  # the coefficient is 1
             body = "*".join(factors)
         elif cs == "-1":
             body = "-" + "*".join(factors)
@@ -429,4 +441,4 @@ def embed(f, target, var_map):
                 new[j] = e
         else:
             terms[target.encode(tuple(new))] = c
-    return Polynomial(target, terms)
+    return f.part(target, terms)

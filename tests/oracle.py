@@ -10,10 +10,12 @@ call them.
 
 import heapq
 from fractions import Fraction
+from math import gcd
 
 from cancelkit.errors import BadRegularSequence
 from cancelkit.gb import GroebnerBasis, buchberger, normal_form
 from cancelkit.ideals import Ideal
+from cancelkit.ring import Polynomial
 
 
 def monomials_of_degree(nvars, d):
@@ -102,9 +104,53 @@ def rref_rank(rows, F):
 
 
 def poly_to_dict(poly):
-    """Exponent-tuple dict of a cancelkit polynomial."""
+    """Exponent-tuple dict of a cancelkit polynomial, with field-element
+    coefficients."""
     ring = poly.ring
-    return {tuple(ring.decode(m)): c for m, c in poly.terms.items()}
+    return {tuple(ring.decode(m)): poly.coeff(m) for m in poly.terms}
+
+
+def coefficients(poly):
+    """poly as a dict of packed monomial -> field element."""
+    return {m: poly.coeff(m) for m in poly.terms}
+
+
+def monomial(ring, exps, coeff=1):
+    """The term coeff * x^exps of ring, coeff a field element or int."""
+    return Polynomial(ring, {ring.encode(tuple(exps)): 1}).scale(coeff)
+
+
+def from_terms(ring, pairs):
+    """The sum of the terms of (exponent tuple, coefficient) pairs."""
+    f = ring.zero()
+    for exps, c in pairs:
+        f = f + monomial(ring, exps, c)
+    return f
+
+
+def from_coefficients(ring, coeffs):
+    """The polynomial of ring with the field-element coefficients of the
+    dict coeffs (packed monomial -> element), zeros dropped, built term
+    by term through the ring's own constructors."""
+    f = ring.zero()
+    for m, c in coeffs.items():
+        f = f + Polynomial(ring, {m: 1}).scale(c)
+    return f
+
+
+def is_canonical(poly):
+    """True iff poly holds the canonical integer form: int numerators,
+    none zero, over an int den >= 1 with no factor common to den and
+    every numerator; over F_p, residues in [1, p) over den 1; the zero
+    polynomial over den 1."""
+    values = list(poly.terms.values())
+    if type(poly.den) is not int or poly.den < 1 \
+            or not all(type(c) is int and c for c in values):
+        return False
+    p = poly.ring.field.characteristic
+    if p:
+        return poly.den == 1 and all(0 < c < p for c in values)
+    return gcd(poly.den, *values) == 1
 
 
 def _field_adapter(poly):

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from cancelkit import cache, cancellation, cli, gb
 from cancelkit.cache import active_store
 from cancelkit.cli import main
@@ -105,7 +106,8 @@ def test_no_store_outlives_its_job(tmp_path, monkeypatch):
 
 
 # non-unit leads and fractional coefficients, so the engine's integer
-# working forms differ from the Fractions it hands back; the hypotheses
+# working forms differ from the canonical forms it hands back, whose
+# coefficients leave as Fractions; the hypotheses
 # (a resolution among them) need a homogeneous ideal
 Q_JOB = """\
 ring R = q[x,y,z] grevlex;
@@ -124,25 +126,51 @@ hypotheses(H, [h, 2/3*x*z - 7*y^2], h);
 """
 
 
-def _coefficients(obj, seen=None):
-    """Every coefficient of every polynomial reachable from obj."""
+def _polynomials(obj, seen=None):
+    """Every polynomial reachable from obj."""
     seen = set() if seen is None else seen
     if id(obj) in seen or isinstance(obj, (Ring, str, int, Fraction)):
         return
     seen.add(id(obj))
     if isinstance(obj, Polynomial):
-        yield from obj.terms.values()
+        yield obj
     elif isinstance(obj, dict):
         for value in obj.values():
-            yield from _coefficients(value, seen)
+            yield from _polynomials(value, seen)
     elif isinstance(obj, (list, tuple, set, frozenset)):
         for item in obj:
-            yield from _coefficients(item, seen)
+            yield from _polynomials(item, seen)
     elif hasattr(obj, "__dict__"):
-        yield from _coefficients(vars(obj), seen)
+        yield from _polynomials(vars(obj), seen)
+
+
+def _coefficients(obj):
+    """Every coefficient of every polynomial reachable from obj, as the
+    accessor hands it out."""
+    for f in _polynomials(obj):
+        yield from (f.coeff(m) for m in f.terms)
+
+
+def _canonical_fractions(obj):
+    """Every polynomial reachable from obj is canonical, its coefficients
+    and leading coefficient leave as Fractions, and one of a polynomial
+    ring (not of a module ring, whose component names do not parse)
+    renders to text that parses back to it; returns how many
+    coefficients there are."""
+    polys = list(_polynomials(obj))
+    assert all(oracle.is_canonical(f) for f in polys)
+    coefficients = list(_coefficients(polys))
+    assert all(type(c) is Fraction for c in coefficients)
+    assert all(type(f.lc()) is Fraction for f in polys if not f.is_zero())
+    assert all(f.ring.poly(str(f)) == f for f in polys if f.ring.base is None)
+    return len(coefficients)
 
 
 def test_only_fractions_leave_the_engine_over_q(tmp_path, monkeypatch):
+    """Over Q every polynomial the engine, the store and a warm read hand
+    back is canonical (integer numerators over one denominator), and a
+    coefficient leaves it as a Fraction: through the accessor, the
+    leading coefficient and the rendered text."""
     R = Ring(RationalField(), ["x", "y", "z"])
     f, g = R.poly("3*x*y - 5*z"), R.poly("2/3*y*z - 7*x")
     G = gb.buchberger([f, g, R.poly("x^2 + 1/5*y^2 - z")])
@@ -151,9 +179,7 @@ def test_only_fractions_leave_the_engine_over_q(tmp_path, monkeypatch):
     product = Ideal(R, [f, g]) * Ideal(R, [f, R.poly("2*x*z")])
     probe = R.poly("x*y*z + 1/2*y^3 + 4*z^2")
     for obj in (G, gb.normal_form(probe, G), remainder, product):
-        coefficients = list(_coefficients(obj))
-        assert coefficients
-        assert all(type(c) is Fraction for c in coefficients)
+        assert _canonical_fractions(obj)
 
     # what the store keeps, whether computed (cold) or read from the
     # disk cache (warm), and the reports of both runs
@@ -170,9 +196,7 @@ def test_only_fractions_leave_the_engine_over_q(tmp_path, monkeypatch):
     assert cold[0] == 0 and kept
     warm = _run(tmp_path, Q_JOB, *flags)
     assert warm == cold
-    coefficients = list(_coefficients(kept))
-    assert coefficients
-    assert all(type(c) is Fraction for c in coefficients)
+    assert _canonical_fractions(kept)
 
 
 def test_only_residues_leave_the_engine_over_fp(tmp_path, monkeypatch):
@@ -187,6 +211,7 @@ def test_only_residues_leave_the_engine_over_fp(tmp_path, monkeypatch):
     product = Ideal(R, [f, g]) * Ideal(R, [f, R.poly("2*x*z")])
     probe = R.poly("x*y*z + 1/2*y^3 - 4*z^2")
     for obj in (G, gb.normal_form(probe, G), remainder, product):
+        assert all(oracle.is_canonical(f) for f in _polynomials(obj))
         coefficients = list(_coefficients(obj))
         assert coefficients
         assert all(type(c) is int and 0 < c < p for c in coefficients)
@@ -205,6 +230,7 @@ def test_only_residues_leave_the_engine_over_fp(tmp_path, monkeypatch):
     assert cold[0] == 0 and kept
     warm = _run(tmp_path, job, *flags)
     assert warm == cold
+    assert all(oracle.is_canonical(f) for f in _polynomials(kept))
     coefficients = list(_coefficients(kept))
     assert coefficients
     assert all(type(c) is int and 0 < c < p for c in coefficients)
@@ -236,7 +262,7 @@ def test_basis_key_is_the_same_in_every_process():
 def test_basis_key_ignores_generator_and_term_order():
     R = Ring(RationalField(), ["x", "y", "z"])
     f, g = R.poly("3*x*y - 5/2*z + y^2"), R.poly("2/3*y*z - 7*x")
-    backwards = [Polynomial(R, dict(reversed(list(h.terms.items()))))
+    backwards = [Polynomial(R, dict(reversed(list(h.terms.items()))), h.den)
                  for h in (g, f)]
     assert list(backwards[1].terms) != list(f.terms)
     assert cache.basis_key(R, [f, g]) == cache.basis_key(R, backwards)
@@ -252,6 +278,85 @@ def test_basis_key_tells_scalings_and_fields_apart():
     g = P.poly("3*x*y + 5*z")
     assert g.terms == f.terms
     assert cache.basis_key(P, [g]) != cache.basis_key(Q, [f])
+
+
+# a log line written by an earlier version, whose polynomials held
+# Fractions and were brought to integers over one denominator on the way
+# to disk: the key of the three generators below over q[x,y,z] grevlex,
+# then the entry of their reduced basis
+OLD_KEY = "cd19a9472ccc1389f6a2327d466ad5e5c97852b815d0b4ea1c37de1b1a8d468c"
+OLD_ENTRY = (
+    b'{"schema":3,"key":"' + OLD_KEY.encode() + b'","basis":['
+    b'[2,65537,2,4294967296,-21],[63,131072,63,2,50,1,-315],'
+    b'[3,4295032832,3,1,-5],[63,8589934592,63,2,-10],'
+    b'[20,3,20,2,-126,1,441],[20,4294967298,20,4294967297,-126,'
+    b'4294967296,441]]}')
+OLD_GENERATORS = ("3*x*y - 5*z", "2/3*y*z - 7*x", "x^2 + 1/5*y^2 - z")
+
+
+def test_a_log_of_an_earlier_version_reads_back(tmp_path):
+    """The key and the log line of a fixed Q generator set with
+    denominators are those an earlier version wrote, so its log reads
+    back as all hits: the basis equal to the one computed, and a job over
+    the same ideal reads it and writes nothing."""
+    R = Ring(RationalField(), ["x", "y", "z"])
+    gens = [R.poly(text) for text in OLD_GENERATORS]
+    assert cache.basis_key(R, gens) == OLD_KEY
+    basis = gb.buchberger(gens).generators
+    written = cache.GBCache(str(tmp_path / "new"))
+    written.put(OLD_KEY, basis)
+    written.flush()
+    assert _log(tmp_path / "new") == [(OLD_KEY.encode(), OLD_ENTRY)]
+
+    directory = tmp_path / "old"
+    directory.mkdir()
+    _write_log(directory, [(OLD_KEY.encode(), OLD_ENTRY)])
+    disk = cache.GBCache(str(directory))
+    read = disk.get(R, OLD_KEY)
+    assert read == basis
+    assert [hash(g) for g in read] == [hash(g) for g in basis]
+    assert all(oracle.is_canonical(g) for g in read)
+    assert (disk.hits, disk.misses) == (1, 0)
+    job = ("ring R = q[x,y,z] grevlex;\n"
+           f"ideal I = ({', '.join(OLD_GENERATORS)});\ngb I;\n")
+    code, out = _run(tmp_path, job, "--text", "--cache-dir", str(directory))
+    assert code == 0
+    assert re.search(r"^cache: 1 hits, 0 misses, 0 bytes written$", out,
+                     re.M)
+    assert _report(out) == _report(_run(tmp_path, job, "--text")[1])
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)],
+                         ids=["q", "zp"])
+def test_an_element_in_another_form_reads_back_canonical(tmp_path, field):
+    """An element written in a form that is not canonical (a factor
+    shared by den and every coefficient; over F_p, a coefficient that is
+    not a residue) reads back as the canonical polynomial, equal to it
+    with the same hash, never as the form it was written in."""
+    R = Ring(field, ["x", "y", "z"])
+    m = R.encode((1, 1, 0))
+    half = oracle.monomial(R, (1, 1, 0), Fraction(1, 2))
+    g = cache._element(R, [4, m, 2])
+    assert g == half and hash(g) == hash(half)
+    assert oracle.is_canonical(g)
+    assert (g.terms, g.den) == (half.terms, half.den)
+    p = field.characteristic
+    if p:
+        assert cache._element(R, [1, m, p + 5]) == oracle.monomial(R, (1, 1, 0), 5)
+    # the same through a log line: every element of a basis written with
+    # den and coefficients doubled (and each coefficient plus p over F_p)
+    gens = [R.poly(text) for text in OLD_GENERATORS]
+    basis = gb.buchberger(gens).generators
+    key = cache.basis_key(R, gens)
+    body = [[2 * g.den] + [v for m in g.sorted_monomials()
+                           for v in (m, 2 * g.terms[m] + p)]
+            for g in basis]
+    entry = json.dumps({"schema": cache.SCHEMA, "key": key, "basis": body},
+                       separators=(",", ":")).encode()
+    _write_log(tmp_path, [(key.encode(), entry)])
+    read = cache.GBCache(str(tmp_path)).get(R, key)
+    assert read == basis
+    assert all(oracle.is_canonical(g) for g in read)
 
 
 SCHEMA2_JOB = """\
@@ -281,7 +386,7 @@ def test_an_entry_of_schema_2_is_a_miss_and_is_rewritten(tmp_path):
         assert basis
         schema2.append((key, json.dumps(
             {"schema": 2, "key": key.decode(),
-             "basis": [[[list(R.decode(m)), str(g.terms[m])]
+             "basis": [[[list(R.decode(m)), str(g.coeff(m))]
                         for m in g.sorted_monomials()] for g in basis]},
             separators=(",", ":")).encode()))
     _write_log(directory, schema2)

@@ -31,6 +31,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import oracle
 from cancelkit import ideals
 from cancelkit.cache import Store, active_store
 from cancelkit.errors import ZeroInversion
@@ -69,7 +70,7 @@ class _Case:
         gens, exprs = [], []
         while len(gens) < count:
             terms = self._terms(rng, homogeneous)
-            f = self.ring.from_terms(terms)
+            f = oracle.from_terms(self.ring, terms)
             if f.is_zero() or not any(f.terms):  # no zero or unit generator
                 continue
             gens.append(f)
@@ -98,7 +99,8 @@ class _Case:
             sympy.Rational(*_ratio(c))
             * sympy.Mul(*[s ** e for s, e in zip(self.syms,
                                                  self.ring.decode(m))])
-            for m, c in f.terms.items()]) for f in ideal.generators]
+            for m, c in oracle.coefficients(f).items()])
+            for f in ideal.generators]
 
     def reduced(self, exprs):
         """The ideal of exprs as its sorted reduced basis, () for 0."""
@@ -224,7 +226,8 @@ def _radical_case(field, order, seed, outcome):
         I = case.I[0]
 
         def poly():
-            return case.ring.from_terms(case._terms(rng, homogeneous))
+            return oracle.from_terms(case.ring,
+                                     case._terms(rng, homogeneous))
 
         f = poly()
         if outcome == "member":
@@ -260,7 +263,7 @@ def _mod(poly, ring):
     """poly, a polynomial over Q, with its coefficients taken into the
     prime field of ring; ZeroInversion when p divides a denominator."""
     field = ring.field
-    return Polynomial(ring, {m: v for m, c in poly.terms.items()
+    return Polynomial(ring, {m: v for m, c in oracle.coefficients(poly).items()
                              if (v := field.normalize(c))})
 
 

@@ -45,7 +45,7 @@ def _poly(ring, rng, size):
             exps[rng.randrange(ring.n)] += 1
         terms.append((exps, Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
                                      rng.randint(1, 3))))
-    return ring.from_terms(terms)
+    return oracle.from_terms(ring, terms)
 
 
 def _nonzero(ring, rng, count, size=4):

@@ -164,8 +164,8 @@ def _random_poly(ring, rng):
     """Three terms of degree at most 2, small nonzero coefficients."""
     monomials = [e for e in itertools.product(range(3), repeat=ring.n)
                  if sum(e) <= 2]
-    return ring.from_terms((rng.choice(monomials), rng.randint(1, 9))
-                           for _ in range(3))
+    return oracle.from_terms(ring, [(rng.choice(monomials), rng.randint(1, 9))
+                                    for _ in range(3)])
 
 
 def test_eliminations_hold_the_target_basis_only_in_its_order():
@@ -183,7 +183,7 @@ def test_eliminations_hold_the_target_basis_only_in_its_order():
             for _ in range(3):
                 I = Ideal(R, [_random_poly(R, rng) for _ in range(2)])
                 f, g = _random_poly(R, rng), _random_poly(R, rng)
-                images = [S.monomial((a, rng.randint(1, 3) - a))
+                images = [oracle.monomial(S, (a, rng.randint(1, 3) - a))
                           for a in (rng.randint(0, 1) for _ in "xyz")]
                 if rng.random() < 0.5:  # inhomogeneous: no weighted copy
                     images = [h + S.constant(rng.randint(1, 9))
@@ -313,8 +313,8 @@ def _random_form(ring, degree, rng, terms=3):
     monomials = [e for e in itertools.product(range(degree + 1),
                                               repeat=ring.n)
                  if sum(a * w for a, w in zip(e, weights)) == degree]
-    return ring.from_terms((rng.choice(monomials), rng.randint(1, 9))
-                           for _ in range(terms))
+    return oracle.from_terms(ring, [(rng.choice(monomials), rng.randint(1, 9))
+                                    for _ in range(terms)])
 
 
 def test_one_degree_containment_matches_the_full_basis(monkeypatch):

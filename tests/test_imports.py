@@ -106,8 +106,9 @@ def test_block_orders_are_built_in_two_places():
 def test_coefficients_are_held_in_one_place():
     """Only the fields know how coefficients are held: the engine (gb),
     polynomial arithmetic (ring) and the disk cache (cache) read no field
-    kind and import no fractions, and reach integers through to_ints and
-    from_ints."""
+    kind and import no fractions; the canonical integer form comes from
+    from_ints, the engine's working form from to_ints, and a field
+    element from element."""
     src = pathlib.Path(cancelkit.__file__).parent
     offenders = []
     for name in ("cache.py", "gb.py", "ring.py"):

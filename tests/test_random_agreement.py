@@ -13,6 +13,7 @@ from cancelkit.ideals import Ideal
 from cancelkit.resolutions import free_resolution
 from cancelkit.ring import Ring
 
+import oracle
 from oracle import homogeneous_member, ideals_equal_upto_degree, \
     minimal_generator_count, monomials_of_degree
 
@@ -27,7 +28,7 @@ def _random_homogeneous(ring, rng, degree):
         for exps in monomials_of_degree(ring.n, degree):
             if rng.random() < 0.6:
                 pairs.append((exps, _coefficient(ring.field, rng)))
-        f = ring.from_terms(pairs)
+        f = oracle.from_terms(ring, pairs)
         if not f.is_zero():
             return f
 
@@ -70,8 +71,8 @@ def _recombined(ring, rng, gens):
             if i == j or h.degree() > g.degree():
                 continue
             shift = g.degree() - h.degree()
-            mult = ring.monomial(
-                rng.choice(monomials_of_degree(ring.n, shift)),
+            mult = oracle.monomial(
+                ring, rng.choice(monomials_of_degree(ring.n, shift)),
                 rng.randrange(FIELD.p))
             out[i] = out[i] + h * mult
             break

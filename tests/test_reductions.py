@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import oracle
 from cancelkit import reductions
 from cancelkit.errors import NotSubideal
 from cancelkit.fields import PrimeField, RationalField
@@ -12,7 +13,7 @@ from cancelkit.ideals import Ideal
 from cancelkit.reductions import (analytic_deviation, find_minimal_reduction,
                                   reduction_number)
 from cancelkit.rees import rees_presentation
-from cancelkit.ring import Polynomial, Ring, combination
+from cancelkit.ring import Ring, combination
 from cancelkit.fixtures import monomial_curve
 
 
@@ -253,11 +254,11 @@ def _seeded_one_degree_ideal(seed):
     rest = [m for m in monos if m not in pure]
     chosen = pure + rng.sample(rest, rng.randint(min(1, len(rest)),
                                                  min(len(rest), 3)))
-    gens = [Polynomial(R, {m: field.one}) for m in chosen]
+    gens = [oracle.from_coefficients(R, {m: field.one}) for m in chosen]
     if rng.random() < 0.4:
         a, b = rng.sample(monos, 2)
-        gens.append(Polynomial(R, {a: field.one,
-                                   b: field.normalize(rng.randint(1, 9))}))
+        gens.append(oracle.from_coefficients(
+            R, {a: field.one, b: field.normalize(rng.randint(1, 9))}))
     return Ideal(R, gens), rng
 
 

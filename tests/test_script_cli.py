@@ -565,6 +565,30 @@ def test_cli_hypothesis_failure_exit_code(tmp_path):
     assert "syntax error at line 6" in out.stderr
 
 
+def test_cli_cache_dir_that_cannot_be_made(tmp_path):
+    """A --cache-dir below a regular file cannot be made: a job that
+    would exit 0 ends with `error: ...` and exit 1, a job that fails
+    keeps its own exit code and message, and none ends in a traceback."""
+    script = tmp_path / "job.ck"
+    overflow = ("ring R = zp(32003)[x,y] grevlex;\n"
+                "ideal J = power((y200), 330);\ncontains((x), J);\n")
+    for text, code, first in (
+            (BASIC, 1, "error: "),
+            (HYPOTHESIS_FAILURES[0], 2, "hypothesis failure: "),
+            (overflow, 3, "resource limit exceeded: "),
+            (BASIC + "poly f = x + + y;\n", 1, "syntax error at line 4")):
+        script.write_text(text)
+        out = _cli(["run", str(script), "--cache-dir",
+                    str(script / "sub")])
+        assert out.returncode == code, out.stderr
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        lines = out.stderr.splitlines()
+        assert lines[0].startswith(first), out.stderr
+        assert lines[-1].startswith("error: "), out.stderr
+        assert script.is_file()
+
+
 POWERSCAN_NCAP = (
     # r(I, J) = 11: inside --ncap 12, J is a reduction and the scan runs
     ("(x12, y12, x*y11)", "(x12, y12)", "12", 0),
