@@ -24,8 +24,7 @@ from .gb import GroebnerBasis, buchberger, normal_form
 from .ideals import DimensionReport, Ideal, kernel_of_map, radical_contains
 from .orders import Block, Grevlex, Lex
 from .reductions import (MinimalReductionSearch, ReductionReport,
-                         analytic_deviation, find_minimal_reduction,
-                         reduction_number)
+                         find_minimal_reduction, reduction_number)
 from .rees import (ReesPresentation, SyzygeticReport, graded_piece,
                    is_syzygetic, lemma_prefix_relations_check,
                    rees_presentation)

@@ -4,28 +4,26 @@ reduced Groebner bases behind it.
 A `Store` is made fresh for each job and dropped at its end (`cli.main`
 installs it in `active_store`).  It keeps every result asked for by
 content key -- reduced bases under (ring, frozenset of generators,
-None, None), their degree-D parts (`gb.degree_basis`) with D in the
-third place, module kernel bases (`modules.syzygy_columns`) with the
-bits of the head components in the fourth, whole hypothesis checks,
+None), module kernel bases (`modules.syzygy_columns`) with the bits of
+the head components in the third place, whole hypothesis checks,
 reduction reports under their arguments, and Rees presentations under
 ("rees", ring, generators) -- so a repeat within the job is read back
 instead of recomputed.  `Store.held` reads a kept result without
 computing anything: colon and intersection start from a kept full
-basis, and a reduction number reads a kept fiber cone.
-Only results whose computation returned are kept; one that raised is
-computed again on the next call.
+basis.  Only results whose computation returned are kept; one that
+raised is computed again on the next call.
 
 `GBCache` is the disk layer, consulted only when the store misses.  Its
 key and its entries are a polynomial's own integers over its
 denominator (`ring.Polynomial`), read directly.  Key = hex sha256 of
 `ring.describe()` and of each generator's denominator and its packed
 monomials (ascending) with their integer coefficients, the generators'
-strings sorted, and for a one-degree part a line "degree D", for a
-kernel a line "head H", after the ring's.  Entry = canonical JSON of
-the entry schema version, that key, and the reduced basis, each element
-one flat int list [den, m_1, c_1, m_2, c_2, ...] (terms descending)
-read back by `fields.from_ints(ints, 1, den)`, so an element written in
-another form of the same polynomial reads back canonical.
+strings sorted, and for a kernel a line "head H" after the ring's.
+Entry = canonical JSON of the entry schema version, that key, and the
+reduced basis, each element one flat int list
+[den, m_1, c_1, m_2, c_2, ...] (terms descending) read back by
+`fields.from_ints(ints, 1, den)`, so an element written in another form
+of the same polynomial reads back canonical.
 
 A cache directory holds one append-only log, `LOG`: one line per entry,
 the key, a space, then the entry.  A `GBCache` reads the whole log once,
@@ -41,9 +39,10 @@ not read back as a basis of the ring (empty, a zero element, a monomial
 outside the ring's packed fields, a coefficient that reads back zero,
 den < 1), is a miss, and the entry computed instead is a later line.
 Only a kernel may be empty: under a kernel key an empty entry is a hit.
-Files other than the log, such as the one-file-per-basis entries of
-earlier versions, are never opened.  There is no size bound and no
-compaction.
+Files other than the log (the one-file-per-basis entries of earlier
+versions) are never opened, and the one-degree parts an earlier version
+logged (keys hashed with a line "degree D") are never asked for.  There
+is no size bound and no compaction.
 """
 
 import contextvars
@@ -60,16 +59,13 @@ LOG = "gb.log"
 active_store = contextvars.ContextVar("cancelkit_store", default=None)
 
 
-def basis_key(ring, gens, degree=None, head=None):
+def basis_key(ring, gens, head=None):
     """The disk key of gens: stable across processes and runs (no
     Python `hash()`), and the same for any order of gens or of their
-    terms.  With a degree, the key of the basis part in that degree;
-    with a head (the bits of the leading component variables of a
-    module ring), that of the kernel basis past those components; each
-    differs from the full basis's key."""
+    terms.  With a head (the bits of the leading component variables of
+    a module ring), the key of the kernel basis past those components,
+    which differs from the full basis's key."""
     polys = sorted(repr((g.den, sorted(g.terms.items()))) for g in gens)
-    if degree is not None:
-        polys.insert(0, f"degree {degree}")
     if head is not None:
         polys.insert(0, f"head {head}")
     payload = "\n".join([ring.describe(), *polys])
@@ -95,30 +91,28 @@ class Store:
             self._results[key] = compute()
         return self._results[key]
 
-    def basis(self, ring, gens, compute, degree=None, head=None):
-        """The reduced basis of the nonzero gens, or with a degree its
-        part in that degree, or with a head the kernel basis past the
-        head components: kept, else read from disk, else
-        compute()'s, which is put to disk.  Both keys name the degree
-        and the head, so a part or a kernel never answers for the full
-        basis.  Only a kernel may be empty.  The disk key is hashed once
-        per miss."""
+    def basis(self, ring, gens, compute, head=None):
+        """The reduced basis of the nonzero gens, or with a head the
+        kernel basis past the head components: kept, else read from
+        disk, else compute()'s, which is put to disk.  Both keys name
+        the head, so a kernel never answers for the full basis.  Only a
+        kernel may be empty.  The disk key is hashed once per miss."""
         def load():
             if self.disk is None:
                 return compute()
-            key = basis_key(ring, gens, degree, head)
+            key = basis_key(ring, gens, head)
             basis = self.disk.get(ring, key, empty=head is not None)
             if basis is None:
                 basis = compute()
                 self.disk.put(key, basis)
             return basis
-        return self.recall((ring, frozenset(gens), degree, head), load)
+        return self.recall((ring, frozenset(gens), head), load)
 
     def held(self, key):
         """What this job already keeps under key, else None; computes
         nothing, reads no disk and counts no hit or miss.  The full
         reduced basis of the nonzero gens is kept under
-        (ring, frozenset(gens), None, None)."""
+        (ring, frozenset(gens), None)."""
         return self._results.get(key)
 
 

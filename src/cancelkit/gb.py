@@ -26,11 +26,6 @@ the kept elements with smaller leads, as a larger lead divides no term
 of it, with the division data the loop built for them.  The pair update
 works on the packed ints, with no call per pair.
 
-For forms of one weighted degree D, `degree_basis` gives the degree-D
-part of the reduced basis by row reduction alone (`_echelon`); the
-job's store and the disk cache keep such a part under keys that name D,
-so it never stands in for a full basis.
-
 PAIR_CAP and DEGREE_CAP are the engine's resource ceilings: hitting one
 raises ResourceExceeded, never silently truncates.
 """
@@ -316,29 +311,13 @@ def buchberger(gens, *, known=(), head=None):
     known = [g for g in known if not g.is_zero()]
     if not gens and not known:
         return GroebnerBasis(ring, [])
-    return _stored(ring, gens + known,
-                   lambda: _basis(gens, ring, known=known, head=head),
-                   head=head)
 
+    def compute():
+        return _basis(gens, ring, known=known, head=head)
 
-def degree_basis(gens, degree):
-    """The degree-`degree` part of the reduced basis of the ideal of the
-    nonzero gens, each homogeneous of that weighted degree: their reduced
-    row echelon form (`_echelon`).  It decides membership of forms of
-    that degree, but it is not a basis of the ideal: the store and the
-    disk cache keep it under keys that name the degree, apart from the
-    full basis."""
-    ring = _common_ring(gens)
-    return _stored(ring, gens, lambda: _echelon(gens, ring), degree=degree)
-
-
-def _stored(ring, gens, compute, degree=None, head=None):
-    """compute()'s basis of gens, asked of the job's store first."""
     store = _cache.active_store.get()
-    if store is None:
-        return GroebnerBasis(ring, compute())
-    return GroebnerBasis(ring, store.basis(ring, gens, compute,
-                                           degree=degree, head=head))
+    return GroebnerBasis(ring, compute() if store is None else
+                         store.basis(ring, gens + known, compute, head=head))
 
 
 def _basis(gens, ring, known=(), head=None):
@@ -383,22 +362,6 @@ def _basis(gens, ring, known=(), head=None):
     if head is not None:
         elements = [(g, d) for g, d in elements if not d[0] & head]
     return _interreduce(elements, ring)
-
-
-def _echelon(gens, ring):
-    """The reduced row echelon form of nonzero gens that share one
-    weighted degree.  There a leading monomial divides a monomial only
-    when the two are equal, so division is row reduction: each generator
-    is reduced by the rows before it up to its first irreducible term,
-    which leads the new row, and `_interreduce` clears the columns of
-    the leads.  No S-pair is formed (Lazard 1983)."""
-    rows, div = [], []
-    for g in gens:
-        r = _divide(dict(_working(g).terms), 1, 1, div, ring, full=False)
-        if not r.is_zero():
-            rows.append(r)
-            div.append(_divisor(r))
-    return _interreduce(zip(rows, div), ring)
 
 
 def _interreduce(elements, ring):

@@ -13,18 +13,13 @@ the z from (I, 1 - z_1*f_1 - ... - z_k*f_k) in R[z_1..z_k], and J lies
 in the radical of I iff that saturation is (1).  A radical membership
 test forms it only when J is not already contained in I.
 
-Containment between ideals generated in one weighted degree D, when
-the containing ideal holds no basis, reads only the degree-D part of
-its basis (`gb.degree_basis`, kept under store and disk keys that name
-D): it is never held as the ideal's basis, printed or compared.
-
 Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
 """
 
 from . import cache as _cache
 from .errors import ArityMismatch, NotHomogeneous, RingMismatch, ZeroColon
-from .gb import GroebnerBasis, buchberger, degree_basis, normal_form
+from .gb import GroebnerBasis, buchberger, normal_form
 from .orders import Block, Grevlex, Lex
 from .ring import Polynomial, Ring, embed
 
@@ -42,13 +37,10 @@ class DimensionReport:
                 f"witness={self.max_independent_set})")
 
 
-_UNKNOWN = object()
-
-
 class Ideal:
     """Generator list plus a lazily computed, cached reduced Groebner basis."""
 
-    def __init__(self, ring, generators, _gb=None, _degree=_UNKNOWN):
+    def __init__(self, ring, generators, _gb=None):
         self.ring = ring
         gens = []
         for g in generators:
@@ -58,8 +50,6 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb = _gb
-        self._degree = _degree
-        self._part = None  # the degree-D part of the basis, apart from _gb
         self._dim_report = None
 
     # -- basics --
@@ -78,33 +68,13 @@ class Ideal:
         basis = self.groebner()
         return bool(basis.generators) and normal_form(f, basis).is_zero()
 
-    def one_degree(self):
-        """The weighted degree D when every generator is homogeneous of
-        degree D, else None (also with no generators); found once per
-        ideal, and given to a product of two such ideals."""
-        if self._degree is _UNKNOWN:
-            wdeg = self.ring.mono_wdeg
-            degrees = {wdeg(m) for g in self.generators for m in g.terms}
-            self._degree = degrees.pop() if len(degrees) == 1 else None
-        return self._degree
-
     def contains(self, other):
         """True iff other, an ideal, a polynomial or a list of them, lies
-        in this ideal.  When this ideal holds no full basis and its
-        generators and other's all have one weighted degree D, the
-        degree-D part of the basis decides: the row echelon form of the
-        generators, with no S-pair."""
+        in this ideal."""
         if not isinstance(other, Ideal):
             other = Ideal(self.ring, [other] if isinstance(other, Polynomial)
                           else other)
         self._check(other)
-        if self._part is None and self._gb is None \
-                and self.one_degree() is not None \
-                and other.one_degree() == self._degree:
-            self._part = degree_basis(self.generators, self._degree)
-        if self._part is not None and other.one_degree() == self._degree:
-            return all(normal_form(g, self._part).is_zero()
-                       for g in other.generators)
         return all(self.contains_poly(g) for g in other.generators)
 
     def __eq__(self, other):
@@ -138,9 +108,7 @@ class Ideal:
             # like combinations with repetition, not exponentially
             products = (f * g for f in self.generators
                         for g in other.generators)
-            d, e = self.one_degree(), other.one_degree()
-            return Ideal(self.ring, list(dict.fromkeys(products)),
-                         _degree=None if d is None or e is None else d + e)
+            return Ideal(self.ring, list(dict.fromkeys(products)))
 
         store = _cache.active_store.get()
         if store is None:
@@ -309,7 +277,7 @@ def _relations(k, parts):
         basis = ideal._gb
         if basis is None and store is not None:
             basis = store.held((ideal.ring, frozenset(ideal.generators),
-                                None, None))
+                                None))
         into = relations if basis is None else known
         into += [zero[:j] + [g] + zero[j + 1:]
                  for g in (ideal.generators if basis is None else basis)

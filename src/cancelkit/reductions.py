@@ -1,14 +1,14 @@
 """Reduction numbers and randomized minimal-reduction search.
 
 J is a reduction of I when J is contained in I and I^{n+1} = J * I^n for
-some n; the least such n is the reduction number r_J(I).  When I and J
-are generated in one weighted degree D >= 1 and the job's store already
-keeps I's Rees presentation, r is read from the fiber cone F = k[T]/K,
-whose degree-k part is (I^k)_(kD): it is the top degree of F/JF, found
-from the reduced basis of K plus J's generators written in the T_i
-(Huneke & Swanson 2006, ch. 8).  Otherwise J * I^n and I^(n+1) are
-formed and compared for n = 0, 1, ..., n_cap; the fiber cone is never
-computed only for this.
+some n; the least such n is the reduction number r_J(I).  It is decided
+one way for each input.  When I and J are generated in one weighted
+degree D >= 1, r is read from the fiber cone F = k[T]/K of I's Rees
+presentation (built if the job does not keep it yet), whose degree-k
+part is (I^k)_(kD): it is the top degree of F/JF, found from the reduced
+basis of K plus J's generators written in the T_i (Huneke & Swanson
+2006, ch. 8).  Otherwise J * I^n and I^(n+1) are formed on full bases
+and compared for n = 0, 1, ..., n_cap.
 
 Minimal reductions are sampled: draw an l x m full-rank matrix over k
 (l = the analytic spread), form the l generic combinations of I's
@@ -26,7 +26,7 @@ from .errors import NotSubideal, SearchExhausted
 from .gb import buchberger
 from .ideals import Ideal
 from .linalg import echelonize, rank
-from .rees import held_presentation, rees_presentation
+from .rees import rees_presentation
 from .ring import combination
 
 
@@ -77,11 +77,25 @@ def reduction_number(I, J, n_cap=10):
 
 
 def _reduction_number(I, J, n_cap):
-    D = I.one_degree()
-    if D and J.one_degree() == D:
-        pres = held_presentation(I)
-        if pres is not None:
-            return _fiber_reduction_number(I, J, n_cap, pres.fiber_ideal)
+    """r_J(I) from I's fiber cone when I and J are generated in one
+    weighted degree D >= 1, else by the product loop."""
+    D = _common_degree(I)
+    if D and _common_degree(J) == D:
+        return _fiber_reduction_number(I, J, n_cap,
+                                       rees_presentation(I).fiber_ideal)
+    return _product_reduction_number(I, J, n_cap)
+
+
+def _common_degree(ideal):
+    """The one weighted degree of every term of its generators, or None."""
+    wdeg = ideal.ring.mono_wdeg
+    degrees = {wdeg(m) for g in ideal.generators for m in g.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _product_reduction_number(I, J, n_cap):
+    """r_J(I) by comparing J * I^n with I^(n+1) for n = 0..n_cap, each
+    containment decided on full bases; inconclusive past n_cap."""
     if not I.contains(J):
         raise NotSubideal("J must be contained in I")
     power = Ideal(I.ring, [I.ring.one()])  # I^0
@@ -142,11 +156,6 @@ def _coordinates(gens, basis):
             c[p] = row[j]
         out.append(c)
     return out
-
-
-def analytic_deviation(I):
-    """Analytic spread minus height; None for the unit ideal."""
-    return rees_presentation(I).analytic_deviation
 
 
 def find_minimal_reduction(I, seed=0, attempts=50, n_cap=10):

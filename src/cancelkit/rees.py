@@ -90,22 +90,17 @@ def rees_presentation(ideal):
                         lambda: _rees_presentation(ideal))
 
 
-def held_presentation(ideal):
-    """The Rees presentation of ideal if the job's store already keeps
-    it, else None; computes nothing."""
-    store = active_store.get()
-    return store and store.held(("rees", ideal.ring, ideal.generators))
-
-
 def _rees_presentation(ideal):
     ring = ideal.ring
     gens = ideal.generators
     if not gens:
         raise ZeroColon("the zero ideal has no Rees presentation")
     m = len(gens)
-    t_names = tuple(f"T{i + 1}" for i in range(m))
-    if set(t_names) & set(ring.names):
-        raise ArityMismatch("base ring variable names collide with T1..Tm")
+    # T1..Tm, or TT1..TTm and so on when the ring has a variable so named
+    prefix = "T"
+    while any(f"{prefix}{i + 1}" in ring.names for i in range(m)):
+        prefix += "T"
+    t_names = tuple(f"{prefix}{i + 1}" for i in range(m))
     # Weight T_i = deg a_i + 1 when every generator is homogeneous, so Q
     # (which is bihomogeneous for the x-grading and the T-count) stays
     # homogeneous and the Groebner computations are degree-bounded.

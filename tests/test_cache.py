@@ -534,58 +534,70 @@ def test_text_report_counts_cache_bytes_written(tmp_path):
     assert "bytes" not in report and "hits" not in report
 
 
-@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)],
-                         ids=["q", "zp"])
+# the keys an earlier version hashed for the generators below, over each
+# field: their degree-2 part (with a line "degree 2"), and a kernel past
+# head components 1 (with a line "head 1")
+@pytest.mark.parametrize("field, part_key, kernel_key", [
+    (RationalField(),
+     "4125c4634665b693c21d4fda329d7eabbbc146a73fbf94427360d060702d3f64",
+     "e4ac14451fc976a343fad390490c6d60b7efa98dd8e5fe822d032f94a8df140c"),
+    (PrimeField(32003),
+     "bf0ae4bd33f79aa438e077a80610ae433344ea84980a520ff9c8d5c9cfea2fb2",
+     "2dd1b091dbccee5a9d59e81dfa2224cfa6263325c91c90103f0e5a8aa983d346"),
+], ids=["q", "zp"])
 def test_a_degree_part_never_passes_for_the_basis(tmp_path, monkeypatch,
-                                                  field):
-    """The degree-D part a one-degree containment reads is kept under
-    its own store and disk keys: the ideal's full basis, in the same job
-    or read from the same cache directory, is still the full basis."""
+                                                  field, part_key,
+                                                  kernel_key):
+    """A log written by an earlier version holds the degree-2 part of a
+    basis, under a key hashed with a line "degree 2", before the full
+    basis of the same generators.  The full basis reads back as a hit and
+    the part is never asked for: with the full line gone, the basis is a
+    miss and is computed.  The schema and the full and kernel keys are
+    those that version wrote."""
     R = Ring(field, ["x", "y", "z"])
     gens = [R.poly("x^2 - y*z"), R.poly("y^2 - 2*x*z"), R.poly("3*z^2 - x*y")]
     full = gb.buchberger(gens).generators
-    assert len(full) > len(gens)  # the basis has elements of degree 3
-    echelons = _count_calls(monkeypatch, gb, "_echelon")
+    part = [g for g in full if g.degree() == 2]
+    assert len(part) == len(gens) < len(full)
+    full_key = cache.basis_key(R, gens)
+    assert cache.SCHEMA == 3
+    assert cache.basis_key(R, gens, head=1) == kernel_key
+    assert part_key not in (full_key, kernel_key)
+    written = cache.GBCache(str(tmp_path / "earlier"))
+    written.put(part_key, part)
+    written.put(full_key, full)
+    written.flush()
+    lines = _log(tmp_path / "earlier")
+    assert [key.decode() for key, _ in lines] == [part_key, full_key]
+    asked = []
+    get = cache.GBCache.get
+
+    def recorded(self, ring, key, **kwargs):
+        asked.append(key)
+        return get(self, ring, key, **kwargs)
+
+    monkeypatch.setattr(cache.GBCache, "get", recorded)
     loops = _count_calls(monkeypatch, gb, "_basis")
-    directory = tmp_path / "cache"
-    store = cache.Store(cache.GBCache(str(directory)))
-    token = active_store.set(store)
-    try:
-        I = Ideal(R, gens)
-        K = Ideal(R, [gens[0] - gens[1].scale(field.normalize(5)),
-                      gens[2].scale(field.normalize(7))])
-        assert I.contains(K)
-        assert not I.contains(Ideal(R, [R.poly("x*z")]))
-        assert (len(echelons), len(loops)) == (1, 0)
-        assert I._gb is None
-        store.disk.flush()
-        [part] = [key.decode() for key, _ in _log(directory)]
-        assert part == cache.basis_key(R, gens, 2)
-        assert part != cache.basis_key(R, gens)
-        # the full basis of the same generators: a store and disk miss
-        # that computes and writes it
-        assert I.groebner().generators == full
-        assert (len(echelons), len(loops)) == (1, 1)
-        assert (store.disk.hits, store.disk.misses) == (0, 2)
-        store.disk.flush()
-        assert os.listdir(directory) == [cache.LOG]
-        assert [key.decode() for key, _ in _log(directory)] == [
-            part, cache.basis_key(R, gens)]
-        assert store.disk.get(R, cache.basis_key(R, gens)) == full
-        assert store.disk.get(R, part) != full
-    finally:
-        active_store.reset(token)
-    # a later job reads both from disk: the full basis for groebner(),
-    # the part for a containment in an ideal that holds no basis
-    store = cache.Store(cache.GBCache(str(directory)))
-    token = active_store.set(store)
-    try:
-        assert Ideal(R, gens).groebner().generators == full
-        assert Ideal(R, gens).contains(K)
-        assert (store.disk.hits, store.disk.misses) == (2, 0)
-        assert (len(echelons), len(loops)) == (1, 1)
-    finally:
-        active_store.reset(token)
+    for kept in (lines, lines[:1]):
+        directory = tmp_path / f"log{len(kept)}"
+        directory.mkdir()
+        _write_log(directory, kept)
+        store = cache.Store(cache.GBCache(str(directory)))
+        token = active_store.set(store)
+        try:
+            I = Ideal(R, gens)
+            assert I.groebner().generators == full
+            assert I.contains(Ideal(R, [gens[0] - gens[1],
+                                        R.gens()[0] * gens[2]]))
+            assert not I.contains(Ideal(R, [R.poly("x*z")]))
+        finally:
+            active_store.reset(token)
+            store.disk.flush()
+        # a hit with the full line; a miss, computed, without it
+        assert (store.disk.hits, len(loops)) == ((1, 0) if kept == lines
+                                                 else (0, 1))
+        assert _log(directory) == lines
+    assert asked == [full_key, full_key]
 
 
 def test_a_torn_last_line_costs_only_its_own_entry(tmp_path):

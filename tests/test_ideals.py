@@ -306,69 +306,6 @@ def test_equality_and_containment(R):
     assert not Ideal(R, [x]).contains(J)
 
 
-def _random_form(ring, degree, rng, terms=3):
-    """A form of the given weighted degree with `terms` random terms and
-    small positive coefficients (nonzero over Q and over F_32003)."""
-    weights = ring.weights or (1,) * ring.n
-    monomials = [e for e in itertools.product(range(degree + 1),
-                                              repeat=ring.n)
-                 if sum(a * w for a, w in zip(e, weights)) == degree]
-    return oracle.from_terms(ring, [(rng.choice(monomials), rng.randint(1, 9))
-                                    for _ in range(terms)])
-
-
-def test_one_degree_containment_matches_the_full_basis(monkeypatch):
-    """Ideal.contains on an ideal generated in one degree D, asked of
-    forms of degree D, is row reduction; its answer equals membership
-    modulo the full basis, and any other input takes the full path."""
-    from cancelkit import gb
-    from cancelkit.gb import buchberger, normal_form
-    from cancelkit.ring import combination
-
-    echelons = []
-    echelon = gb._echelon
-    monkeypatch.setattr(gb, "_echelon", lambda gens, ring: (
-        echelons.append(None), echelon(gens, ring))[1])
-
-    def full(I, K):
-        basis = buchberger(list(I.generators))
-        return all(normal_form(g, basis).is_zero() for g in K)
-
-    def check(gens, K, fast):
-        del echelons[:]
-        I = Ideal(gens[0].ring, gens)
-        answer = I.contains(Ideal(I.ring, K))
-        assert answer == full(I, K)
-        assert len(echelons) == (1 if fast else 0)
-        assert (I._gb is None) == fast
-        return answer
-
-    rng = random.Random("one-degree-containment")
-    answers = set()
-    for field in (PrimeField(32003), RationalField()):
-        rings = [Ring(field, ["x", "y"]), Ring(field, ["x", "y", "z"]),
-                 Ring(field, ["x", "y", "z", "w"]),
-                 Ring(field, ["x", "y", "z"], weights=(1, 2, 3))]
-        for R in rings:
-            for degree in (2, 3):
-                for _ in range(3):
-                    gens = [_random_form(R, degree, rng)
-                            for _ in range(rng.randint(2, 4))]
-                    inside = [combination(
-                        R, [field.random(rng) for _ in gens], gens)
-                        for _ in range(2)]
-                    outside = inside + [_random_form(R, degree, rng)]
-                    for K in (inside, outside):
-                        answers.add(check(gens, K, fast=True))
-                    # a generator of another degree, or an inhomogeneous
-                    # ideal: the full path
-                    check(gens, inside + [_random_form(R, degree + 1, rng)],
-                          fast=False)
-                    lower = gens[:-1] + [gens[-1] + R.gens()[0]]
-                    check(lower, inside, fast=False)
-    assert answers == {True, False}
-
-
 def test_colon_by_multigenerator_ideal():
     for field in (PrimeField(32003), RationalField()):
         R = Ring(field, ["x", "y", "z"])

@@ -146,3 +146,14 @@ def test_expressions_are_parsed_in_one_place():
              for site in _call_sites(ast.parse(path.read_text()), "_Parser",
                                      path.stem)}
     assert sites == {"script.parse_script", "script.parse_polynomial"}
+
+
+def test_bases_enter_the_store_in_one_place():
+    """A reduced basis enters the job's store (Store.basis) only from
+    gb.buchberger: the one engine entry point decides what is computed
+    and under which key it is kept."""
+    src = pathlib.Path(cancelkit.__file__).parent
+    sites = {site for path in sorted(src.glob("*.py"))
+             for site in _call_sites(ast.parse(path.read_text()), "basis",
+                                     path.stem)}
+    assert sites == {"gb.buchberger"}

@@ -10,8 +10,7 @@ from cancelkit import reductions
 from cancelkit.errors import NotSubideal
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal
-from cancelkit.reductions import (analytic_deviation, find_minimal_reduction,
-                                  reduction_number)
+from cancelkit.reductions import find_minimal_reduction, reduction_number
 from cancelkit.rees import rees_presentation
 from cancelkit.ring import Ring, combination
 from cancelkit.fixtures import monomial_curve
@@ -56,16 +55,20 @@ def test_requires_subideal(R):
         reduction_number(I, J)
 
 
+def _deviation(I):
+    return rees_presentation(I).analytic_deviation
+
+
 def test_analytic_deviation_on_curves():
-    assert analytic_deviation(monomial_curve((1, 2, 3))) == 0
-    assert analytic_deviation(monomial_curve((3, 4, 5))) == 1
+    assert _deviation(monomial_curve((1, 2, 3))) == 0
+    assert _deviation(monomial_curve((3, 4, 5))) == 1
 
 
 def test_analytic_deviation_of_the_unit_ideal_is_none(R):
     x, y = R.gens()[:2]
-    assert analytic_deviation(Ideal(R, [R.one(), x])) is None
-    assert analytic_deviation(Ideal(R, [R.constant(2), R.constant(3)])) is None
-    assert analytic_deviation(Ideal(R, [x * x, x * y])) is not None
+    assert _deviation(Ideal(R, [R.one(), x])) is None
+    assert _deviation(Ideal(R, [R.constant(2), R.constant(3)])) is None
+    assert _deviation(Ideal(R, [x * x, x * y])) is not None
 
 
 def test_minimal_reduction_veronese(R):
@@ -174,39 +177,37 @@ def _count(monkeypatch, module, name):
 
 @pytest.mark.parametrize("field", [PrimeField(32003), RationalField()],
                          ids=["zp", "q"])
-def test_reduction_number_of_one_degree_ideals_forms_no_spairs(
+def test_reduction_number_of_one_degree_ideals_forms_no_products(
         monkeypatch, field):
-    # J <= I and each step J*I^n >= I^(n+1) compare ideals generated in
-    # one degree, which is row reduction; on ideals that hold no basis,
-    # full bases formed 54 (F_p) and 50 (Q) S-polynomials here
-    from cancelkit import gb
+    # I and J are generated in one degree, so r is read from I's fiber
+    # cone: no product J*I^n or I^(n+1) is formed, and the product loop
+    # never runs
     R = Ring(field, ["x", "y", "z"])
     M2 = Ideal(R, R.gens()) ** 2
     J = find_minimal_reduction(M2, seed=0).result
     I, J = Ideal(R, M2.generators), Ideal(R, J.generators)
-    spolys = _count(monkeypatch, gb, "_spoly")
+    products = _count(monkeypatch, Ideal, "__mul__")
+    loops = _count(monkeypatch, reductions, "_product_reduction_number")
     report = reduction_number(I, J)
     assert (report.is_reduction, report.r) == (True, 1)
-    assert spolys == []
+    assert (products, loops) == ([], [])
 
 
 def test_warm_reduce_job_builds_nothing(tmp_path, monkeypatch):
-    # a cold run keeps its bases on disk (the reduction numbers read the
-    # fiber cone, so no degree part is built); the warm run reads every
-    # one back and prints the same report
+    # a cold run keeps its bases on disk; the warm run reads every one
+    # back and prints the same report
     from cancelkit import gb
     from test_bench_digests import _job, _run
     job, ref = _job("rerun-q", "sparse3-1-3")
     path = tmp_path / "job.ck"
     path.write_text(job.text)
     flags = ("--cache-dir", str(tmp_path / "cache"))
-    echelons = _count(monkeypatch, gb, "_echelon")
     loops = _count(monkeypatch, gb, "_basis")
     cold = _run(path, *flags)
     assert loops
-    del echelons[:], loops[:]
+    del loops[:]
     warm = _run(path, *flags)
-    assert (len(echelons), len(loops)) == (0, 0)
+    assert loops == []
     assert cold == warm == (ref["exit"], ref["stdout_sha256"])
 
 
@@ -274,7 +275,7 @@ def test_fiber_route_agrees_with_the_loop():
             J = Ideal(R, [combination(R, [R.field.random(rng) for _ in gens],
                                       gens) for _ in range(l)])
             n_cap = rng.choice((0, 2, 4))
-            loop = reductions._reduction_number(I, J, n_cap)
+            loop = reductions._product_reduction_number(I, J, n_cap)
             read = reductions._fiber_reduction_number(I, J, n_cap, fiber)
             seen.add((loop.is_reduction, loop.r))
             if (read.is_reduction, read.r) != (loop.is_reduction, loop.r):
@@ -297,13 +298,12 @@ def test_a_reduce_job_reads_reduction_numbers_from_the_fiber(
         tmp_path, monkeypatch):
     # `rees I;` keeps I's fiber cone in the job's store; minreduction,
     # `reduction(I, J)` and `powerscan(I, J, 4)` then read r from it, with
-    # no row reduction and no product J*I^n
-    from cancelkit import gb
+    # no product loop and no product J*I^n
     from test_bench_digests import _job, _run
     job, ref = _job("reduce", "sparse3-0-0")
     path = tmp_path / "job.ck"
     path.write_text(job.text)
-    echelons = _count(monkeypatch, gb, "_echelon")
+    loops = _count(monkeypatch, reductions, "_product_reduction_number")
     products = []
     multiply, search = Ideal.__mul__, reductions.find_minimal_reduction
     found = []
@@ -320,21 +320,25 @@ def test_a_reduce_job_reads_reduction_numbers_from_the_fiber(
     monkeypatch.setattr(reductions, "find_minimal_reduction", searched)
     assert _run(path) == (ref["exit"], ref["stdout_sha256"])
     [J] = [f.result for f in found]
-    assert echelons == []
+    assert loops == []
     assert products and J.generators not in products
 
 
-def test_reduction_alone_builds_no_fiber(tmp_path, monkeypatch, capsys):
+def test_reduction_alone_builds_the_fiber_once(tmp_path, monkeypatch,
+                                               capsys):
     # with no `rees` or `minreduction` in the job, the store holds no
-    # Rees presentation, and the product loop decides without one
+    # Rees presentation: the reduction builds it (one kernel, for the
+    # fiber) and reads r from it, and a later `rees I;` reads it back
     from cancelkit import cli, ideals, rees
     kernels = _count(monkeypatch, ideals, "kernel_of_map")
     monkeypatch.setattr(rees, "kernel_of_map", ideals.kernel_of_map)
     path = tmp_path / "reduction.ck"
     path.write_text("ring R = zp(32003)[x,y] grevlex;\n"
                     "ideal I = (x2, x*y, y2);\nideal J = (x2, y2);\n"
-                    "reduction(I, J);\n")
+                    "reduction(I, J);\nrees I;\n")
+    loops = _count(monkeypatch, reductions, "_product_reduction_number")
     assert cli.main(["run", str(path)]) == 0
-    [entry] = json.loads(capsys.readouterr().out)["commands"]
+    entry, pres = json.loads(capsys.readouterr().out)["commands"]
     assert entry["result"] == {"is_reduction": True, "r": 1}
-    assert kernels == []
+    assert pres["result"]["fiber_generators"] == ["T2^2+32002*T1*T3"]
+    assert (len(kernels), loops) == (1, [])

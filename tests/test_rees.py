@@ -165,12 +165,25 @@ def test_lemma_prefix_relations(R):
         lemma_prefix_relations_check(J, (J.generators[0], J.generators[1]))
 
 
-def test_name_collision_rejected():
-    R = Ring(PrimeField(32003), ["T1", "y"])
-    T1, y = R.gens()
-    from cancelkit.errors import ArityMismatch
-    with pytest.raises(ArityMismatch):
-        rees_presentation(Ideal(R, [T1, y]))
+def test_t_names_avoid_the_ring_names():
+    # a ring with a variable T1 gets TT1..TTm, one with TT2 as well
+    # TTT1..TTTm; the presentation is that of the same ideal in x, y
+    def veronese(names):
+        a, b = Ring(PrimeField(32003), names).gens()
+        return rees_presentation(Ideal(a.ring, [a * a, a * b, b * b]))
+
+    plain = veronese(["x", "y"])
+    for names, prefix in ((["T1", "y"], "TT"), (["T1", "TT2"], "TTT")):
+        pres = veronese(names)
+        t_names = tuple(f"{prefix}{i}" for i in (1, 2, 3))
+        assert pres.s_ring.names == tuple(names) + t_names
+        assert pres.fiber_ideal.ring.names == t_names
+        assert [str(g).replace(prefix, "T") for g in
+                pres.fiber_ideal.groebner().generators] == \
+            [str(g) for g in plain.fiber_ideal.groebner().generators]
+        assert pres.analytic_spread == plain.analytic_spread == 2
+        assert len(pres.Q.groebner().generators) \
+            == len(plain.Q.groebner().generators)
 
 
 # mixed-degree homogeneous ideals: the certificate sandwich closes on the

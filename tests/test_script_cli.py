@@ -518,6 +518,29 @@ def test_rees_of_constants(tmp_path, capsys):
     assert len(search["result"]["generators"]) == 1
 
 
+@pytest.mark.parametrize("command, result", [
+    ("reduction(I, J);", {"is_reduction": True, "r": 1}),
+    ("rees I;", {"analytic_deviation": 0, "analytic_spread": 2,
+                 "fiber_generators": ["TT2^2+32002*TT1*TT3"]}),
+    ("minreduction I;", None),
+], ids=["reduction", "rees", "minreduction"])
+def test_a_ring_with_a_variable_t1_answers(tmp_path, capsys, command,
+                                           result):
+    # the Rees presentation names its variables TT1..TT3 here, so no
+    # command meets a name collision
+    script = tmp_path / "t1.ck"
+    script.write_text("ring R = zp(32003)[T1,T2] grevlex;\n"
+                      "ideal I = (T1^2, T1*T2, T2^2);\n"
+                      f"ideal J = (T1^2, T2^2);\n{command}\n")
+    assert main(["run", str(script)]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["commands"]
+    if result is None:
+        assert (entry["result"]["analytic_spread"], entry["result"]["r"],
+                len(entry["result"]["generators"])) == (2, 1, 2)
+    else:
+        assert entry["result"] == result
+
+
 def test_rees_of_the_unit_ideal_has_no_deviation(tmp_path, capsys):
     # the unit ideal has no height, so spread minus height is undefined:
     # null, not the -2 that the dimension report's height n + 1 gave
