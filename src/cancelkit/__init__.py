@@ -3,8 +3,7 @@ verification of a cancellation theorem for ideals.
 
 The ambient "local Gorenstein ring" of the theory is instantiated as a
 (possibly weighted) graded polynomial ring over an exact field at its
-graded maximal ideal; all shipped fixtures are weighted-homogeneous so
-graded and local behavior agree.
+graded maximal ideal.
 """
 
 from .cache import GBCache, Store, active_store
@@ -26,11 +25,9 @@ from .orders import Block, Grevlex, Lex
 from .reductions import (MinimalReductionSearch, ReductionReport,
                          find_minimal_reduction, reduction_number)
 from .rees import (ReesPresentation, SyzygeticReport, graded_piece,
-                   is_syzygetic, lemma_prefix_relations_check,
-                   rees_presentation)
-from .resolutions import (CohomologySummary, FreeModuleMap, FreeResolution,
-                          cohomology_summary, colon_identity_check,
-                          free_resolution)
+                   is_syzygetic, rees_presentation)
+from .resolutions import (CohomologySummary, FreeResolution,
+                          cohomology_summary, free_resolution)
 from .ring import Polynomial, Ring
 from .script import RunFlags, parse_polynomial, parse_script, run
 

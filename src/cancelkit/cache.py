@@ -2,16 +2,18 @@
 reduced Groebner bases behind it.
 
 A `Store` is made fresh for each job and dropped at its end (`cli.main`
-installs it in `active_store`).  It keeps every result asked for by
-content key -- reduced bases under (ring, frozenset of generators,
-None), module kernel bases (`modules.syzygy_columns`) with the bits of
-the head components in the third place, whole hypothesis checks,
-reduction reports under their arguments, and Rees presentations under
-("rees", ring, generators) -- so a repeat within the job is read back
-instead of recomputed.  `Store.held` reads a kept result without
-computing anything: colon and intersection start from a kept full
-basis.  Only results whose computation returned are kept; one that
-raised is computed again on the next call.
+installs it in `active_store`; `recall` keeps a result in it, and
+outside a job computes it on each call).  It keeps every result asked
+for by content key -- reduced bases under (ring, frozenset of
+generators, None), module kernel bases (`modules.syzygy_columns`) with
+the bits of the head components in the third place, whole hypothesis
+checks, reduction reports under their arguments, ideal products, and
+Rees presentations under ("rees", ring, generators) -- so a repeat
+within the job is read back instead of recomputed.  `Store.held`
+reads a kept result without computing anything: colon and
+intersection start from a kept full basis.  Only results whose
+computation returned are kept; one that raised is computed again on
+the next call.
 
 `GBCache` is the disk layer, consulted only when the store misses.  Its
 key and its entries are a polynomial's own integers over its
@@ -57,6 +59,13 @@ SCHEMA = 3
 LOG = "gb.log"
 
 active_store = contextvars.ContextVar("cancelkit_store", default=None)
+
+
+def recall(key, compute):
+    """compute()'s result, kept under key in the job's store when a job
+    runs (so computed once per key within it), else computed each call."""
+    store = active_store.get()
+    return compute() if store is None else store.recall(key, compute)
 
 
 def basis_key(ring, gens, head=None):

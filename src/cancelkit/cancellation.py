@@ -17,7 +17,7 @@ recording every intermediate identity.
 
 import random
 
-from .cache import active_store
+from .cache import recall
 from .errors import (BadRegularSequence, HypothesisFailed, NotReduction,
                      NotSubideal, PreconditionUnmet, RequiresDimensionOne,
                      SearchExhausted, TheoremViolation)
@@ -85,11 +85,8 @@ def check_hypotheses(I, a, a_extra):
     """Recompute each named hypothesis of the cancellation theorem, once
     per (I, a, a_extra) within a job that has a store."""
     a = tuple(a)
-    store = active_store.get()
-    if store is None:
-        return _hypotheses(I, a, a_extra)
-    return store.recall(("hypotheses", I.ring, I.generators, a, a_extra),
-                        lambda: _hypotheses(I, a, a_extra))
+    return recall(("hypotheses", I.ring, I.generators, a, a_extra),
+                  lambda: _hypotheses(I, a, a_extra))
 
 
 def _hypotheses(I, a, a_extra):

@@ -110,11 +110,8 @@ class Ideal:
                         for g in other.generators)
             return Ideal(self.ring, list(dict.fromkeys(products)))
 
-        store = _cache.active_store.get()
-        if store is None:
-            return product()
-        return store.recall(("mul", self.ring, self.generators,
-                             other.generators), product)
+        return _cache.recall(("mul", self.ring, self.generators,
+                              other.generators), product)
 
     def __pow__(self, k):
         if k < 0:

@@ -1,7 +1,9 @@
 """Small exact dense linear algebra over a coefficient field.
 
-Used for minimal-generator counts and for linear-algebra membership
-oracles in the tests.  Rows are lists of field elements.
+Used for minimal generating sets of graded modules (one echelon form
+per degree), for coordinates in a span and full-rank random matrices in
+the reduction search, and for the nullspaces behind the Rees
+certificate.  Rows are lists of field elements.
 """
 
 

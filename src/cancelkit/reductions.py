@@ -21,7 +21,7 @@ warning).
 import random
 import warnings
 
-from .cache import active_store
+from .cache import recall
 from .errors import NotSubideal, SearchExhausted
 from .gb import buchberger
 from .ideals import Ideal
@@ -69,11 +69,8 @@ def reduction_number(I, J, n_cap=10):
     once per (I, J, n_cap) within a job that has a store."""
     if n_cap < 0:
         raise ValueError("n_cap must be nonnegative")
-    store = active_store.get()
-    if store is None:
-        return _reduction_number(I, J, n_cap)
-    return store.recall(("reduction", I.ring, I.generators, J.generators,
-                         n_cap), lambda: _reduction_number(I, J, n_cap))
+    return recall(("reduction", I.ring, I.generators, J.generators, n_cap),
+                  lambda: _reduction_number(I, J, n_cap))
 
 
 def _reduction_number(I, J, n_cap):

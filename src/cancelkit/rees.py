@@ -14,9 +14,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cache import active_store
-from .errors import (ArityMismatch, BadRegularSequence, NotGraded,
-                     ResourceExceeded, ZeroColon)
+from .cache import recall
+from .errors import ArityMismatch, NotGraded, ResourceExceeded, ZeroColon
 from .fields import RationalField
 from .gb import buchberger, normal_form
 from .ideals import Ideal, kernel_of_map
@@ -83,11 +82,8 @@ class SyzygeticReport:
 def rees_presentation(ideal):
     """Presentation ideal Q, fiber-cone ideal, and analytic spread;
     built once per (ring, generators) within a job that has a store."""
-    store = active_store.get()
-    if store is None:
-        return _rees_presentation(ideal)
-    return store.recall(("rees", ideal.ring, ideal.generators),
-                        lambda: _rees_presentation(ideal))
+    return recall(("rees", ideal.ring, ideal.generators),
+                  lambda: _rees_presentation(ideal))
 
 
 def _rees_presentation(ideal):
@@ -344,28 +340,3 @@ def is_syzygetic(ideal):
     linear = Ideal(pres.s_ring, q1)
     offenders = [q for q in q2 if not linear.contains_poly(q)]
     return SyzygeticReport(q2, offenders)
-
-
-def lemma_prefix_relations_check(ideal, reg_prefix):
-    """For a regular-sequence prefix a_1..a_k of the generator list, every
-    T-degree-2 element of Q cap (T_1..T_k) lies in the ideal generated by
-    the linear relations Q_1."""
-    prefix = tuple(reg_prefix)
-    k = len(prefix)
-    if ideal.generators[:k] != prefix:
-        raise BadRegularSequence(
-            "the sequence must be a prefix of the ideal's generator list")
-    A = Ideal(ideal.ring, list(prefix))
-    if A.height != k:
-        raise BadRegularSequence(
-            f"prefix has height {A.height}, expected {k}")
-    pres = rees_presentation(ideal)
-    s_ring = pres.s_ring
-    base = pres.base_count
-    t_block = Ideal(s_ring, [s_ring.var(base + i) for i in range(k)])
-    inter = pres.Q.intersect(t_block)
-    linear = Ideal(s_ring, pres.graded_piece(1))
-    for g in inter.groebner().generators:
-        if t_degree(g, base) == 2 and not linear.contains_poly(g):
-            return False
-    return True

@@ -12,64 +12,14 @@ decided through its graded-local-duality surrogate Ext^{g+1}(R/I, R) = 0,
 computed as vanishing homology of the dualized resolution.
 """
 
-from .errors import HypothesisFailed, RingMismatch
-from .ideals import Ideal
+from .errors import HypothesisFailed
 from .modules import (minimal_columns, module_buchberger, module_member,
                       syzygy_columns, vector)
 
 
-class FreeModuleMap:
-    """Matrix of polynomials: a map R^cols -> R^rows."""
-
-    def __init__(self, ring, entries):
-        self.ring = ring
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise RingMismatch("ragged matrix")
-            for f in row:
-                if f.ring != ring:
-                    raise RingMismatch("entry in wrong ring")
-
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self):
-        return FreeModuleMap(
-            self.ring,
-            [[self.entries[i][j] for i in range(self.rows)]
-             for j in range(self.cols)])
-
-    def compose(self, other):
-        """self o other (apply other first): matrix product."""
-        if other.rows != self.cols:
-            raise RingMismatch("map ranks are not composable")
-        zero = self.ring.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return FreeModuleMap(self.ring, out)
-
-    def is_zero(self):
-        return all(f.is_zero() for row in self.entries for f in row)
-
-    def __repr__(self):
-        return f"FreeModuleMap({self.rows}x{self.cols})"
-
-
 class FreeResolution:
-    """maps[i]: F_{i+1} -> F_i with F_0 = R; resolves R/I."""
+    """maps[i]: F_{i+1} -> F_i with F_0 = R, as its list of columns (one
+    per basis vector of F_{i+1}, each of length rank F_i); resolves R/I."""
 
     def __init__(self, ring, maps):
         self.ring = ring
@@ -81,9 +31,7 @@ class FreeResolution:
 
     def betti_numbers(self):
         """(rank F_0, rank F_1, ...)."""
-        if not self.maps:
-            return (1,)
-        return (self.maps[0].rows,) + tuple(m.cols for m in self.maps)
+        return (1,) + tuple(len(m) for m in self.maps)
 
 
 def free_resolution(ideal):
@@ -95,7 +43,7 @@ def free_resolution(ideal):
     columns, degrees = [[g] for g in gens], [g.wdegree() for g in gens]
     maps = []
     while columns:
-        maps.append(FreeModuleMap(ideal.ring, zip(*columns)))
+        maps.append(columns)
         columns, degrees = minimal_columns(syzygy_columns(columns), degrees)
     return FreeResolution(ideal.ring, maps)
 
@@ -124,18 +72,18 @@ def ext_vanishes_at(resolution, k):
         # Hom(R/I, R) = 0 in a domain iff I != 0, that is iff the
         # resolution has a map
         return bool(maps)
-    rank_k = maps[k - 1].cols
-    # kernel of the dual of maps[k] (or everything when k == pd)
+    rank_k = len(maps[k - 1])
+    # kernel of the dual of maps[k] (or everything when k == pd); a
+    # dual's columns are the rows of the map
     if k < pd:
-        dual = maps[k].transpose()
-        kernel_cols = syzygy_columns(dual.columns())
+        kernel_cols = syzygy_columns(list(zip(*maps[k])))
     else:
         ring = resolution.ring
         kernel_cols = [[ring.one() if i == j else ring.zero()
                         for i in range(rank_k)] for j in range(rank_k)]
     if not kernel_cols:
         return True
-    image_cols = maps[k - 1].transpose().columns()
+    image_cols = zip(*maps[k - 1])
     basis = module_buchberger(
         [vector(col) for col in image_cols if any(
             not f.is_zero() for f in col)])
@@ -160,24 +108,3 @@ def cohomology_summary(ideal):
     else:
         ext_ok = ext_vanishes_at(res, g + 1)
     return CohomologySummary(g, d, depth, is_cm, ext_ok)
-
-
-def colon_identity_check(ideal, a, t):
-    """Checks the colon-extension identity (a:I) + (t) = ((a)+(t)) : I for
-    a nonzerodivisor t on both R/I and R/(a), assuming the Ext-vanishing
-    hypothesis holds for I."""
-    ring = ideal.ring
-    if t.ring != ring:
-        raise RingMismatch("t not in the ideal's ring")
-    summary = cohomology_summary(ideal)
-    if not summary.ext_vanishes:
-        raise HypothesisFailed("Ext-vanishing hypothesis fails for I")
-    A = Ideal(ring, list(a))
-    if ideal.colon_poly(t) != ideal:
-        raise HypothesisFailed("t is a zerodivisor on R/I")
-    if A.colon_poly(t) != A:
-        raise HypothesisFailed("t is a zerodivisor on R/(a)")
-    T = Ideal(ring, [t])
-    lhs = A.colon(ideal) + T
-    rhs = (A + T).colon(ideal)
-    return lhs == rhs

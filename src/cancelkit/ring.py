@@ -95,9 +95,6 @@ class Ring:
         """True iff monomial a divides monomial b."""
         return ((b | self._guards) - a) & self._guards == self._guards
 
-    def mono_lcm(self, a, b):
-        return self.mono_lcms(a, (b,))[0]
-
     def mono_lcms(self, a, bs):
         """[lcm(a, b) for b in bs] in one call."""
         guards = self._guards

@@ -323,3 +323,36 @@ def is_unmixed(ideal, a):
     if not ideal.contains(A):
         raise BadRegularSequence("sequence must lie inside the ideal")
     return A.colon(A.colon(ideal)) == ideal
+
+
+def compose_columns(a, b):
+    """The columns of a o b (b applied first) for maps given as lists of
+    columns: column j is sum_k b[j][k] * a[k]."""
+    zero = a[0][0].ring.zero()
+    out = []
+    for col in b:
+        assert len(col) == len(a), "maps are not composable"
+        acc = [zero] * len(a[0])
+        for c, image in zip(col, a):
+            acc = [s + c * f for s, f in zip(acc, image)]
+        out.append(acc)
+    return out
+
+
+def column_degrees(maps):
+    """The degree of each column of each map of a graded resolution given
+    as lists of columns (standard grading), asserting that every map is
+    graded: maps[0] has one row, of degree 0, and a column's degree is
+    an entry's degree plus that of its row, the same for every nonzero
+    entry."""
+    shifts, out = [0], []
+    for m in maps:
+        degrees = []
+        for col in m:
+            found = {sum(e) + shift for f, shift in zip(col, shifts)
+                     for e in poly_to_dict(f)}
+            assert len(found) == 1, "a column is not homogeneous"
+            degrees.append(found.pop())
+        shifts = degrees
+        out.append(degrees)
+    return out

@@ -2,14 +2,27 @@ import pytest
 
 from cancelkit.errors import (HypothesisFailed, PreconditionUnmet,
                               RequiresDimensionOne)
-from cancelkit.fields import PrimeField
+from cancelkit.fields import DEFAULT_PRIME, PrimeField
 from cancelkit.ideals import Ideal
 from cancelkit.cancellation import (CancellationHypotheses, cancel_check,
                                     check_hypotheses,
                                     construct_witness, corollary213_check,
                                     link_ideal, power_containment_scan)
 from cancelkit.ring import Ring
-from cancelkit.fixtures import mixed_ideal_control, monomial_curve
+from cancelkit.fixtures import monomial_curve
+
+
+def mixed_ideal_control():
+    """A mixed ideal I with a subideal J such that (J*I):I strictly
+    contains J: cancellation genuinely fails without unmixedness.
+
+    With I = (x^2, xy), the choice J = (x^2) does NOT witness strictness
+    ((J*I):I = (x^2) = J there); J = (x^4, x^2 y^2) does: x^3 y * I =
+    (x^5 y, x^4 y^2) lies in J*I but x^3 y is not in J.
+    """
+    ring = Ring(PrimeField(DEFAULT_PRIME), ["x", "y"])
+    x, y = ring.gens()
+    return Ideal(ring, [x * x, x * y]), Ideal(ring, [x**4, x * x * y * y])
 
 
 def _curve_hypotheses(exps=(1, 2, 3)):

@@ -245,7 +245,7 @@ def test_spolys_reduce_to_zero(data):
     B = G.generators
     for i in range(len(B)):
         for j in range(i + 1, len(B)):
-            lcm = R.mono_lcm(B[i].lm(), B[j].lm())
+            lcm = R.mono_lcms(B[i].lm(), [B[j].lm()])[0]
             assert normal_form(_spoly(B[i], B[j], lcm, R), B).is_zero()
     # and the original generators reduce to zero
     for g in gens:

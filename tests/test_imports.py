@@ -53,15 +53,14 @@ def _names(tree):
 
 def test_no_unreferenced_functions():
     """Every function and class defined in the package is referenced by
-    name in src/, tests/ or perfbench/.  Dunder methods are called by the
-    language, and the interpreter finds its cmd_/op_ handlers with
-    getattr."""
+    name in src/ or perfbench/: code that only tests call lives in
+    tests/.  Dunder methods are called by the language, and the
+    interpreter finds its cmd_/op_ handlers with getattr."""
     src = pathlib.Path(cancelkit.__file__).parent
     root = pathlib.Path(__file__).parent.parent
     paths = sorted(src.glob("*.py"))
     referenced = set()
-    for path in paths + sorted((root / "tests").glob("*.py")) \
-            + sorted((root / "perfbench").glob("*.py")):
+    for path in paths + sorted((root / "perfbench").glob("*.py")):
         referenced.update(_names(ast.parse(path.read_text())))
     offenders = []
     for path in paths:
@@ -77,19 +76,28 @@ def test_no_unreferenced_functions():
     assert offenders == []
 
 
-def _call_sites(node, name, scope):
+def _call_sites(node, name, scope, owner=None):
     """The dotted scope (module, classes, functions) of every call of
-    `name` under node, as a plain name or as an attribute."""
+    `name` under node, as a plain name or as an attribute; with an
+    owner, only as an attribute of a value named owner (`owner.name()`
+    or `x.owner.name()`)."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
         elif isinstance(child, ast.Call):
             func = child.func
-            if getattr(func, "id", None) == name \
-                    or getattr(func, "attr", None) == name:
+            if owner is None:
+                called = name in (getattr(func, "id", None),
+                                  getattr(func, "attr", None))
+            else:
+                value = getattr(func, "value", None)
+                called = getattr(func, "attr", None) == name \
+                    and owner in (getattr(value, "id", None),
+                                  getattr(value, "attr", None))
+            if called:
                 yield scope
-        yield from _call_sites(child, name, inner)
+        yield from _call_sites(child, name, inner, owner)
 
 
 def test_block_orders_are_built_in_two_places():
@@ -157,3 +165,15 @@ def test_bases_enter_the_store_in_one_place():
              for site in _call_sites(ast.parse(path.read_text()), "basis",
                                      path.stem)}
     assert sites == {"gb.buchberger"}
+
+
+def test_the_store_is_read_in_three_places():
+    """The job's store is looked up (active_store.get) only by the one
+    fork between a call in a job and one outside (cache.recall), by the
+    engine entry point (gb.buchberger) and by ideals._relations, which
+    reads a held basis without computing."""
+    src = pathlib.Path(cancelkit.__file__).parent
+    sites = {site for path in sorted(src.glob("*.py"))
+             for site in _call_sites(ast.parse(path.read_text()), "get",
+                                     path.stem, owner="active_store")}
+    assert sites == {"cache.recall", "gb.buchberger", "ideals._relations"}

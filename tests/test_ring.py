@@ -50,7 +50,7 @@ def test_mono_mul_is_exponent_addition(R):
     a = R.encode((1, 2, 3))
     b = R.encode((4, 0, 1))
     assert R.decode(a + b) == (5, 2, 4)
-    assert R.decode(R.mono_lcm(a, b)) == (4, 2, 3)
+    assert R.decode(R.mono_lcms(a, [b])[0]) == (4, 2, 3)
     # the packed lcm at the ends of the exponent range, with a > b and
     # a < b in neighbouring fields, and in a ring of twelve variables
     top = 32767
@@ -63,8 +63,8 @@ def test_mono_mul_is_exponent_addition(R):
              (top, 0, 4, 5, 0, top, 2, 1, 3, 8, top, top))]:
         a, b = ring.encode(ea), ring.encode(eb)
         expected = tuple(max(x, y) for x, y in zip(ea, eb))
-        assert ring.decode(ring.mono_lcm(a, b)) == expected
-        assert ring.decode(ring.mono_lcm(b, a)) == expected
+        assert ring.decode(ring.mono_lcms(a, [b])[0]) == expected
+        assert ring.decode(ring.mono_lcms(b, [a])[0]) == expected
 
 
 def test_exponent_overflow_is_refused(R):
