@@ -20,7 +20,8 @@ from .errors import (ArityMismatch, BadRegularSequence, CancelkitError,
 from .fields import (DEFAULT_PRIME, PrimeField, RationalField,
                      field_from_spec)
 from .gb import GroebnerBasis, buchberger, normal_form
-from .ideals import DimensionReport, Ideal, kernel_of_map, radical_contains
+from .ideals import (DimensionReport, Ideal, kernel_of_map, minimal_kernel,
+                     radical_contains)
 from .orders import Block, Grevlex, Lex
 from .reductions import (MinimalReductionSearch, ReductionReport,
                          find_minimal_reduction, reduction_number)

@@ -5,10 +5,12 @@ A `Store` is made fresh for each job and dropped at its end (`cli.main`
 installs it in `active_store`; `recall` keeps a result in it, and
 outside a job computes it on each call).  It keeps every result asked
 for by content key -- reduced bases under (ring, frozenset of
-generators, None), module kernel bases (`modules.syzygy_columns`) with
-the bits of the head components in the third place, whole hypothesis
-checks, reduction reports under their arguments, ideal products, and
-Rees presentations under ("rees", ring, generators) -- so a repeat
+generators, None, True), module kernels (`modules.syzygy_columns`)
+with the bits of the head components in the third place and, for a
+kernel kept as generators rather than as its reduced basis, False in
+the fourth, whole hypothesis checks, reduction reports under their
+arguments, ideal products, and Rees presentations under ("rees",
+ring, generators) -- so a repeat
 within the job is read back instead of recomputed.  `Store.held`
 reads a kept result without computing anything: colon and
 intersection start from a kept full basis.  Only results whose
@@ -20,10 +22,11 @@ key and its entries are a polynomial's own integers over its
 denominator (`ring.Polynomial`), read directly.  Key = hex sha256 of
 `ring.describe()` and of each generator's denominator and its packed
 monomials (ascending) with their integer coefficients, the generators'
-strings sorted, and for a kernel a line "head H" after the ring's.
+strings sorted, for a kernel a line "head H" after the ring's, and
+for a kernel kept as generators a line "generators" after that.
 Entry = canonical JSON of the entry schema version, that key, and the
-reduced basis, each element one flat int list
-[den, m_1, c_1, m_2, c_2, ...] (terms descending) read back by
+reduced basis (or the kernel's generators), each element one flat int
+list [den, m_1, c_1, m_2, c_2, ...] (terms descending) read back by
 `fields.from_ints(ints, 1, den)`, so an element written in another form
 of the same polynomial reads back canonical.
 
@@ -68,15 +71,16 @@ def recall(key, compute):
     return compute() if store is None else store.recall(key, compute)
 
 
-def basis_key(ring, gens, head=None):
+def basis_key(ring, gens, head=None, reduced=True):
     """The disk key of gens: stable across processes and runs (no
     Python `hash()`), and the same for any order of gens or of their
     terms.  With a head (the bits of the leading component variables of
     a module ring), the key of the kernel basis past those components,
-    which differs from the full basis's key."""
+    which differs from the full basis's key; with reduced=False too,
+    the key of the kernel's generators, which differs from both."""
     polys = sorted(repr((g.den, sorted(g.terms.items()))) for g in gens)
     if head is not None:
-        polys.insert(0, f"head {head}")
+        polys[:0] = [f"head {head}"] + ([] if reduced else ["generators"])
     payload = "\n".join([ring.describe(), *polys])
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -100,28 +104,30 @@ class Store:
             self._results[key] = compute()
         return self._results[key]
 
-    def basis(self, ring, gens, compute, head=None):
+    def basis(self, ring, gens, compute, head=None, reduced=True):
         """The reduced basis of the nonzero gens, or with a head the
-        kernel basis past the head components: kept, else read from
-        disk, else compute()'s, which is put to disk.  Both keys name
-        the head, so a kernel never answers for the full basis.  Only a
-        kernel may be empty.  The disk key is hashed once per miss."""
+        kernel basis past the head components, or with reduced=False
+        too the kernel's generators: kept, else read from disk, else
+        compute()'s, which is put to disk.  Both keys name the head and
+        whether the kernel is reduced, so a kernel never answers for the
+        full basis, nor generators for a reduced kernel.  Only a kernel
+        may be empty.  The disk key is hashed once per miss."""
         def load():
             if self.disk is None:
                 return compute()
-            key = basis_key(ring, gens, head)
+            key = basis_key(ring, gens, head, reduced)
             basis = self.disk.get(ring, key, empty=head is not None)
             if basis is None:
                 basis = compute()
                 self.disk.put(key, basis)
             return basis
-        return self.recall((ring, frozenset(gens), head), load)
+        return self.recall((ring, frozenset(gens), head, reduced), load)
 
     def held(self, key):
         """What this job already keeps under key, else None; computes
         nothing, reads no disk and counts no hit or miss.  The full
         reduced basis of the nonzero gens is kept under
-        (ring, frozenset(gens), None)."""
+        (ring, frozenset(gens), None, True)."""
         return self._results.get(key)
 
 

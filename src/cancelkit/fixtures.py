@@ -4,7 +4,7 @@ under examples/.
 """
 
 from .fields import DEFAULT_PRIME, PrimeField
-from .ideals import kernel_of_map
+from .ideals import minimal_kernel
 from .ring import Ring
 
 
@@ -17,4 +17,4 @@ def monomial_curve(exponents, field=None):
     param = Ring(field, ["t"])
     t = param.var(0)
     source = Ring(field, list(names))
-    return kernel_of_map(source, [t ** e for e in exponents])
+    return minimal_kernel(source, [t ** e for e in exponents])

@@ -26,6 +26,11 @@ the kept elements with smaller leads, as a larger lead divides no term
 of it, with the division data the loop built for them.  The pair update
 works on the packed ints, with no call per pair.
 
+In a module ring the engine also returns kernels, the basis elements
+led past a block of head components: reduced, or, where only
+generators are needed (syzygies), from a loop that forms no pair of two
+elements led past the head and interreduces nothing.
+
 PAIR_CAP and DEGREE_CAP are the engine's resource ceilings: hitting one
 raises ResourceExceeded, never silently truncates.
 """
@@ -283,7 +288,7 @@ def _gm_update(lms, pairs, heap, ring):
                 heapq.heappush(heap, (ring.mono_wdeg(L), ring.key(L), i, t))
 
 
-def buchberger(gens, *, known=(), head=None):
+def buchberger(gens, *, known=(), head=None, reduced=True):
     """The reduced Groebner basis of the ideal generated by gens and
     known.
 
@@ -296,6 +301,16 @@ def buchberger(gens, *, known=(), head=None):
     basis elements led there, since only such a lead divides a term
     there; the others are dropped before interreduction.  The kernel may
     be empty.
+
+    With head and reduced=False the result is a generating set of the
+    kernel, not a basis: the loop forms no pair of two elements led past
+    the head and interreduces nothing.  Such a pair's S-polynomial, and
+    all its reduction, lie in the tail, where it meets no head-led
+    element; so finishing the loop with those pairs last would add only
+    combinations of the tail elements already found, which therefore
+    generate the kernel (the argument behind Schreyer's theorem,
+    Eisenbud, Commutative Algebra, 15.10).  They come out canonical, in
+    ascending order of leads.
 
     Zero generators are filtered; pair selection uses the normal strategy
     (minimal lcm degree, ties by lcm key then indices).  A popped pair
@@ -313,16 +328,20 @@ def buchberger(gens, *, known=(), head=None):
         return GroebnerBasis(ring, [])
 
     def compute():
-        return _basis(gens, ring, known=known, head=head)
+        return _basis(gens, ring, known=known, head=head, reduced=reduced)
 
     store = _cache.active_store.get()
     return GroebnerBasis(ring, compute() if store is None else
-                         store.basis(ring, gens + known, compute, head=head))
+                         store.basis(ring, gens + known, compute, head=head,
+                                     reduced=reduced))
 
 
-def _basis(gens, ring, known=(), head=None):
+def _basis(gens, ring, known=(), head=None, reduced=True):
     """The Buchberger loop over nonzero gens after the Groebner basis
-    known, then the reduced basis, or with head that of the kernel."""
+    known, then the reduced basis, or with head that of the kernel, or
+    with head and reduced=False generators of the kernel."""
+    # in a generator kernel an element led past the head forms no pair
+    tail = 0 if reduced or head is None else ring._components & ~head
     # G holds working forms
     G, lms, div = [], [], []
     pairs, heap = {}, []
@@ -331,7 +350,7 @@ def _basis(gens, ring, known=(), head=None):
         G.append(g)
         lms.append(g.lm())
         div.append(_divisor(g))
-        if update:
+        if update and not g.lm() & tail:
             _gm_update(lms, pairs, heap, ring)
 
     for update, part in ((False, known), (True, gens)):
@@ -361,6 +380,12 @@ def _basis(gens, ring, known=(), head=None):
     elements = zip(G, div)
     if head is not None:
         elements = [(g, d) for g, d in elements if not d[0] & head]
+        if not reduced:
+            from_ints = ring.field.from_ints
+            return [Polynomial(ring, *from_ints(g.terms, 1, g.terms[d[0]]),
+                               lead=d[0])
+                    for g, d in sorted(elements,
+                                       key=lambda gd: ring.key(gd[1][0]))]
     return _interreduce(elements, ring)
 
 

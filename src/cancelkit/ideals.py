@@ -6,12 +6,17 @@ via independent sets modulo the initial ideal, minimal generator counts,
 and kernels of algebra maps.
 
 Saturation, elimination and toric kernels are one elimination: new
-variables in front of the target ring under a block order, then the
-basis elements free of them, which are the target's reduced basis when
-the order ends in the target's.  Saturation by J = (f_1..f_k) eliminates
-the z from (I, 1 - z_1*f_1 - ... - z_k*f_k) in R[z_1..z_k], and J lies
-in the radical of I iff that saturation is (1).  A radical membership
-test forms it only when J is not already contained in I.
+variables in front of the target ring under an elimination order, then
+the basis elements free of them, which are the target's reduced basis
+when the order restricts to the target's.  With a grevlex tail that
+order takes the new variables' weighted degree first and then weighted
+grevlex on all variables (`orders.Elimination`), so the loop still runs
+degree by degree; with a lex tail it is a block order.  Saturation by
+J = (f_1..f_k) eliminates the z from (I, 1 - z_1*f_1 - ... - z_k*f_k)
+in R[z_1..z_k], and J lies in the radical of I iff that saturation is
+(1).  A radical membership test forms it only when J is not already
+contained in I.  Colon and intersection are one module kernel of one
+column, which is the result's reduced basis, and the result holds it.
 
 Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
@@ -20,7 +25,7 @@ a polynomial ring over a field (catenary and equidimensional).
 from . import cache as _cache
 from .errors import ArityMismatch, NotHomogeneous, RingMismatch, ZeroColon
 from .gb import GroebnerBasis, buchberger, normal_form
-from .orders import Block, Grevlex, Lex
+from .orders import Block, Elimination, Grevlex, Lex
 from .ring import Polynomial, Ring, embed
 
 
@@ -136,7 +141,7 @@ class Ideal:
         one = self.ring.one()
         cols = syzygy_columns([[one, one]],
                               *_relations(2, [(self, [0]), (other, [1])]))
-        return Ideal(self.ring, [col[0] for col in cols])
+        return _kernel_ideal(self.ring, cols)
 
     def colon_poly(self, f):
         """I : f, the colon by the principal ideal (f)."""
@@ -156,7 +161,7 @@ class Ideal:
         k = len(other.generators)
         cols = syzygy_columns([list(other.generators)],
                               *_relations(k, [(self, range(k))]))
-        return Ideal(self.ring, [col[0] for col in cols])
+        return _kernel_ideal(self.ring, cols)
 
     def saturate(self, other):
         """I : J^infinity for J = (f_1..f_k), a Polynomial or an Ideal:
@@ -274,12 +279,19 @@ def _relations(k, parts):
         basis = ideal._gb
         if basis is None and store is not None:
             basis = store.held((ideal.ring, frozenset(ideal.generators),
-                                None))
+                                None, True))
         into = relations if basis is None else known
         into += [zero[:j] + [g] + zero[j + 1:]
                  for g in (ideal.generators if basis is None else basis)
                  for j in positions]
     return relations, known
+
+
+def _kernel_ideal(ring, cols):
+    """The ideal of a one-column kernel (`syzygy_columns`), holding that
+    kernel, which is its reduced basis, as its basis."""
+    gens = [col[0] for col in cols]
+    return Ideal(ring, gens, GroebnerBasis(ring, gens))
 
 
 def _tail(ring):
@@ -289,15 +301,20 @@ def _tail(ring):
 
 def _elimination_ring(target, names, weights):
     """target[names] for eliminating the new variables `names`, of the
-    given weights (None: all 1): they come first, under
-    Block(k, Grevlex(), _tail(target)).  With no names, target itself."""
+    given weights (None: all 1): they come first, under Elimination(k)
+    (their weighted degree, then weighted grevlex on all variables) when
+    _tail(target) is grevlex, and under Block(k, Grevlex(), Lex()) when
+    it is lex.  Either order restricts to _tail(target) on target.  With
+    no names, target itself."""
     if not names:
         return target
     k = len(names)
     all_weights = None if weights is None and target.weights is None \
         else tuple(weights or (1,) * k) + (target.weights or (1,) * target.n)
-    return Ring(target.field, tuple(names) + target.names,
-                Block(k, Grevlex(), _tail(target)), all_weights)
+    tail = _tail(target)
+    order = Elimination(k) if tail == Grevlex() else Block(k, Grevlex(), tail)
+    return Ring(target.field, tuple(names) + target.names, order,
+                all_weights)
 
 
 def _eliminate(gens, target):
@@ -323,10 +340,11 @@ def kernel_of_map(source_ring, images):
     """Kernel of the algebra map source_ring -> (ring of the images),
     sending the i-th variable to images[i]: the graph ideal
     (x_i - image_i) cap source_ring, one elimination of the image
-    ring's variables.  When the source ring carries no weights and every
-    image is homogeneous, the returned ideal lives in a weighted copy of
-    the source ring (weight of x_i = degree of images[i]), so the kernel
-    is weighted-homogeneous and is presented by minimal generators.
+    ring's variables, generated by its reduced basis, which it holds
+    when the ring's order is lex or grevlex.  When the source ring
+    carries no weights and every image is homogeneous, the returned
+    ideal lives in a weighted copy of the source ring (weight of x_i =
+    degree of images[i]), so the kernel is weighted-homogeneous.
     """
     if len(images) != source_ring.n:
         raise ArityMismatch(
@@ -346,11 +364,18 @@ def kernel_of_map(source_ring, images):
             result_ring = Ring(source_ring.field, source_ring.names,
                                source_ring.order, weights)
     ext = _elimination_ring(result_ring, target.names, target.weights)
-    full = _eliminate([ext.var(target.n + i) - embed(g, ext, range(target.n))
+    return _eliminate([ext.var(target.n + i) - embed(g, ext, range(target.n))
                        for i, g in enumerate(images)], result_ring)
+
+
+def minimal_kernel(source_ring, images):
+    """kernel_of_map presented by its minimal generators when it is
+    homogeneous, holding the same reduced basis, and by that basis
+    otherwise: in a `lex` ring that is the lex reduced basis."""
+    full = kernel_of_map(source_ring, images)
     if all(g.is_homogeneous() for g in full.generators):
         held = full._gb  # taken before minimal_generators computes one
-        return Ideal(result_ring, full.minimal_generators(), held)
+        return Ideal(full.ring, full.minimal_generators(), held)
     return full
 
 

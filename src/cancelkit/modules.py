@@ -8,10 +8,17 @@ sum h_j*v_j in a submodule N = (n_1..n_s) of R^r, compute one basis of
 the (v_j, e_j) and (n_i, 0) in R^(r+c) and keep the elements supported
 entirely in the tail block.  Syzygies (N = 0), the colon I : J, the
 colon by a polynomial and the intersection I cap J are all this one
-kernel construction.  Only the kernel is interreduced: a tail term is
-divisible only by a lead in the tail, so the basis elements led in the
-head block are dropped first (`gb.buchberger` with head), and the store
-and disk keys name the head, so a kernel never answers for a full basis.
+kernel construction.  A kernel of one column (colon and intersection)
+is the reduced basis of the ideal it is, so it comes back reduced: a
+tail term is divisible only by a lead in the tail, so the basis
+elements led in the head block are dropped first (`gb.buchberger` with
+head) and only the kernel is interreduced.  A kernel of more columns
+(syzygies, behind resolutions, Ext and the Rees algebra's linear forms)
+is trimmed by minimal_columns anyway, so it comes back as generators:
+the loop forms no pair of two elements led in the tail and interreduces
+nothing (`gb.buchberger` with reduced=False).  The store and disk keys
+name the head and whether the kernel is reduced, so a kernel never
+answers for a full basis, nor generators for a reduced kernel.
 Relations that already form a module Groebner basis -- an ideal's held
 reduced basis times e_j, since pairs form only within one component --
 enter as known, with no pair between two of them.
@@ -65,15 +72,16 @@ def components(v):
     return [v.part(base, t) for t in parts]
 
 
-def module_buchberger(vectors, *, known=(), head=None):
+def module_buchberger(vectors, *, known=(), head=None, reduced=True):
     """Reduced module Groebner basis of the submodule generated by vectors
     and known (a GroebnerBasis; an empty list when every vector is zero).
-    known, a module Groebner basis, and head, the bits of the component
-    variables before the kernel's, are those of `gb.buchberger`."""
+    known, a module Groebner basis, head, the bits of the component
+    variables before the kernel's, and reduced are those of
+    `gb.buchberger`."""
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs and not known:
         return []
-    return buchberger(vecs, known=known, head=head)
+    return buchberger(vecs, known=known, head=head, reduced=reduced)
 
 
 def module_member(v, basis):
@@ -89,8 +97,9 @@ def syzygy_columns(columns, relations=(), known=()):
     without pairs among its elements.
 
     columns, relations, known: lists of lists of polynomials, each of
-    length r.  Returns the reduced basis of the kernel (only it is
-    interreduced), as a list of columns of length c = len(columns).
+    length r.  Returns, as a list of columns of length c = len(columns),
+    the reduced basis of the kernel when c is 1 (only it is
+    interreduced), and generators of the kernel otherwise.
     """
     if not columns:
         return []
@@ -107,7 +116,7 @@ def syzygy_columns(columns, relations=(), known=()):
     kernel = module_buchberger(
         big + [vector(list(rel) + pad) for rel in relations],
         known=[vector(list(rel) + pad) for rel in known],
-        head=sum(1 << s for s in big[0].ring._shifts[:r]))
+        head=sum(1 << s for s in big[0].ring._shifts[:r]), reduced=c == 1)
     return [components(g)[r:] for g in kernel]
 
 

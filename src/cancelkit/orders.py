@@ -1,4 +1,5 @@
-"""Monomial orders: lex, grevlex, and block (elimination) orders.
+"""Monomial orders: lex, grevlex, block orders and a degree-first
+elimination order.
 
 An order is its matrix (Robbiano 1985): rows(n, weights) gives integer
 rows such that m1 > m2 iff the row products of m1's exponents are
@@ -75,3 +76,39 @@ class Block:
 
     def __hash__(self):
         return hash(("block", self.elim_count, self.elim_order, self.rest_order))
+
+
+class Elimination:
+    """Elimination order for the first elim_count variables with a
+    weighted grevlex tail: their weighted degree first, then weighted
+    grevlex on all variables.
+
+    A monomial involving an eliminated variable has positive degree in
+    them and beats every monomial that does not; on the monomials free
+    of them the first row is 0, the weighted degree is the tail's, and
+    the reversed unit rows of the tail come before those of the
+    eliminated block, which are 0 there, so the order restricts to the
+    tail's weighted grevlex, as Block(k, Grevlex(), Grevlex()) does.
+    Unlike that block order, which ranks the eliminated variables by
+    their own grevlex first, it looks at them only through their
+    weighted degree before it compares all variables.
+    """
+
+    def __init__(self, elim_count):
+        self.elim_count = elim_count
+
+    def rows(self, n, weights=None):
+        k = self.elim_count
+        w = list(weights or (1,) * n)
+        return [w[:k] + [0] * (n - k), w] + [
+            [-int(i == j) for j in range(n)] for i in reversed(range(n))]
+
+    def describe(self):
+        return f"elimination({self.elim_count})"
+
+    def __eq__(self, other):
+        return (isinstance(other, Elimination)
+                and self.elim_count == other.elim_count)
+
+    def __hash__(self):
+        return hash(("elimination", self.elim_count))

@@ -5,10 +5,12 @@ some n; the least such n is the reduction number r_J(I).  It is decided
 one way for each input.  When I and J are generated in one weighted
 degree D >= 1, r is read from the fiber cone F = k[T]/K of I's Rees
 presentation (built if the job does not keep it yet), whose degree-k
-part is (I^k)_(kD): it is the top degree of F/JF, found from the reduced
-basis of K plus J's generators written in the T_i (Huneke & Swanson
-2006, ch. 8).  Otherwise J * I^n and I^(n+1) are formed on full bases
-and compared for n = 0, 1, ..., n_cap.
+part is (I^k)_(kD): it is the top degree of F/JF (Huneke & Swanson
+2006, ch. 8).  J's generators are linear forms in the T_i; modulo them
+each pivot of their echelon form is a linear form in the free
+variables, so F/JF is a quotient of the polynomial ring in those alone,
+and r is read from a basis there.  Otherwise J * I^n and I^(n+1) are
+formed on full bases and compared for n = 0, 1, ..., n_cap.
 
 Minimal reductions are sampled: draw an l x m full-rank matrix over k
 (l = the analytic spread), form the l generic combinations of I's
@@ -27,7 +29,7 @@ from .gb import buchberger
 from .ideals import Ideal
 from .linalg import echelonize, rank
 from .rees import rees_presentation
-from .ring import combination
+from .ring import Ring, combination
 
 
 class ReductionReport:
@@ -110,18 +112,33 @@ def _fiber_reduction_number(I, J, n_cap, fiber):
     """r_J(I) read from the fiber cone F = k[T]/K of I = (a_1..a_m),
     generated in one degree D >= 1, and J generated in degree D: J's
     generators are the linear forms lambda_j = sum c_ji*T_i of F_1 = I_D,
-    and I^(n+1) = J*I^n iff (F/lambda F)_(n+1) = 0.  r is the top degree
-    of the monomials outside the leads of the reduced basis of K + lambda,
-    found degree by degree; inconclusive when it exceeds n_cap, as it
-    does when J is not a reduction (then no power of some T_i is a
-    lead, and there are standard monomials in every degree)."""
+    and I^(n+1) = J*I^n iff (F/lambda F)_(n+1) = 0.  In the reduced
+    echelon form of the c_ji each pivot T_p is minus a linear form in
+    the free variables modulo lambda, so F/lambda F is k[free]/K' for K'
+    the image of K's reduced basis under that substitution, with the
+    same Hilbert function.  r is the top degree of the monomials outside
+    the leads of a basis of K', found degree by degree; inconclusive
+    when it exceeds n_cap, as it does when J is not a reduction (then no
+    power of some free variable is a lead, and there are standard
+    monomials in every degree)."""
     ring = fiber.ring
-    T = ring.gens()
-    lam = [combination(ring, c, T)
-           for c in _coordinates(J.generators, I.generators)]
-    basis = buchberger(lam, known=fiber.groebner().generators)
-    leads = [g.lm() for g in basis]
-    divides = ring.mono_divides
+    field = ring.field
+    rows = _coordinates(J.generators, I.generators)
+    pivots = echelonize(rows, field)
+    free = [i for i in range(ring.n) if i not in pivots]
+    if not free:
+        return ReductionReport(I, J, True, 0, n_cap)
+    quotient = Ring(field, [ring.names[i] for i in free])
+    T = quotient.gens()
+    images = [None] * ring.n
+    for i, t in zip(free, T):
+        images[i] = t
+    for p, row in zip(pivots, rows):
+        images[p] = -combination(quotient, [row[i] for i in free], T)
+    forms = [h for h in _substitute(fiber.groebner(), images, quotient)
+             if not h.is_zero()]
+    leads = [g.lm() for g in buchberger(forms)] if forms else []
+    divides = quotient.mono_divides
     steps = [t.lm() for t in T]
     # the standard monomials of degree k + 1 are those T_i * s, s standard
     # of degree k, that no lead divides
@@ -132,6 +149,25 @@ def _fiber_reduction_number(I, J, n_cap, fiber):
         if not level:
             return ReductionReport(I, J, True, r, n_cap)
     return ReductionReport(I, J, "inconclusive", None, n_cap)
+
+
+def _substitute(basis, images, ring):
+    """Each f of the GroebnerBasis basis with its i-th variable replaced
+    by images[i], a polynomial of ring; the image of a monomial is
+    formed once, as the image of the monomial without one factor times
+    that factor's."""
+    divides = basis.ring.mono_divides
+    steps = [(x.lm(), image) for x, image in zip(basis.ring.gens(), images)]
+    memo = {0: ring.one()}
+
+    def image(m):
+        if m not in memo:
+            step, factor = next(t for t in steps if divides(t[0], m))
+            memo[m] = image(m - step) * factor
+        return memo[m]
+
+    return [combination(ring, [f.coeff(m) for m in f.terms],
+                        [image(m) for m in f.terms]) for f in basis]
 
 
 def _coordinates(gens, basis):

@@ -18,7 +18,7 @@ from .cache import recall
 from .errors import ArityMismatch, NotGraded, ResourceExceeded, ZeroColon
 from .fields import RationalField
 from .gb import buchberger, normal_form
-from .ideals import Ideal, kernel_of_map
+from .ideals import Ideal, kernel_of_map, minimal_kernel
 from .linalg import echelonize
 from .modules import minimal_columns, syzygy_columns
 from .ring import Ring, embed
@@ -167,11 +167,12 @@ def _fiber_by_certificates(ideal, t_ring):
     intersection.  Equigenerated ideals skip the sandwich: m*I^d lives
     in degrees above d*deg, so F is isomorphic to the subalgebra
     k[a_1..a_m] and the fiber ideal is the full algebraic-relations
-    kernel, handed back with its reduced basis in a ring that orders
-    k[T] as t_ring does (uniform weights, grevlex).  Nonzero constants
-    c_i (degree 0) generate the unit ideal, whose fiber cone is k[t]
-    with T_i -> c_i*t: the fiber ideal is the linear relations among
-    the c_i.
+    kernel, generated by and holding its reduced basis (no minimal
+    generators are formed), in a ring that orders k[T] as t_ring does
+    (uniform weights, grevlex).  Nonzero constants c_i (degree 0)
+    generate the unit ideal, whose fiber cone is k[t] with
+    T_i -> c_i*t: the fiber ideal is the linear relations among the
+    c_i.
     """
     gens = ideal.generators
     ring = ideal.ring
@@ -317,7 +318,7 @@ def _valuation_kernel(ideal, w, t_ring):
     if len(attain) >= 2:
         src = Ring(field, tuple(t_ring.names[i] for i in attain),
                    weights=(low,) * len(attain))
-        K = kernel_of_map(src, [forms[i] for i in attain])
+        K = minimal_kernel(src, [forms[i] for i in attain])
         kernel_gens += [embed(g, t_ring, attain) for g in K.generators]
     return Ideal(t_ring, kernel_gens)
 

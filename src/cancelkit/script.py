@@ -31,7 +31,7 @@ import json
 from . import cancellation, reductions, rees, resolutions
 from .errors import ScriptSyntaxError
 from .fields import field_from_spec
-from .ideals import Ideal, kernel_of_map, radical_contains
+from .ideals import Ideal, minimal_kernel, radical_contains
 from .orders import Grevlex, Lex
 from .ring import Polynomial, Ring
 
@@ -624,7 +624,7 @@ class Interpreter:
             raise ScriptSyntaxError("kernel images use no new variables",
                                     first.line, first.col)
         target = Ring(self.ring.field, target_names)
-        return kernel_of_map(self.ring, [
+        return minimal_kernel(self.ring, [
             evaluate(image, target, self.lookup) for image in images])
 
     def _min_reduction(self, I):

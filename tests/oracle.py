@@ -3,9 +3,9 @@
 The oracles deliberately do NOT reuse the package's Groebner or
 linear-algebra code: membership of a polynomial in a homogeneous ideal
 is decided by bounded-degree exact linear algebra over the coefficient
-field, written from scratch here.  `is_member` and `is_unmixed` are the
-exception: they are written on the package's ideals, and only tests
-call them.
+field, written from scratch here.  `is_member`, `is_unmixed` and
+`fiber_reduction_number` are the exception: they are written on the
+package's ideals, and only tests call them.
 """
 
 import heapq
@@ -15,7 +15,7 @@ from math import gcd
 from cancelkit.errors import BadRegularSequence
 from cancelkit.gb import GroebnerBasis, buchberger, normal_form
 from cancelkit.ideals import Ideal
-from cancelkit.ring import Polynomial
+from cancelkit.ring import Polynomial, combination
 
 
 def monomials_of_degree(nvars, d):
@@ -356,3 +356,28 @@ def column_degrees(maps):
         shifts = degrees
         out.append(degrees)
     return out
+
+
+def fiber_reduction_number(I, J, n_cap, fiber):
+    """(is_reduction, r) of J in I, both generated in one degree, read
+    from the fiber ideal K of I in all m variables T_i: J's generators
+    are the linear forms lambda in the T_i with the coefficients
+    `reductions._coordinates` finds, and r is the top degree of the
+    monomials outside the leads of the reduced basis of K + lambda,
+    walked degree by degree up to n_cap + 1 ("inconclusive" past it).
+    The reference for the route through the free variables."""
+    from cancelkit.reductions import _coordinates
+    ring = fiber.ring
+    T = ring.gens()
+    lam = [combination(ring, c, T)
+           for c in _coordinates(J.generators, I.generators)]
+    leads = [g.lm() for g in buchberger(lam,
+                                        known=fiber.groebner().generators)]
+    level = {0}
+    for r in range(n_cap + 1):
+        level = {s + t.lm() for s in level for t in T
+                 if not any(ring.mono_divides(lm, s + t.lm())
+                            for lm in leads)}
+        if not level:
+            return True, r
+    return "inconclusive", None

@@ -516,6 +516,48 @@ def test_a_kernel_never_passes_for_the_basis(tmp_path):
         cache.basis_key(vecs[0].ring, vecs)]
 
 
+def test_generators_never_pass_for_the_reduced_kernel(tmp_path,
+                                                     monkeypatch):
+    """A kernel kept as generators (reduced=False) is keyed apart from
+    the reduced kernel and the full basis of the same vectors, in the
+    store and on disk (a line "generators" after "head H"), and a warm
+    job reads all three back with no loop; an empty generator kernel is
+    a hit."""
+    from cancelkit.modules import module_buchberger, vector
+    R = Ring(PrimeField(32003), ["x", "y"])
+    x, y = R.gens()
+    zero, one = R.zero(), R.one()
+    # the syzygies of (x, y, x + y) in the tail block of R^(1 + 3)
+    vecs = [vector([f] + [one if i == j else zero for i in range(3)])
+            for j, f in enumerate([x, y, x + y])]
+    head = 1 << vecs[0].ring._shifts[0]
+    directory = tmp_path / "cache"
+    loops = _count_calls(monkeypatch, gb, "_basis")
+    results = []
+    for _ in range(2):
+        store = cache.Store(cache.GBCache(str(directory)))
+        token = active_store.set(store)
+        try:
+            results.append([
+                module_buchberger(vecs, head=head, reduced=False).generators,
+                module_buchberger(vecs, head=head).generators,
+                module_buchberger(vecs).generators])
+        finally:
+            active_store.reset(token)
+            store.disk.flush()
+    assert results[0] == results[1] and len(loops) == 3
+    assert (store.disk.hits, store.disk.misses) == (3, 0)
+    keys = [cache.basis_key(vecs[0].ring, vecs, head=head, reduced=False),
+            cache.basis_key(vecs[0].ring, vecs, head=head),
+            cache.basis_key(vecs[0].ring, vecs)]
+    assert len(set(keys)) == 3
+    assert [key.decode() for key, _ in _log(directory)] == keys
+    # an empty entry is a hit under a generator kernel's key too
+    disk = cache.GBCache(str(tmp_path / "empty"))
+    disk.put(keys[0], [])
+    assert disk.get(vecs[0].ring, keys[0], empty=True) == []
+
+
 def test_text_report_counts_cache_bytes_written(tmp_path):
     directory = tmp_path / "cache"
     flags = ("--cache-dir", str(directory))

@@ -36,6 +36,7 @@ from cancelkit import ideals
 from cancelkit.cache import Store, active_store
 from cancelkit.errors import ZeroInversion
 from cancelkit.fields import PrimeField, RationalField
+from cancelkit.gb import buchberger
 from cancelkit.ideals import Ideal, radical_contains
 from cancelkit.orders import Grevlex, Lex
 from cancelkit.ring import Polynomial, Ring
@@ -170,6 +171,16 @@ def test_saturation_matches_repeated_colons(case):
     (I, F), (J, G) = case.I, case.J
     ours = case.reduced(case.to_sympy(I.saturate(J)))
     assert ours == case.reduced(case.saturate(F, G))
+
+
+def test_colon_and_intersection_hold_their_reduced_basis(case):
+    # the one-column kernel behind either is the result's reduced basis,
+    # held as its basis: a fresh loop on its generators gives that list
+    (I, _), (J, _) = case.I, case.J
+    for C in (I.intersect(J), I.colon(J)):
+        fresh = buchberger(list(C.generators)).generators \
+            if C.generators else []
+        assert C._gb.generators == fresh == list(C.generators)
 
 
 @pytest.fixture(params=["ideal", "store"])

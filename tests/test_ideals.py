@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cancelkit import ideals
 from cancelkit.errors import RingMismatch, ZeroColon
 from cancelkit.fields import PrimeField, RationalField
 from cancelkit.ideals import Ideal, kernel_of_map, radical_contains
-from cancelkit.orders import Block, Grevlex, Lex
+from cancelkit.orders import Block, Elimination, Grevlex, Lex
 from cancelkit.ring import Ring
 
 import oracle
@@ -199,6 +200,58 @@ def test_eliminations_hold_the_target_basis_only_in_its_order():
                     else:
                         fresh = Ideal(J.ring, J.generators).groebner()
                         assert J._gb.generators == fresh.generators, name
+
+
+def _block_elimination_ring(target, names, weights):
+    """The reference for ideals._elimination_ring: the same ring under
+    Block(k, Grevlex(), tail), which orders the eliminated variables by
+    grevlex first and only then the target's."""
+    k = len(names)
+    all_weights = None if weights is None and target.weights is None \
+        else tuple(weights or (1,) * k) + (target.weights or (1,) * target.n)
+    return Ring(target.field, tuple(names) + target.names,
+                Block(k, Grevlex(), ideals._tail(target)), all_weights)
+
+
+@pytest.mark.parametrize("weights", [None, (1, 2, 3)],
+                         ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("field", [PrimeField(32003), RationalField()],
+                         ids=["zp", "q"])
+def test_degree_first_eliminations_match_block_orders(field, weights,
+                                                      monkeypatch):
+    """saturate, eliminate and kernel_of_map of a grevlex ring give the
+    byte-identical reduced basis, which the result holds, under the
+    degree-first order they eliminate with and under the block order of
+    the reference: both restrict to the target's order."""
+    rng = random.Random(f"degree-first-{field.describe()}-{weights}")
+    R = Ring(field, ["x", "y", "z"], Grevlex(), weights)
+    S = Ring(field, ["s", "t"], weights=weights and (2, 1))
+    assert ideals._elimination_ring(R, ["s"], None).order == Elimination(1)
+    cases = []
+    for _ in range(4):
+        I = Ideal(R, [_random_poly(R, rng) for _ in range(2)])
+        f, g = _random_poly(R, rng), _random_poly(R, rng)
+        images = [oracle.monomial(S, (a, rng.randint(1, 3) - a))
+                  for a in (rng.randint(0, 1) for _ in "xyz")]
+        if rng.random() < 0.5:
+            images = [h + S.constant(rng.randint(1, 9)) for h in images]
+        cases.append((I, f, g, images))
+
+    def bases():
+        out = []
+        for I, f, g, images in cases:
+            for J in (I.saturate(f), I.saturate(Ideal(R, [f, g])),
+                      I.eliminate(["x"]), I.eliminate(["x", "z"]),
+                      kernel_of_map(R, images)):
+                assert J._gb.generators == list(J.generators)
+                out.append((J.ring, [(str(h), h.den, list(h.terms.items()))
+                                     for h in J.generators]))
+        return out
+
+    degree_first = bases()
+    monkeypatch.setattr(ideals, "_elimination_ring", _block_elimination_ring)
+    assert bases() == degree_first
+    assert any(len(basis) > 1 for _, basis in degree_first)
 
 
 def test_dimension_and_height(R):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import warnings
 
 import pytest
@@ -283,6 +284,73 @@ def test_fiber_route_agrees_with_the_loop():
     assert disagree == []
     assert {("inconclusive", None), (True, 0), (True, 1), (True, 2),
             (True, 3)} <= seen
+
+
+def _pool_one_degree_ideals():
+    """The ideal I of every benchmark job that runs `minreduction`: the
+    `reduce` pool and the reduce-type jobs of `rerun-q`, all generated in
+    one degree, over F_32003 and over Q."""
+    from test_bench_digests import JOBS
+    ideals = []
+    for workload in ("reduce", "rerun-q"):
+        for job in JOBS.POOLS[workload]():
+            if "minreduction" not in job.text:
+                continue
+            spec, names = re.search(r"= (\S+)\[([^\]]*)\]", job.text).groups()
+            field = RationalField() if spec == "q" else PrimeField(32003)
+            R = Ring(field, names.split(","))
+            ideals.append(Ideal(R, [R.poly(g) for g in job.gb_input]))
+    return ideals
+
+
+def _fiber_cases():
+    """(I, J, n_cap, fiber): for each pool ideal and 16 seeded ones, J of
+    every generator count l <= m made of l seeded combinations of I's
+    generators (too few make no reduction: "inconclusive")."""
+    rng = random.Random("free-variables")
+    ideals = _pool_one_degree_ideals()
+    assert len(ideals) == 31
+    ideals += [_seeded_one_degree_ideal(seed)[0] for seed in range(16)]
+    cases = []
+    for I in ideals:
+        R, gens = I.ring, I.generators
+        fiber = rees_presentation(I).fiber_ideal
+        for l in range(1, len(gens) + 1):
+            J = Ideal(R, [combination(R, [R.field.random(rng) for _ in gens],
+                                      gens) for _ in range(l)])
+            cases.append((I, J, rng.choice((0, 2, 4, 10)), fiber))
+    return cases
+
+
+def _disagreements(route, cases):
+    out = []
+    for I, J, n_cap, fiber in cases:
+        expected = oracle.fiber_reduction_number(I, J, n_cap, fiber)
+        if route(I, J, n_cap, fiber) != expected:
+            out.append((I, J, n_cap, expected))
+    return out
+
+
+def test_free_variable_route_agrees_with_the_full_fiber_basis():
+    # r read in the m - l free variables against the reduced basis of
+    # K + lambda in all m, on the benchmark's one-degree ideals and on
+    # seeded ones, non-reductions included; a route reporting r + 1
+    # must be caught
+    def free(I, J, n_cap, fiber):
+        rep = reductions._fiber_reduction_number(I, J, n_cap, fiber)
+        return rep.is_reduction, rep.r
+
+    def one_more(I, J, n_cap, fiber):
+        is_reduction, r = free(I, J, n_cap, fiber)
+        return is_reduction, None if r is None else r + 1
+
+    cases = _fiber_cases()
+    outcomes = [free(*case) for case in cases]
+    assert {("inconclusive", None), (True, 0), (True, 1),
+            (True, 2)} <= set(outcomes)
+    assert _disagreements(free, cases) == []
+    reductions_found = sum(found is True for found, _ in outcomes)
+    assert len(_disagreements(one_more, cases)) == reductions_found > 50
 
 
 def test_fiber_route_refuses_what_is_not_a_subideal():

@@ -297,12 +297,14 @@ def test_cli_cache_soundness(tmp_path):
         assert plain["commands"] == cold["commands"] == warm["commands"]
 
 
+# the colon's kernel is C's basis, so `gb I;` logs the second basis
 COLON_Q = """\
 ring R = q[x,y,z] grevlex;
 ideal I = (x*y, x*z, y*z);
 ideal C = colon(I, (x, y));
 gb C;
 contains(C, (z));
+gb I;
 """
 
 
