@@ -2,18 +2,17 @@
 reduced Groebner bases behind it.
 
 A `Store` is made fresh for each job and dropped at its end (`cli.main`
-installs it in `active_store`; `recall` keeps a result in it, and
-outside a job computes it on each call).  It keeps every result asked
-for by content key -- reduced bases under (ring, frozenset of
-generators, None, True), module kernels (`modules.syzygy_columns`)
-with the bits of the head components in the third place and, for a
-kernel kept as generators rather than as its reduced basis, False in
-the fourth, whole hypothesis checks, reduction reports under their
-arguments, ideal products, and Rees presentations under ("rees",
-ring, generators) -- so a repeat
-within the job is read back instead of recomputed.  `Store.held`
-reads a kept result without computing anything: colon and
-intersection start from a kept full basis.  Only results whose
+installs it in `active_store`).  Only this module reads `active_store`:
+`recall` keeps a result in the job's store, and `basis` keeps a reduced
+basis there with the disk cache behind it; outside a job both compute
+on each call.  The store keeps every result asked for by content key --
+reduced bases under (ring, frozenset of generators, None, True), module
+kernels (`modules.syzygy_columns`) with the bits of the head components
+in the third place and, for a kernel kept as generators rather than as
+its reduced basis, False in the fourth, whole hypothesis checks,
+reduction reports under their arguments, ideal products, and Rees
+presentations under ("rees", ring, generators) -- so a repeat within
+the job is read back instead of recomputed.  Only results whose
 computation returned are kept; one that raised is computed again on
 the next call.
 
@@ -71,6 +70,32 @@ def recall(key, compute):
     return compute() if store is None else store.recall(key, compute)
 
 
+def basis(ring, gens, compute, head=None, reduced=True):
+    """The reduced basis of the nonzero gens, or with a head the kernel
+    basis past the head components, or with reduced=False too the
+    kernel's generators: compute()'s outside a job; in a job, kept in
+    its store, else read from its disk cache, else compute()'s, which is
+    put to disk.  Both keys name the head and whether the kernel is
+    reduced, so a kernel never answers for the full basis, nor
+    generators for a reduced kernel.  Only a kernel may be empty.  The
+    disk key is hashed once per miss."""
+    store = active_store.get()
+    if store is None:
+        return compute()
+    disk = store.disk
+
+    def load():
+        if disk is None:
+            return compute()
+        key = basis_key(ring, gens, head, reduced)
+        found = disk.get(ring, key, empty=head is not None)
+        if found is None:
+            found = compute()
+            disk.put(key, found)
+        return found
+    return store.recall((ring, frozenset(gens), head, reduced), load)
+
+
 def basis_key(ring, gens, head=None, reduced=True):
     """The disk key of gens: stable across processes and runs (no
     Python `hash()`), and the same for any order of gens or of their
@@ -103,32 +128,6 @@ class Store:
             self.misses += 1
             self._results[key] = compute()
         return self._results[key]
-
-    def basis(self, ring, gens, compute, head=None, reduced=True):
-        """The reduced basis of the nonzero gens, or with a head the
-        kernel basis past the head components, or with reduced=False
-        too the kernel's generators: kept, else read from disk, else
-        compute()'s, which is put to disk.  Both keys name the head and
-        whether the kernel is reduced, so a kernel never answers for the
-        full basis, nor generators for a reduced kernel.  Only a kernel
-        may be empty.  The disk key is hashed once per miss."""
-        def load():
-            if self.disk is None:
-                return compute()
-            key = basis_key(ring, gens, head, reduced)
-            basis = self.disk.get(ring, key, empty=head is not None)
-            if basis is None:
-                basis = compute()
-                self.disk.put(key, basis)
-            return basis
-        return self.recall((ring, frozenset(gens), head, reduced), load)
-
-    def held(self, key):
-        """What this job already keeps under key, else None; computes
-        nothing, reads no disk and counts no hit or miss.  The full
-        reduced basis of the nonzero gens is kept under
-        (ring, frozenset(gens), None, True)."""
-        return self._results.get(key)
 
 
 def _flat(g):

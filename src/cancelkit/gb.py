@@ -315,8 +315,9 @@ def buchberger(gens, *, known=(), head=None, reduced=True):
     Zero generators are filtered; pair selection uses the normal strategy
     (minimal lcm degree, ties by lcm key then indices).  A popped pair
     no longer in the pair table was dropped by the chain criterion and is
-    skipped.  The basis is asked of the job's store first, and computed
-    only when neither the store nor its disk cache holds it.
+    skipped.  The basis is asked of the job's store first
+    (`cache.basis`), and computed only when neither the store nor its
+    disk cache holds it.
     """
     gens, known = list(gens), list(known)
     ring = _common_ring(gens + known)
@@ -327,13 +328,10 @@ def buchberger(gens, *, known=(), head=None, reduced=True):
     if not gens and not known:
         return GroebnerBasis(ring, [])
 
-    def compute():
-        return _basis(gens, ring, known=known, head=head, reduced=reduced)
-
-    store = _cache.active_store.get()
-    return GroebnerBasis(ring, compute() if store is None else
-                         store.basis(ring, gens + known, compute, head=head,
-                                     reduced=reduced))
+    return GroebnerBasis(ring, _cache.basis(
+        ring, gens + known,
+        lambda: _basis(gens, ring, known=known, head=head, reduced=reduced),
+        head=head, reduced=reduced))
 
 
 def _basis(gens, ring, known=(), head=None, reduced=True):

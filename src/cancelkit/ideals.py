@@ -16,7 +16,9 @@ J = (f_1..f_k) eliminates the z from (I, 1 - z_1*f_1 - ... - z_k*f_k)
 in R[z_1..z_k], and J lies in the radical of I iff that saturation is
 (1).  A radical membership test forms it only when J is not already
 contained in I.  Colon and intersection are one module kernel of one
-column, which is the result's reduced basis, and the result holds it.
+column, taken modulo the reduced bases of their ideals (computed and
+kept on an ideal that has none yet); that kernel is the result's
+reduced basis, and the result holds it.
 
 Height is defined as n - dim(R/I); this is valid because the ambient is
 a polynomial ring over a field (catenary and equidimensional).
@@ -135,12 +137,12 @@ class Ideal:
         """I cap J: the h with h*(1, 1) in the submodule I x J of R^2,
         the same module kernel as colon (no auxiliary variable, so
         homogeneity survives).  I and J enter by their reduced bases
-        where those are already held (`_relations`)."""
+        (`_known`)."""
         self._check(other)
         from .modules import syzygy_columns
         one = self.ring.one()
         cols = syzygy_columns([[one, one]],
-                              *_relations(2, [(self, [0]), (other, [1])]))
+                              _known(2, [(self, [0]), (other, [1])]))
         return _kernel_ideal(self.ring, cols)
 
     def colon_poly(self, f):
@@ -150,8 +152,8 @@ class Ideal:
     def colon(self, other):
         """I : J for J = (f_1..f_k): the kernel of R -> (R/I)^k,
         h -> (h*f_1, ..., h*f_k), in one module basis -- the h with
-        h*(f_1..f_k) in the submodule of R^k generated by the g*e_j, g in I
-        (in I's reduced basis where that is already held, `_relations`)."""
+        h*(f_1..f_k) in the submodule of R^k generated by the g*e_j, g in
+        I's reduced basis (`_known`)."""
         if isinstance(other, Polynomial):
             return self.colon_poly(other)
         self._check(other)
@@ -160,7 +162,7 @@ class Ideal:
         from .modules import syzygy_columns
         k = len(other.generators)
         cols = syzygy_columns([list(other.generators)],
-                              *_relations(k, [(self, range(k))]))
+                              _known(k, [(self, range(k))]))
         return _kernel_ideal(self.ring, cols)
 
     def saturate(self, other):
@@ -264,27 +266,15 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def _relations(k, parts):
-    """The relations g*e_j of R^k for g in an ideal and j in its
-    positions, one (ideal, positions) pair per part, as (relations,
-    known).  When the ideal or the job's store already holds the ideal's
-    reduced basis, its relations come from that basis and are known: a
-    basis times e_j is a module Groebner basis, since pairs form only
-    within one component.  Else they come from its generators.  Nothing
-    is computed here."""
-    store = _cache.active_store.get()
+def _known(k, parts):
+    """The relations g*e_j of R^k for g in the reduced basis of an ideal
+    and j in its positions, one (ideal, positions) pair per part: a
+    module Groebner basis, since pairs form only within one component.
+    An ideal with no basis yet computes and keeps it."""
     zero = [parts[0][0].ring.zero()] * k
-    relations, known = [], []
-    for ideal, positions in parts:
-        basis = ideal._gb
-        if basis is None and store is not None:
-            basis = store.held((ideal.ring, frozenset(ideal.generators),
-                                None, True))
-        into = relations if basis is None else known
-        into += [zero[:j] + [g] + zero[j + 1:]
-                 for g in (ideal.generators if basis is None else basis)
-                 for j in positions]
-    return relations, known
+    return [zero[:j] + [g] + zero[j + 1:]
+            for ideal, positions in parts for g in ideal.groebner()
+            for j in positions]
 
 
 def _kernel_ideal(ring, cols):

@@ -19,9 +19,10 @@ the loop forms no pair of two elements led in the tail and interreduces
 nothing (`gb.buchberger` with reduced=False).  The store and disk keys
 name the head and whether the kernel is reduced, so a kernel never
 answers for a full basis, nor generators for a reduced kernel.
-Relations that already form a module Groebner basis -- an ideal's held
-reduced basis times e_j, since pairs form only within one component --
-enter as known, with no pair between two of them.
+The submodule a kernel is taken modulo enters as known relations, a
+module Groebner basis -- for colon and intersection an ideal's reduced
+basis times e_j, since pairs form only within one component -- with no
+pair between two of them.
 
 minimal_columns trims a generating set of a graded submodule to a
 minimal one by graded Nakayama: one pass in increasing degree, with
@@ -89,17 +90,17 @@ def module_member(v, basis):
     return normal_form(v, basis).is_zero()
 
 
-def syzygy_columns(columns, relations=(), known=()):
+def syzygy_columns(columns, known=()):
     """Generators of the columns h of R^c with sum h_j*columns[j] in the
-    submodule of R^r generated by `relations` and `known`; with neither,
-    the syzygies of the columns.  known must be a module Groebner basis
-    (the reduced basis of an ideal times e_j is one); it enters the loop
-    without pairs among its elements.
+    submodule of R^r generated by `known`; with none, the syzygies of
+    the columns.  known must be a module Groebner basis (the reduced
+    basis of an ideal times e_j is one); it enters the loop without
+    pairs among its elements.
 
-    columns, relations, known: lists of lists of polynomials, each of
-    length r.  Returns, as a list of columns of length c = len(columns),
-    the reduced basis of the kernel when c is 1 (only it is
-    interreduced), and generators of the kernel otherwise.
+    columns, known: lists of lists of polynomials, each of length r.
+    Returns, as a list of columns of length c = len(columns), the
+    reduced basis of the kernel when c is 1 (only it is interreduced),
+    and generators of the kernel otherwise.
     """
     if not columns:
         return []
@@ -114,8 +115,7 @@ def syzygy_columns(columns, relations=(), known=()):
         big.append(vector(list(col) + tail))
     pad = [zero] * c
     kernel = module_buchberger(
-        big + [vector(list(rel) + pad) for rel in relations],
-        known=[vector(list(rel) + pad) for rel in known],
+        big, known=[vector(list(rel) + pad) for rel in known],
         head=sum(1 << s for s in big[0].ring._shifts[:r]), reduced=c == 1)
     return [components(g)[r:] for g in kernel]
 

@@ -97,11 +97,13 @@ def _rees_presentation(ideal):
     while any(f"{prefix}{i + 1}" in ring.names for i in range(m)):
         prefix += "T"
     t_names = tuple(f"{prefix}{i + 1}" for i in range(m))
-    # Weight T_i = deg a_i + 1 when every generator is homogeneous, so Q
-    # (which is bihomogeneous for the x-grading and the T-count) stays
-    # homogeneous and the Groebner computations are degree-bounded.
+    # Weight T_i = deg a_i + 1 when every generator is homogeneous of
+    # positive degree, so Q (which is bihomogeneous for the x-grading and
+    # the T-count) stays homogeneous and the Groebner computations are
+    # degree-bounded.  A constant generator makes I the unit ideal, whose
+    # fiber ideal is read from Q.
     weights = None
-    if all(a.is_homogeneous() for a in gens):
+    if all(a.is_homogeneous() and a.wdegree() > 0 for a in gens):
         base_w = ring.weights or tuple(1 for _ in range(ring.n))
         weights = tuple(base_w) + tuple(a.wdegree() + 1 for a in gens)
     s_ring = Ring(ring.field, ring.names + t_names, weights=weights)
@@ -169,20 +171,12 @@ def _fiber_by_certificates(ideal, t_ring):
     k[a_1..a_m] and the fiber ideal is the full algebraic-relations
     kernel, generated by and holding its reduced basis (no minimal
     generators are formed), in a ring that orders k[T] as t_ring does
-    (uniform weights, grevlex).  Nonzero constants c_i (degree 0)
-    generate the unit ideal, whose fiber cone is k[t] with
-    T_i -> c_i*t: the fiber ideal is the linear relations among the
-    c_i.
+    (uniform weights, grevlex).  Every generator has positive degree.
     """
     gens = ideal.generators
     ring = ideal.ring
     try:
         degs = {g.wdegree() for g in gens}
-        if degs == {0}:
-            c = [g.coeff(0) for g in gens]
-            T = t_ring.gens()
-            return Ideal(t_ring, [T[i].scale(c[0]) - T[0].scale(c[i])
-                                  for i in range(1, len(gens))])
         if len(degs) == 1:
             d = degs.pop()
             src = Ring(ring.field, t_ring.names, weights=(d,) * len(gens))

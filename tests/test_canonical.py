@@ -146,8 +146,8 @@ def test_groebner_and_normal_form_match_sympy(seed):
     rng = random.Random(f"canonical-gb-{seed}")
     R, order = _ring(seed)
     syms = sympy.symbols(NAMES)
-    # two generators: three random ones of these degrees can make a lex
-    # basis that takes minutes, whatever the coefficients are held in
+    # two generators: for three random ones of these degrees, cancelkit's
+    # direct lex loop over Q can take minutes (sympy takes seconds)
     gens = [oracle.from_coefficients(R, _random_coefficients(R, rng))
             for _ in range(2)]
     G = buchberger(gens)

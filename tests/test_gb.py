@@ -288,16 +288,21 @@ def test_buchberger_pair_counts(monkeypatch):
     # generators (a rank-1 module basis per degree); the kernel holds its
     # basis from the elimination
     assert pairs(lambda: monomial_curve((3, 4, 5)).groebner()) == 13
-    # a module basis: the colon by a 2-generated ideal
-    assert pairs(lambda: I.colon(Ideal(R, [x + y, z**2]))) == 36
-    # the linkage colon (a) : P of the curve t -> (t3, t4, t5): once (a)
-    # holds its basis, its relations enter the module loop as a basis,
-    # with no pair between two of them
+    # a module basis: the colon by a 2-generated ideal starts from I's
+    # reduced basis, computed and kept on I when I has none (12 pairs);
+    # that basis times e_j enters the module loop with no pair between
+    # two of its elements (36 pairs)
+    J = Ideal(R, [x + y, z**2])
+    assert pairs(lambda: Ideal(R, I.generators).colon(J)) == 12 + 36
+    assert pairs(lambda: I.groebner()) == 12
+    assert pairs(lambda: I.colon(J)) == 36
+    # the linkage colon (a) : P of the curve t -> (t3, t4, t5): (a) is its
+    # own basis (coprime leads, no pair), so a fresh (a) and one that
+    # holds its basis form the same pairs
     P = monomial_curve((3, 4, 5))
     x, y, z = P.ring.gens()
     a = [y**2 - x*z, x**3 - y*z]
-    generated = pairs(lambda: Ideal(P.ring, a).colon(P))
+    fresh = pairs(lambda: Ideal(P.ring, a).colon(P))
     A = Ideal(P.ring, a)
-    A.groebner()
-    held = pairs(lambda: A.colon(P))
-    assert (generated, held) == (6, 4)
+    assert pairs(lambda: A.groebner()) == 0
+    assert (fresh, pairs(lambda: A.colon(P))) == (4, 4)

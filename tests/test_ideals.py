@@ -392,10 +392,15 @@ def test_syzygy_columns_with_relations():
         # columns (x, 0), (y, 0), (0, z) of R^2 modulo the module N
         # generated by (xy, 0) and (0, z^2): h maps into N iff
         # h_1 x + h_2 y lies in (xy) and h_3 z in (z^2), so the kernel is
-        # generated by (y, 0, 0), (0, x, 0) and (0, 0, z)
+        # generated by (y, 0, 0), (0, x, 0) and (0, 0, z).  N enters as
+        # known relations, the reduced bases of (xy) and (z^2) times e_0
+        # and e_1, a module Groebner basis, as colon and intersection
+        # pass it
         columns = [[x, zero], [y, zero], [zero, z]]
-        relations = [[x * y, zero], [zero, z * z]]
-        kernel = syzygy_columns(columns, relations)
+        relations = ([[g, zero] for g in Ideal(R, [x * y]).groebner()]
+                     + [[zero, g] for g in Ideal(R, [z * z]).groebner()])
+        assert relations == [[x * y, zero], [zero, z * z]]
+        kernel = syzygy_columns(columns, known=relations)
         assert kernel
         for h in kernel:
             image = [sum((h[j] * columns[j][i] for j in range(3)), zero)

@@ -157,7 +157,7 @@ def test_expressions_are_parsed_in_one_place():
 
 
 def test_bases_enter_the_store_in_one_place():
-    """A reduced basis enters the job's store (Store.basis) only from
+    """A reduced basis enters the job's store (cache.basis) only from
     gb.buchberger: the one engine entry point decides what is computed
     and under which key it is kept."""
     src = pathlib.Path(cancelkit.__file__).parent
@@ -167,13 +167,13 @@ def test_bases_enter_the_store_in_one_place():
     assert sites == {"gb.buchberger"}
 
 
-def test_the_store_is_read_in_three_places():
-    """The job's store is looked up (active_store.get) only by the one
-    fork between a call in a job and one outside (cache.recall), by the
-    engine entry point (gb.buchberger) and by ideals._relations, which
-    reads a held basis without computing."""
+def test_the_store_is_read_only_in_cache():
+    """The job's store is looked up (active_store.get) only in the cache
+    module, by its two forks between a call in a job and one outside:
+    cache.recall for any result and cache.basis for a basis, which
+    reads the disk cache behind the store."""
     src = pathlib.Path(cancelkit.__file__).parent
     sites = {site for path in sorted(src.glob("*.py"))
              for site in _call_sites(ast.parse(path.read_text()), "get",
                                      path.stem, owner="active_store")}
-    assert sites == {"cache.recall", "gb.buchberger", "ideals._relations"}
+    assert sites == {"cache.recall", "cache.basis"}

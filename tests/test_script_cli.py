@@ -223,6 +223,29 @@ def test_every_argument_form_in_both_styles():
         canonical_json(expected)
 
 
+@pytest.mark.parametrize("style", ["call", "space"])
+def test_every_argument_form_in_a_job(tmp_path, capsys, style):
+    # the same scripts as jobs (cli.main), with no disk cache and then
+    # cold and warm on one fresh cache directory: each prints the
+    # library report, and the warm job computes nothing new
+    if style == "call":
+        text, report = CALL_STYLE, CALL_STYLE_REPORT
+    else:
+        expected = json.loads(CALL_STYLE_REPORT)
+        del expected["commands"][-5:]
+        text, report = SPACE_STYLE, canonical_json(expected)
+    script = tmp_path / "forms.ck"
+    script.write_text(text)
+    cached = ["--cache-dir", str(tmp_path / "cache")]
+    logged = []
+    for flags in ([], cached, cached):
+        assert main(["run", str(script), *flags]) == 0
+        assert capsys.readouterr().out == report + "\n"
+        if flags:
+            logged.append((tmp_path / "cache" / LOG).read_bytes())
+    assert logged[0] and logged[1] == logged[0]
+
+
 def _cli(args, **kw):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
