@@ -30,6 +30,6 @@ from .rees import (ReesPresentation, SyzygeticReport, graded_piece,
 from .resolutions import (CohomologySummary, FreeResolution,
                           cohomology_summary, free_resolution)
 from .ring import Polynomial, Ring
-from .script import RunFlags, parse_polynomial, parse_script, run
+from .script import RunFlags, parse_script, run
 
 __version__ = "0.1.0"

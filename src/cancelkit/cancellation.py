@@ -182,39 +182,22 @@ def construct_witness(H, seed=0):
 
 
 def _sample_s(H, N, seed):
-    """Random combination s of N's generators, with constant or linear
-    coefficients, such that (a):s = I and I:s = I; 200 attempts."""
+    """Random combination s of N's reduced basis with constant
+    coefficients, one seeded draw per attempt, such that (a):s = I and
+    I:s = I; 200 attempts."""
     ring = H.I.ring
     field = ring.field
     A = Ideal(ring, list(H.a))
     gens = list(N.groebner().generators)
     for attempt in range(200):
         rng = random.Random(f"{seed}-s-{attempt}")
-        # round-robin richness: first tries bare combinations, later
-        # tries allow low-degree polynomial coefficients
-        use_poly_coeffs = attempt >= len(gens)
-        s = ring.zero()
-        for g in gens:
-            if use_poly_coeffs:
-                c = _random_low_poly(ring, rng)
-            else:
-                c = ring.constant(field.random(rng))
-            s = s + c * g
+        s = combination(ring, [field.random(rng) for _ in gens], gens)
         if s.is_zero():
             continue
         if A.colon_poly(s) == H.I and H.I.colon_poly(s) == H.I:
             return s
     raise SearchExhausted(
         "no witness element s found in 200 attempts")
-
-
-def _random_low_poly(ring, rng):
-    """Random polynomial of total degree <= 1 over the ring."""
-    field = ring.field
-    f = ring.constant(field.random(rng))
-    for i in range(ring.n):
-        f = f + ring.var(i).scale(field.random(rng))
-    return f
 
 
 def link_ideal(I, a):

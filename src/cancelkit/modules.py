@@ -13,10 +13,10 @@ is the reduced basis of the ideal it is, so it comes back reduced: a
 tail term is divisible only by a lead in the tail, so the basis
 elements led in the head block are dropped first (`gb.buchberger` with
 head) and only the kernel is interreduced.  A kernel of more columns
-(syzygies, behind resolutions, Ext and the Rees algebra's linear forms)
-is trimmed by minimal_columns anyway, so it comes back as generators:
-the loop forms no pair of two elements led in the tail and interreduces
-nothing (`gb.buchberger` with reduced=False).  The store and disk keys
+(syzygies, behind resolutions and Ext) is trimmed by minimal_columns
+anyway, so it comes back as generators: the loop forms no pair of two
+elements led in the tail and interreduces nothing (`gb.buchberger` with
+reduced=False).  The store and disk keys
 name the head and whether the kernel is reduced, so a kernel never
 answers for a full basis, nor generators for a reduced kernel.
 The submodule a kernel is taken modulo enters as known relations, a

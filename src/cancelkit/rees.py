@@ -2,12 +2,13 @@
 
 For I = (a_1..a_m) in R = k[x], the presentation ideal Q of the Rees
 algebra R[It] is the kernel of S = R[T_1..T_m] -> R[It], T_i -> a_i t,
-computed as the saturation of the symmetric-algebra relations (one
-linear form per syzygy of the a_i) by a nonzerodivisor of I: one
-elimination basis (Ideal.saturate).  Q is homogeneous in the T-grading
-(deg T_i = 1, deg x_j = 0), so its graded pieces Q_d can be read off any
-Groebner basis.  The fiber-cone ideal is the image of Q in
-k[T] = S/(x)S; the analytic spread is the dimension of the fiber cone.
+computed as one elimination: the graph ideal (T_i - a_i t) of S[t]
+intersected with S (Ideal.eliminate; Vasconcelos, Computational Methods
+in Commutative Algebra and Algebraic Geometry, 1998).  Q is homogeneous
+in the T-grading (deg T_i = 1, deg x_j = 0), so its graded pieces Q_d
+can be read off any Groebner basis.  The fiber-cone ideal is the image
+of Q in k[T] = S/(x)S; the analytic spread is the dimension of the
+fiber cone.
 """
 
 import itertools
@@ -20,7 +21,6 @@ from .fields import RationalField
 from .gb import buchberger, normal_form
 from .ideals import Ideal, kernel_of_map, minimal_kernel
 from .linalg import echelonize
-from .modules import minimal_columns, syzygy_columns
 from .ring import Ring, embed
 
 
@@ -107,31 +107,16 @@ def _rees_presentation(ideal):
         base_w = ring.weights or tuple(1 for _ in range(ring.n))
         weights = tuple(base_w) + tuple(a.wdegree() + 1 for a in gens)
     s_ring = Ring(ring.field, ring.names + t_names, weights=weights)
-    var_map = list(range(ring.n))
-
-    def linear_forms():
-        # Presentation of the symmetric algebra: one linear form
-        # sum c_i T_i per syzygy (c_1..c_m) in a minimal set of syzygies
-        # of the generators (T_i of degree deg a_i); built only where
-        # read (the certificate path needs it only for Q).
-        cols, _ = minimal_columns(syzygy_columns([[a] for a in gens]),
-                                  [a.wdegree() for a in gens])
-        linear = []
-        for col in cols:
-            f = s_ring.zero()
-            for i, c in enumerate(col):
-                f = f + embed(c, s_ring, var_map) * s_ring.var(ring.n + i)
-            linear.append(f)
-        return linear
-
-    # Inverting any nonzerodivisor a in I turns I into the unit ideal, so
-    # Sym(I) and the Rees algebra agree there; the presentation ideal Q is
-    # therefore the a-torsion of L, i.e. the saturation L : a^infinity.
-    pivot = min(gens, key=lambda a: (a.wdegree(), len(a.terms)))
-    pivot_s = embed(pivot, s_ring, var_map)
 
     def q_factory():
-        return Ideal(s_ring, linear_forms()).saturate(pivot_s)
+        # Q = (T_i - a_i t) cap S; t has weight 1, so the graph ideal is
+        # homogeneous when S is weighted
+        st = Ring(ring.field, s_ring.names + ("@t",),
+                  weights=weights and weights + (1,))
+        t = st.var(st.n - 1)
+        graph = [st.var(ring.n + i) - embed(a, st, range(ring.n)) * t
+                 for i, a in enumerate(gens)]
+        return Ideal(st, graph).eliminate(["@t"])
 
     t_ring = Ring(ring.field, t_names,
                   weights=None if weights is None else weights[ring.n:])

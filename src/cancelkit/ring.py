@@ -150,18 +150,11 @@ class Ring:
         return self.constant(self.field.one)
 
     def var(self, i):
-        if isinstance(i, str):
-            i = self._index[i]
         return Polynomial(self, {self.encode(tuple(
             1 if j == i else 0 for j in range(self.n))): 1})
 
     def gens(self):
         return [self.var(i) for i in range(self.n)]
-
-    def poly(self, text):
-        """Parse polynomial text syntax (delegates to the script parser)."""
-        from .script import parse_polynomial
-        return parse_polynomial(self, text)
 
     # -- ring relations --
 
@@ -347,11 +340,6 @@ class Polynomial:
         return Polynomial(self.ring, *field.from_ints(
             self.terms, c.numerator, self.den * c.denominator),
             lead=self._lead)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.ring.field.inv(self.lc()))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring

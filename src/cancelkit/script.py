@@ -416,14 +416,6 @@ def _names(node):
         yield from _names(node[2])
 
 
-def parse_polynomial(ring, text, lookup=None):
-    """Parse one polynomial expression in the given ring."""
-    parser = _Parser(tokenize(text))
-    node = parser.parse_expr()
-    parser.expect("eof")
-    return evaluate(node, ring, lookup or (lambda name: None))
-
-
 # -- interpreter -------------------------------------------------------------
 
 class RunFlags:

@@ -16,6 +16,23 @@ from cancelkit.errors import BadRegularSequence
 from cancelkit.gb import GroebnerBasis, buchberger, normal_form
 from cancelkit.ideals import Ideal
 from cancelkit.ring import Polynomial, combination
+from cancelkit.script import _Parser, evaluate, tokenize
+
+
+def poly(ring, text):
+    """The polynomial of `ring` that one expression in the script syntax
+    denotes; its names are the ring's variables."""
+    parser = _Parser(tokenize(text))
+    node = parser.parse_expr()
+    parser.expect("eof")
+    return evaluate(node, ring, lambda name: None)
+
+
+def monic(f):
+    """f scaled to leading coefficient 1; zero stays zero."""
+    if f.is_zero():
+        return f
+    return f.scale(f.ring.field.inv(f.lc()))
 
 
 def monomials_of_degree(nvars, d):

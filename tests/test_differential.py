@@ -1,11 +1,14 @@
-"""Intersection, colon and saturation against sympy, by routes that share
-no algorithm with cancelkit's module kernels and Rabinowitsch
-elimination:
+"""Intersection, colon, saturation and elimination against sympy, by
+routes that share no algorithm with cancelkit's module kernels and
+Rabinowitsch elimination:
 
 - I cap J is the lex elimination of t from t*I + (1 - t)*J;
 - I : J is the intersection over the generators f_j of J of
   (I cap (f_j)) / f_j, each quotient an exact division;
 - I : J^infinity is the colon by J repeated until it is stable;
+- I cap k[the variables but v] is the elements free of v of the lex
+  basis that puts v first, also on the eliminations of GRAPHS, which
+  only an elimination order gets right;
 - f lies in the radical of I iff 1 is in I + (1 - t*f) (Rabinowitsch),
   and in I iff sympy's basis of I reduces it to 0.
 
@@ -49,6 +52,23 @@ ORDERS = {"lex": Lex, "grevlex": Grevlex}
 CASES = [(field, order, homogeneous, seed)
          for field in FIELDS for order in ORDERS
          for homogeneous in (True, False) for seed in range(6)]
+# Eliminations of the first variables chosen so that a grevlex basis
+# does not already hold the elimination ideal's basis, most of them
+# graphs of parametrized curves, as kernel_of_map and the Rees
+# presentation build: only an elimination order passes on them.
+GRAPHS = [
+    ("t x y", ["x - t^2", "y - t^3"]),
+    ("t x y", ["x - t^2 - t", "y - t^3"]),
+    ("t x y", ["t*x - 1", "y - t^2"]),
+    ("t x y z", ["x - t^3", "y - t^4", "z - t^5"]),
+    ("t x y z", ["x - t", "y - t^2", "z - t^3"]),
+    ("t x y", ["x*t - y", "t^2 - x - y"]),
+    ("t x y", ["t^2 - x*y", "t*x - y^2"]),
+    ("t x y z", ["x*t - 1", "y*t^2 - z"]),
+]
+GRAPH_CASES = [(field, order, "graph", index)
+               for field in FIELDS for order in ORDERS
+               for index in range(len(GRAPHS))]
 
 
 class _Case:
@@ -60,10 +80,21 @@ class _Case:
                             f"{seed}")
         make_field, self.domain = FIELDS[field]
         self.field = make_field()
+        self.order = order
+        if homogeneous == "graph":
+            # the I of GRAPHS[seed], and no J
+            names, texts = GRAPHS[seed]
+            self.ring = Ring(self.field, names.split(), ORDERS[order]())
+            self.syms = sympy.symbols(names)
+            self.I = (Ideal(self.ring, [oracle.poly(self.ring, text)
+                                        for text in texts]),
+                      [sympy.sympify(text.replace("^", "**"),
+                                     dict(zip(names.split(), self.syms)))
+                       for text in texts])
+            return
         names = ["x", "y", "z"][:rng.choice((2, 3))]
         self.ring = Ring(self.field, names, ORDERS[order]())
         self.syms = sympy.symbols(names)
-        self.order = order
         self.I = self._ideal(rng, homogeneous, rng.randint(1, 3))
         self.J = self._ideal(rng, homogeneous, rng.randint(1, 2))
 
@@ -156,7 +187,9 @@ def _ratio(c):
 
 def _case_id(case):
     field, order, homogeneous, seed = case
-    return f"{field}-{order}-{'hom' if homogeneous else 'inhom'}-{seed}"
+    kind = homogeneous if homogeneous == "graph" \
+        else "hom" if homogeneous else "inhom"
+    return f"{field}-{order}-{kind}-{seed}"
 
 
 @pytest.fixture(params=CASES, ids=_case_id)
@@ -182,6 +215,8 @@ def test_saturation_matches_repeated_colons(case):
     assert ours == case.reduced(case.saturate(F, G))
 
 
+@pytest.mark.parametrize("case", CASES + GRAPH_CASES, ids=_case_id,
+                         indirect=True)
 def test_elimination_matches_lex_elimination(case):
     # each variable but the last, eliminated from I alone
     I, F = case.I

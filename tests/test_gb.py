@@ -80,7 +80,8 @@ def test_matches_sympy_groebner():
             G = buchberger(gens)
             sg = _sympy_groebner(gens, syms)
             ours = {str(g) for g in G}
-            theirs = {str(_from_sympy(e, R, syms).monic()) for e in sg.exprs}
+            theirs = {str(oracle.monic(_from_sympy(e, R, syms)))
+                      for e in sg.exprs}
             assert ours == theirs, (field, gens)
 
 
@@ -110,7 +111,7 @@ def test_normal_form_over_q_matches_sympy(gens, f):
     G = buchberger(gens)
     sg = _sympy_groebner(gens, syms)
     assert {str(g) for g in G} == {
-        str(_from_sympy(e, _QR, syms).monic()) for e in sg.exprs}
+        str(oracle.monic(_from_sympy(e, _QR, syms))) for e in sg.exprs}
     _, remainder = sg.reduce(_to_sympy(f, syms))
     assert normal_form(f, G) == _from_sympy(remainder, _QR, syms)
 
@@ -184,7 +185,7 @@ def test_lex_elimination_shape():
     x, y = R.gens()
     # x = t^2, y = t^3 image relations after eliminating t by hand:
     G = buchberger([x ** 3 - y ** 2])
-    assert [str(g) for g in G] == [str((x ** 3 - y ** 2).monic())]
+    assert [str(g) for g in G] == [str(oracle.monic(x ** 3 - y ** 2))]
 
 
 def test_unit_ideal(R):

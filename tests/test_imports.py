@@ -146,14 +146,13 @@ def test_monomials_compare_in_one_place():
 
 
 def test_expressions_are_parsed_in_one_place():
-    """A parser is built only for a whole script and for one polynomial:
-    the interpreter evaluates the trees it is handed and never reads
-    tokens again."""
+    """A parser is built only for a whole script: the interpreter
+    evaluates the trees it is handed and never reads tokens again."""
     src = pathlib.Path(cancelkit.__file__).parent
     sites = {site for path in sorted(src.glob("*.py"))
              for site in _call_sites(ast.parse(path.read_text()), "_Parser",
                                      path.stem)}
-    assert sites == {"script.parse_script", "script.parse_polynomial"}
+    assert sites == {"script.parse_script"}
 
 
 def test_bases_enter_the_store_in_one_place():

@@ -299,7 +299,7 @@ def _pool_one_degree_ideals():
             spec, names = re.search(r"= (\S+)\[([^\]]*)\]", job.text).groups()
             field = RationalField() if spec == "q" else PrimeField(32003)
             R = Ring(field, names.split(","))
-            ideals.append(Ideal(R, [R.poly(g) for g in job.gb_input]))
+            ideals.append(Ideal(R, [oracle.poly(R, g) for g in job.gb_input]))
     return ideals
 
 

